@@ -3,21 +3,21 @@
 V is the dual of sL: one generator v_x of degree |x| + 1 per Lie generator
 x.  The linear part d0 is dual to ∂ via ⟨d0 v, sx⟩ = (-1)^{|v|}⟨v, s∂x⟩;
 the quadratic part d1 is dual to the bracket via
-⟨d1 v, sx·sy⟩ = (-1)^{|sy|}⟨v, s[x,y]⟩, solved against the word-length-two
-block of the Λ/Γ pairing.  Chains are obtained by dualizing blockwise
-through the same pairing, which keeps the two complexes strictly adjoint:
-⟨a, ∂ω⟩ = (-1)^{|a|}⟨d a, ω⟩.
+⟨d1 v, sx·sy⟩ = (-1)^{|sy|}⟨v, s[x,y]⟩.  The Λ/Γ pairing is a signed
+identity (gamma.pairing_signs), so each length-two coefficient of d1 is
+that sign times the bracket term, with γ²(sx) = (sx·sx)/2 halving it.
+Chains are the blockwise adjoint (gamma.adjoint) of the cochains, which
+keeps the two complexes strictly adjoint: ⟨a, ∂ω⟩ = (-1)^{|a|}⟨d a, ω⟩.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gamma import GammaAlgebra, pairing_matrix
+from .gamma import GammaAlgebra, adjoint, pairing_signs
 from .graded import (ComplexError, FieldHomology, GradedChainComplex,
                      GradedMap, induced_map)
 from .lie import DgLie, LieError, PbwAlgebra, abelian
-from .scalars import Matrix
 
 
 @dataclass
@@ -108,54 +108,28 @@ def cochains(L: DgLie) -> CceCochains:
         if img:
             d0_images[x] = img
 
-    # d1 v_z solved from its pairings against Γ²(sL)
+    # d1 v_z: the Λ-monomial v_x·v_y pairs only with the gamma word sx·sy
+    # (or γ²(sx) = (sx·sx)/2 when x = y), with sign pairing_signs
     d1_images = {}
     for z in range(L.n_gens()):
         n = L.degrees[z] + 2       # degree of d1 v_z = |v_z| + 1
         if n > n_max:
             continue
-        lam2 = [i for i, mono in enumerate(lam.monomials(n))
-                if len(mono) == 2]
-        if not lam2:
-            continue
-        gamma_words = sgamma.words(n)
-        rhs = [ring.zero] * len(gamma_words)
-        nonzero = False
-        for j, gw in enumerate(gamma_words):
-            if sum(k for _, k in gw) != 2:
-                continue
-            if len(gw) == 2:
-                (x, _), (y, _) = gw
-                # the gamma word is the product sx·sy itself
-                val = L.bracket_gens(x, y).get(z, ring.zero)
-                sy = L.degrees[y] + 1
-                val = ring.mul(ring.of(-1 if sy % 2 else 1), val)
-            else:
-                # γ²(sx) = (sx·sx)/2
-                (x, _k) = gw[0]
-                val = L.bracket_gens(x, x).get(z, ring.zero)
-                sx = L.degrees[x] + 1
-                val = ring.mul(ring.of(-1 if sx % 2 else 1), val)
-                val = ring.div(val, ring.of(2))
-            if not ring.is_zero(val):
-                rhs[j] = val
-                nonzero = True
-        if not nonzero:
-            continue
-        A = pairing_matrix(ring, lam, sgamma, n)
-        # restrict to the word-length-2 block (pairing vanishes across
-        # lengths, and gamma words of length 2 sit at the same indices)
-        sub = Matrix(ring, len(lam2), len(lam2),
-                     [[A.a[i][j] for j in lam2] for i in lam2])
-        b = [rhs[j] for j in lam2]
-        coeffs = sub.transpose().solve(b)
-        if coeffs is None:
-            raise ComplexError("bracket not dualizable (pairing degenerate)")
         img = {}
-        for c, i in zip(coeffs, lam2):
-            if not ring.is_zero(c):
-                img[lam.monomials(n)[i]] = c
-        d1_images[z] = img
+        for mono, sign in zip(lam.monomials(n), pairing_signs(sgamma, n)):
+            if len(mono) != 2:
+                continue
+            x, y = mono
+            val = L.bracket_gens(x, y).get(z)
+            if val is None:
+                continue
+            sy = L.degrees[y] + 1
+            val = ring.mul(ring.of(-sign if sy % 2 else sign), val)
+            if x == y:
+                val = ring.div(val, ring.of(2))
+            img[mono] = val
+        if img:
+            d1_images[z] = img
 
     d0 = lam.derivation(1, d0_images)
     d1 = lam.derivation(1, d1_images)
@@ -168,37 +142,13 @@ def chains(L: DgLie, co: CceCochains | None = None) -> CceChains:
     """Γ(sL) with the differential adjoint to the cochain differential."""
     if co is None:
         co = cochains(L)
-    ring = L.ring
-    n_max = L.n_max
-    sgamma = GammaAlgebra(ring, n_max,
+    sgamma = GammaAlgebra(L.ring, L.n_max,
                           [(f"s{name}", deg + 1)
                            for name, deg in zip(L.names, L.degrees)])
-    lam = co.algebra
-    pairings = {n: pairing_matrix(ring, lam, sgamma, n)
-                for n in range(n_max + 1) if sgamma.dim(n) > 0}
-
-    def dual_block(dmap, n):
-        # ⟨a, ∂ω⟩ = (-1)^{n-1} ⟨d a, ω⟩ for a of degree n-1, ω of degree n
-        if sgamma.dim(n) == 0 or sgamma.dim(n - 1) == 0:
-            return None
-        D = dmap.block(n - 1)
-        if D.is_zero():
-            return None
-        m = pairings[n - 1].inverse() * D.transpose() * pairings[n]
-        if (n - 1) % 2:
-            m = m.scaled(ring.neg(ring.one))
-        return m
-
-    parts = []
-    for dmap in (co.d0, co.d1, co.d):
-        g = GradedMap(sgamma.basis, sgamma.basis, -1, ring)
-        for n in range(1, n_max + 1):
-            m = dual_block(dmap, n)
-            if m is not None:
-                g.set_block(n, m)
-        parts.append(g)
-    p0, p1, pd = parts
-    GradedChainComplex(sgamma.basis, pd, ring)   # validates ∂∂ = 0
+    # ⟨a, ∂ω⟩ = (-1)^{|a|} ⟨d a, ω⟩
+    p0, p1, pd = (adjoint(dmap, sgamma, sgamma)
+                  for dmap in (co.d0, co.d1, co.d))
+    GradedChainComplex(sgamma.basis, pd, L.ring)   # validates ∂∂ = 0
     return CceChains(L, sgamma, pd, p0, p1)
 
 

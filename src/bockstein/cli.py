@@ -44,12 +44,9 @@ def _load(path: str, prime: int | None, nmax: int | None) -> DgLie:
         raise InputError(f"{path}: {exc}")
     if prime is not None or nmax is not None:
         from .scalars import ZpLocal
-        ring = ZpLocal(prime) if prime is not None else L.ring
-        gens = list(zip(L.names, L.degrees))
+        ring = ZpLocal(prime) if prime is not None else None
         try:
-            L = DgLie(ring, nmax if nmax is not None else L.n_max, gens,
-                      {k: dict(v) for k, v in L._brackets.items()},
-                      {k: dict(v) for k, v in L.d_gen.items()})
+            L = L.replace(ring=ring, n_max=nmax)
         except (LieError, RingError) as exc:
             raise InputError(str(exc))
     return L
@@ -193,11 +190,7 @@ def cmd_check_morphism(args):
     if args.mod_p:
         # Frobenius-twisted morphisms only exist over the residue field
         from .scalars import PrimeField
-        L1, L2 = (DgLie(PrimeField(L.p), L.n_max,
-                        list(zip(L.names, L.degrees)),
-                        {k: dict(v) for k, v in L._brackets.items()},
-                        {k: dict(v) for k, v in L.d_gen.items()})
-                  for L in (L1, L2))
+        L1, L2 = (L.replace(ring=PrimeField(L.p)) for L in (L1, L2))
     src, tgt = PbwAlgebra(L1), PbwAlgebra(L2)
     try:
         text = Path(args.map).read_text()
@@ -309,9 +302,7 @@ def cmd_examples(args):
     p, n = args.prime or 3, 1
     L, rmax = builtin_dgl(args.name, p=p, rmax=args.rmax)
     if args.nmax:
-        L = DgLie(L.ring, args.nmax, list(zip(L.names, L.degrees)),
-                  {k: dict(v) for k, v in L._brackets.items()},
-                  {k: dict(v) for k, v in L.d_gen.items()})
+        L = L.replace(n_max=args.nmax)
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     lines = []

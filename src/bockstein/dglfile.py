@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 
 from .lie import DgLie
-from .scalars import RingError, ZpLocal
+from .scalars import RingError, ZpLocal, accumulate
 
 
 class DglParseError(ValueError):
@@ -191,9 +191,10 @@ def emit_dgl(L: DgLie) -> str:
     out = [f"prime {L.ring.p}", f"nmax {L.n_max}"]
     for name, deg in zip(L.names, L.degrees):
         out.append(f"generator {name} {deg}")
-    for (i, j) in sorted(L._brackets):
+    brackets = L.brackets
+    for (i, j) in sorted(brackets):
         out.append(f"bracket {L.names[i]} {L.names[j]} = "
-                   f"{_terms_str(L, L._brackets[(i, j)])}")
+                   f"{_terms_str(L, brackets[(i, j)])}")
     for i in sorted(L.d_gen):
         if L.d_gen[i]:
             out.append(f"differential {L.names[i]} = "
@@ -227,11 +228,7 @@ def parse_map(text: str, source, target) -> dict:
         for coeff, mono_tok in _parse_terms(rhs, ln):
             mono = _parse_monomial(mono_tok, names, target.L.degrees, ln)
             c = ring.one if coeff is None else _parse_coeff(coeff, ring, ln)
-            v = ring.add(elem.get(mono, ring.zero), c)
-            if ring.is_zero(v):
-                elem.pop(mono, None)
-            else:
-                elem[mono] = v
+            accumulate(ring, elem, {mono: ring.one}, c)
         images[source.L.index[src_name]] = elem
     missing = [n for n in source.L.names if source.L.index[n] not in images]
     if missing:

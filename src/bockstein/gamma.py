@@ -4,7 +4,8 @@
 product and γ^k(v) = [v|...|v] on even generators.  The basis consists of
 words γ^{k_1}(v_1)···γ^{k_s}(v_s) with v_i in generator order and k_i ≤ 1
 for odd v_i — mirroring PBW monomials of an enveloping algebra on the dual
-generators, which makes dualizing a Hopf map a plain blockwise transpose.
+generators, so the Λ/Γ pairing is a signed identity and dualizing a map
+is a signed blockwise transpose (`pairing_signs`, `adjoint`).
 
 Divided powers of arbitrary even elements are computed in the ambient
 tensor coalgebra as (k-fold shuffle power)/k!; over F_p the element is
@@ -17,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .graded import GradedBasis, GradedMap
-from .scalars import Matrix, ZpLocal
+from .graded import GradedBasis, GradedMap, dualize
+from .scalars import Matrix, ZpLocal, accumulate
 
 
 class GammaError(ValueError):
@@ -146,27 +147,21 @@ class GammaAlgebra:
 
     def expand_elem(self, elem: dict) -> dict:
         """Element -> tensor expansion over the ring."""
-        ring = self.ring
         out = {}
         for gw, c in elem.items():
-            for w, n in self.expand(gw).items():
-                v = ring.add(out.get(w, ring.zero),
-                             ring.mul(c, ring.of(n)))
-                if ring.is_zero(v):
-                    out.pop(w, None)
-                else:
-                    out[w] = v
+            accumulate(self.ring, out, self.expand(gw), c)
         return out
 
-    def from_tensor(self, tensor_elem: dict, n: int = None) -> dict:
+    def from_tensor(self, tensor_elem: dict, ring=None) -> dict:
         """Tensor expansion -> gamma coordinates; raises if outside Γ(V).
 
         Each gamma word hits its sorted tensor word with coefficient 1, and
         distinct gamma words have distinct letter multisets, so peeling the
         sorted words recovers the coordinates without linear algebra; the
         residual must cancel exactly or the element is not symmetric.
+        Coefficients lie in `ring`, by default the algebra's own.
         """
-        ring = self.ring
+        ring = self.ring if ring is None else ring
         out = {}
         residual = {w: c for w, c in tensor_elem.items()
                     if not ring.is_zero(c)}
@@ -177,13 +172,7 @@ class GammaAlgebra:
             if any(k > 1 and self.degrees[i] % 2 for i, k in gw):
                 raise GammaError("tensor element does not lie in Γ(V)")
             out[gw] = c
-            for w2, m in self.expand(gw).items():
-                v = ring.sub(residual.get(w2, ring.zero),
-                             ring.mul(c, ring.of(m)))
-                if ring.is_zero(v):
-                    residual.pop(w2, None)
-                else:
-                    residual[w2] = v
+            accumulate(ring, residual, self.expand(gw), ring.neg(c))
         if residual:
             raise GammaError("tensor element does not lie in Γ(V)")
         return out
@@ -202,13 +191,8 @@ class GammaAlgebra:
                     continue
                 for ta, na in self.expand(wa).items():
                     for tb, nb in self.expand(wb).items():
-                        for w, c in self.shuffle(ta, tb).items():
-                            v = ring.add(tensor.get(w, ring.zero),
-                                         ring.mul(coeff, ring.of(na * nb * c)))
-                            if ring.is_zero(v):
-                                tensor.pop(w, None)
-                            else:
-                                tensor[w] = v
+                        accumulate(ring, tensor, self.shuffle(ta, tb),
+                                   ring.mul(coeff, ring.of(na * nb)))
         return self.from_tensor(tensor)
 
     def gen(self, i: int) -> dict:
@@ -258,31 +242,9 @@ class GammaAlgebra:
         for w, c in result.items():
             if c.denominator % ring.p == 0:
                 raise GammaError("divided power not p-integral (internal)")
-        exact = _exact_from_tensor(self, result, n * k, ZpLocal(ring.p))
+        exact = self.from_tensor(result, ZpLocal(ring.p))
         return {gw: ring.of(c) for gw, c in exact.items()
                 if not ring.is_zero(ring.of(c))}
-
-
-def _exact_from_tensor(A: GammaAlgebra, tensor: dict, n: int, zp) -> dict:
-    """Peel gamma coordinates over Z_(p) regardless of A.ring."""
-    out = {}
-    residual = {w: c for w, c in tensor.items() if c != 0}
-    for w, c in list(residual.items()):
-        if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
-            continue
-        gw = _run_length(w)
-        if any(k > 1 and A.degrees[i] % 2 for i, k in gw):
-            raise GammaError("tensor element does not lie in Γ(V)")
-        out[gw] = c
-        for w2, m in A.expand(gw).items():
-            v = residual.get(w2, Fraction(0)) - c * m
-            if v == 0:
-                residual.pop(w2, None)
-            else:
-                residual[w2] = v
-    if residual:
-        raise GammaError("tensor element does not lie in Γ(V)")
-    return out
 
 
 def _run_length(mono) -> tuple:
@@ -363,14 +325,8 @@ def is_gamma_derivation(theta: GradedMap, A: GammaAlgebra):
                     a, b = {w1: ring.one}, {w2: ring.one}
                     lhs = th(A.mul(a, b))
                     sign = ring.of(-1 if (deg * n1) % 2 else 1)
-                    rhs = A.mul(th(a), b)
-                    for gw, c in A.mul(a, th(b)).items():
-                        v = ring.add(rhs.get(gw, ring.zero),
-                                     ring.mul(sign, c))
-                        if ring.is_zero(v):
-                            rhs.pop(gw, None)
-                        else:
-                            rhs[gw] = v
+                    rhs = accumulate(ring, A.mul(th(a), b),
+                                     A.mul(a, th(b)), sign)
                     if lhs != rhs:
                         return False, ("product", w1, w2)
     for n in range(2, A.n_max + 1, 2):
@@ -428,3 +384,37 @@ def pairing_matrix(ring, lam, G: GammaAlgebra, n: int) -> Matrix:
         for i, mono in enumerate(rows):
             m.a[i][j] = lambda_gamma_pairing(ring, G.degrees, mono, exp_ring)
     return m
+
+
+def pairing_signs(G: GammaAlgebra, n: int) -> list:
+    """Diagonal of the Λ/Γ pairing in degree n, which is a signed identity.
+
+    The Λ-monomial at position i has the same letters as G.words(n)[i] and
+    pairs only with it, through the sorted tensor word that the gamma word
+    hits with coefficient 1; the entry is the tensor_pairing_sign of its
+    letter degrees.  pairing_matrix builds the same matrix by expansion.
+    """
+    return [tensor_pairing_sign([G.degrees[i] for i, k in gw
+                                 for _ in range(k)])
+            for gw in G.words(n)]
+
+
+def adjoint(f: GradedMap, G_src: GammaAlgebra,
+            G_tgt: GammaAlgebra) -> GradedMap:
+    """Adjoint of f: A_src -> A_tgt under the Λ/Γ pairing, as a map
+    Γ_tgt -> Γ_src of degree -deg f.
+
+    A_src and A_tgt are PBW-basis algebras (ΛV or UL) on the generator
+    degrees of G_src and G_tgt.  The adjoint satisfies
+    ⟨a, f^♯ω⟩ = (-1)^{|f||a|}⟨f a, ω⟩, the sign of graded.dualize; as each
+    pairing matrix is a diagonal of signs, hence its own inverse, f^♯ is
+    the dualized block with rows and columns multiplied by pairing_signs.
+    """
+    ring = f.ring
+    out = dualize(f, G_src.basis, G_tgt.basis)
+    for m, blk in out.blocks.items():
+        rows = pairing_signs(G_src, m + out.degree)
+        cols = pairing_signs(G_tgt, m)
+        blk.a = [[x if r * c > 0 else ring.neg(x) for x, c in zip(row, cols)]
+                 for row, r in zip(blk.a, rows)]
+    return out

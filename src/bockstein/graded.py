@@ -374,7 +374,6 @@ class FieldHomology:
         self.ring = d.ring
         self._cycle = {}       # n -> Matrix, columns a basis of cycles
         self._boundary_count = {}
-        self._classes = {}     # n -> Matrix sending chain coords to H coords
         for n in range(basis.n_max + 1):
             self._compute(n)
 
@@ -391,12 +390,10 @@ class FieldHomology:
             bnd = [B.column(j) for j in pivots]
         # complete boundaries to a basis of cycles
         cols = [list(v) for v in bnd]
-        chosen = []
         for v in kern:
             trial = Matrix.from_columns(ring, dim, cols + [v])
             if trial.rank() == len(cols) + 1:
                 cols.append(list(v))
-                chosen.append(v)
         self._cycle[n] = Matrix.from_columns(ring, dim, cols) if cols else \
             Matrix.zeros(ring, dim, 0)
         self._boundary_count[n] = len(bnd)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .graded import (ComplexError, GradedBasis, GradedChainComplex, GradedMap,
                      WindowError)
-from .scalars import Matrix, PrimeField, ZpLocal
+from .scalars import Matrix, accumulate
 
 
 class LieError(ValueError):
@@ -46,6 +46,18 @@ class DgLie:
             if tgt:
                 self.d_gen[i] = tgt
 
+    @property
+    def brackets(self) -> dict:
+        """Bracket structure constants {(i, j): {k: coeff}}, as a copy."""
+        return {k: dict(v) for k, v in self._brackets.items()}
+
+    def replace(self, ring=None, n_max=None) -> "DgLie":
+        """The same presentation over another ring and/or degree window."""
+        return DgLie(self.ring if ring is None else ring,
+                     self.n_max if n_max is None else n_max,
+                     list(zip(self.names, self.degrees)), self.brackets,
+                     {k: dict(v) for k, v in self.d_gen.items()})
+
     def n_gens(self) -> int:
         return len(self.names)
 
@@ -68,25 +80,16 @@ class DgLie:
         out = {}
         for i, ca in a.items():
             for j, cb in b.items():
-                for k, c in self.bracket_gens(i, j).items():
-                    v = ring.add(out.get(k, ring.zero),
-                                 ring.mul(ring.mul(ca, cb), c))
-                    if ring.is_zero(v):
-                        out.pop(k, None)
-                    else:
-                        out[k] = v
+                terms = self.bracket_gens(i, j)
+                if terms:       # most pairs commute: skip the product
+                    accumulate(ring, out, terms, ring.mul(ca, cb))
         return out
 
     def d(self, a: dict) -> dict:
         ring = self.ring
         out = {}
         for i, ca in a.items():
-            for k, c in self.d_gen.get(i, {}).items():
-                v = ring.add(out.get(k, ring.zero), ring.mul(ca, c))
-                if ring.is_zero(v):
-                    out.pop(k, None)
-                else:
-                    out[k] = v
+            accumulate(ring, out, self.d_gen.get(i, {}), ca)
         return out
 
     # -- validation -------------------------------------------------------
@@ -137,8 +140,9 @@ class DgLie:
                     r1 = self.bracket(self.bracket(x, y), z)
                     r2 = self.bracket(y, self.bracket(x, z))
                     s = self._sign(i, j)
-                    diff = _combine(ring, lhs, r1, ring.neg(ring.one))
-                    diff = _combine(ring, diff, r2, ring.neg(s))
+                    diff = accumulate(ring, dict(lhs), r1,
+                                      ring.neg(ring.one))
+                    accumulate(ring, diff, r2, ring.neg(s))
                     if diff:
                         out.append(
                             f"Jacobi fails on ({self.names[i]},{self.names[j]},"
@@ -166,8 +170,8 @@ class DgLie:
                 r1 = self.bracket(self.d(x), y)
                 r2 = self.bracket(x, self.d(y))
                 s = ring.of(-1 if self.degrees[i] % 2 else 1)
-                diff = _combine(ring, lhs, r1, ring.neg(ring.one))
-                diff = _combine(ring, diff, r2, ring.neg(s))
+                diff = accumulate(ring, dict(lhs), r1, ring.neg(ring.one))
+                accumulate(ring, diff, r2, ring.neg(s))
                 if diff:
                     out.append(
                         f"∂ is not a Lie derivation on ({self.names[i]},"
@@ -197,17 +201,6 @@ class DgLie:
                     m.a[rows.index(self.names[k])][jj] = c
             d.set_block(n, m)
         return GradedChainComplex(basis, d, self.ring)
-
-
-def _combine(ring, a: dict, b: dict, coeff) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        v = ring.add(out.get(k, ring.zero), ring.mul(coeff, c))
-        if ring.is_zero(v):
-            out.pop(k, None)
-        else:
-            out[k] = v
-    return out
 
 
 def abelian(ring, n_max, generators, differential=None) -> DgLie:
@@ -318,14 +311,14 @@ class PbwAlgebra:
                 result = {}
                 for k, c in L.bracket_gens(a, a).items():
                     sub = self._straighten(word[:i] + (k,) + word[i + 2:])
-                    result = _merge(ring, result, sub, ring.mul(half, c))
+                    result = accumulate(ring, result, sub, ring.mul(half, c))
             else:
                 s = ring.of(-1 if (L.degrees[a] * L.degrees[b]) % 2 else 1)
                 result = _scale_dict(
                     ring, self._straighten(word[:i] + (b, a) + word[i + 2:]), s)
                 for k, c in L.bracket_gens(a, b).items():
                     sub = self._straighten(word[:i] + (k,) + word[i + 2:])
-                    result = _merge(ring, result, sub, c)
+                    result = accumulate(ring, result, sub, c)
             break
         if result is None:
             result = {word: ring.one}
@@ -340,8 +333,8 @@ class PbwAlgebra:
             for mb, cb in b.items():
                 if self.monomial_degree(ma + mb) > self.n_max:
                     continue
-                out = _merge(ring, out, self._straighten(ma + mb),
-                             ring.mul(ca, cb))
+                out = accumulate(ring, out, self._straighten(ma + mb),
+                                 ring.mul(ca, cb))
         return out
 
     def gen(self, i: int) -> dict:
@@ -353,7 +346,7 @@ class PbwAlgebra:
         out = {}
         for key, c in spec.items():
             mono = (self.L.index[key],) if isinstance(key, str) else tuple(key)
-            out = _merge(ring, out, self._straighten(mono), ring.of(c))
+            out = accumulate(ring, out, self._straighten(mono), ring.of(c))
         return out
 
     # -- differential as a derivation ----------------------------------------
@@ -367,8 +360,8 @@ class PbwAlgebra:
             for pos, g in enumerate(mono):
                 for k, ck in L.d_gen.get(g, {}).items():
                     word = mono[:pos] + (k,) + mono[pos + 1:]
-                    out = _merge(ring, out, self._straighten(word),
-                                 ring.mul(ring.mul(c, sign), ck))
+                    out = accumulate(ring, out, self._straighten(word),
+                                     ring.mul(ring.mul(c, sign), ck))
                 if L.degrees[g] % 2 == 1:
                     sign = ring.neg(sign)
         return out
@@ -409,8 +402,8 @@ class PbwAlgebra:
                             self.mul(self._straighten(mono[:pos]),
                                      {m2: ring.one}),
                             self._straighten(mono[pos + 1:]))
-                        out = _merge(ring, out, word_terms,
-                                     ring.mul(sign, c2))
+                        out = accumulate(ring, out, word_terms,
+                                         ring.mul(sign, c2))
                     if (degree * L.degrees[g]) % 2 == 1:
                         sign = ring.neg(sign)
                 cols.append(self.to_vector(out, n + degree))
@@ -456,16 +449,12 @@ class PbwAlgebra:
                     continue
                 s = ring.of(-1 if (self.monomial_degree(a2)
                                    * self.monomial_degree(b1)) % 2 else 1)
-                c = ring.mul(ring.mul(ca, cb), s)
-                for m1, c1 in self._straighten(a1 + b1).items():
-                    for m2, c2 in self._straighten(a2 + b2).items():
-                        key = (m1, m2)
-                        v = ring.add(out.get(key, ring.zero),
-                                     ring.mul(ring.mul(c1, c2), c))
-                        if ring.is_zero(v):
-                            out.pop(key, None)
-                        else:
-                            out[key] = v
+                s2 = self._straighten(a2 + b2)
+                accumulate(ring, out,
+                           {(m1, m2): ring.mul(c1, c2)
+                            for m1, c1 in self._straighten(a1 + b1).items()
+                            for m2, c2 in s2.items()},
+                           ring.mul(ring.mul(ca, cb), s))
         return out
 
     def coproduct(self, mono) -> dict:
@@ -488,12 +477,7 @@ class PbwAlgebra:
         ring = self.ring
         out = {}
         for mono, c in elem.items():
-            for key, v in self.coproduct(mono).items():
-                w = ring.add(out.get(key, ring.zero), ring.mul(c, v))
-                if ring.is_zero(w):
-                    out.pop(key, None)
-                else:
-                    out[key] = w
+            accumulate(ring, out, self.coproduct(mono), c)
         return out
 
     def tensor_pairs(self, n: int, reduced: bool = True) -> list:
@@ -535,18 +519,6 @@ class PbwAlgebra:
                     for name in lie_basis.names(n)]
             f.set_block(n, Matrix.from_columns(self.ring, self.dim(n), cols))
         return f
-
-
-def _merge(ring, acc: dict, terms: dict, coeff) -> dict:
-    if ring.is_zero(coeff):
-        return acc
-    for k, c in terms.items():
-        v = ring.add(acc.get(k, ring.zero), ring.mul(coeff, c))
-        if ring.is_zero(v):
-            acc.pop(k, None)
-        else:
-            acc[k] = v
-    return acc
 
 
 def _scale_dict(ring, d: dict, coeff) -> dict:

@@ -493,12 +493,23 @@ class SnfResult:
     invariant_exponents: list = field(default_factory=list)
 
 
-def _dot(ring, row, vec):
-    s = ring.zero
-    for x, y in zip(row, vec):
-        if not ring.is_zero(x):
-            s = ring.add(s, ring.mul(x, y))
-    return s
+def accumulate(ring, acc: dict, terms: dict, coeff) -> dict:
+    """acc += coeff · terms on sparse vectors (dicts key -> scalar).
+
+    Entries that cancel are removed, so a zero vector is the empty dict.
+    Mutates and returns acc; terms may hold ints or ring elements.
+    """
+    if not terms or ring.is_zero(coeff):
+        return acc
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    for k, c in terms.items():
+        v = acc.get(k)
+        v = mul(coeff, c) if v is None else add(v, mul(coeff, c))
+        if is_zero(v):
+            acc.pop(k, None)
+        else:
+            acc[k] = v
+    return acc
 
 
 def _swap_rows(S, U, Uinv, i, j):

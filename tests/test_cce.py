@@ -46,25 +46,31 @@ class TestCochains:
         assert img == {(vf,): Fraction(3)}
 
     def test_d1_bracket_dual(self):
-        # [a,b] = c with |a| = |b| = 1: d1(vc) pairs to ±va·vb
-        L = DgLie(Z3, 8, [("a", 1), ("b", 1), ("c", 2)], {(0, 1): {2: 1}})
-        co = cochains(L)
-        lam = co.algebra
-        vc = lam.L.index["vc"]
-        img = lam.from_vector(4, co.d1.apply(3, lam.to_vector(lam.gen(vc), 3)))
-        assert set(img) == {(0, 1)}
-        # cross-check the defining identity by pairing back
+        # [a,b] = c with |a| = |b| = 1: d1(vc) pairs to ±va·vb; the odd
+        # self-bracket [x,x] = z pairs against sx·sx = 2γ²(sx)
         from bockstein.gamma import GammaAlgebra
-        sg = GammaAlgebra(Z3, 8, [("sa", 2), ("sb", 2), ("sc", 3)])
-        prod = sg.mul(sg.gen(0), sg.gen(1))     # sa·sb
-        exp = {w: Z3.of(c) for gw, cc in prod.items()
-               for w, c in ((w, cc * m) for w, m in sg.expand(gw).items())}
-        lhs = Z3.zero
-        for mono, c in img.items():
-            lhs = Z3.add(lhs, Z3.mul(c, lambda_gamma_pairing(
-                Z3, sg.degrees, mono, exp)))
-        # rhs = (-1)^{|sb|}⟨vc, s[a,b]⟩ = (+1)·1   (|sb| = 2)
-        assert lhs == Z3.one
+        for gens, (a, b) in (([("a", 1), ("b", 1), ("c", 2)], (0, 1)),
+                             ([("x", 1), ("z", 2)], (0, 0))):
+            z = len(gens) - 1
+            L = DgLie(Z3, 8, gens, {(a, b): {z: 1}})
+            co = cochains(L)
+            lam = co.algebra
+            img = lam.from_vector(
+                4, co.d1.apply(3, lam.to_vector(lam.gen(z), 3)))
+            assert set(img) == {(a, b)}
+            # cross-check the defining identity by pairing back
+            sg = GammaAlgebra(Z3, 8, [("s" + name, d + 1)
+                                      for name, d in gens])
+            prod = sg.mul(sg.gen(a), sg.gen(b))     # sa·sb
+            exp = {w: Z3.of(c) for gw, cc in prod.items()
+                   for w, c in ((w, cc * m)
+                                for w, m in sg.expand(gw).items())}
+            lhs = Z3.zero
+            for mono, c in img.items():
+                lhs = Z3.add(lhs, Z3.mul(c, lambda_gamma_pairing(
+                    Z3, sg.degrees, mono, exp)))
+            # rhs = (-1)^{|sb|}⟨vc, s[a,b]⟩ = (+1)·1   (|sb| = 2)
+            assert lhs == Z3.one
 
     def test_jacobi_required(self):
         # invalid bracket data never reaches d²: PbwAlgebra rejects it first
@@ -118,20 +124,23 @@ class TestChains:
         ch.as_complex()
 
     def test_pairing_intertwines(self):
-        # ⟨a, ∂ω⟩ = (-1)^{|a|}⟨d a, ω⟩ entrywise
-        L = DgLie(Z3, 9, [("x", 1), ("y", 1), ("z", 2), ("w", 3)],
-                  {(0, 1): {2: 1}}, {3: {2: 3}})
-        co = cochains(L)
-        ch = chains(L, co)
-        lam, g = co.algebra, ch.algebra
-        for n in range(1, 9):
-            A_n = pairing_matrix(Z3, lam, g, n)
-            A_prev = pairing_matrix(Z3, lam, g, n - 1)
-            lhs = A_prev * ch.d.block(n)
-            rhs = (co.d.block(n - 1).transpose() * A_n)
-            if (n - 1) % 2:
-                rhs = rhs.scaled(Fraction(-1))
-            assert lhs == rhs
+        # ⟨a, ∂ω⟩ = (-1)^{|a|}⟨d a, ω⟩ entrywise; the second DGL has an odd
+        # self-bracket [x,x] = z, so d1 pairs against γ²(sx) = (sx·sx)/2
+        for L in (DgLie(Z3, 9, [("x", 1), ("y", 1), ("z", 2), ("w", 3)],
+                        {(0, 1): {2: 1}}, {3: {2: 3}}),
+                  DgLie(Z3, 9, [("x", 1), ("z", 2)], {(0, 0): {1: 1}})):
+            co = cochains(L)
+            ch = chains(L, co)
+            lam, g = co.algebra, ch.algebra
+            assert not co.d1.is_zero()
+            for n in range(1, 9):
+                A_n = pairing_matrix(Z3, lam, g, n)
+                A_prev = pairing_matrix(Z3, lam, g, n - 1)
+                lhs = A_prev * ch.d.block(n)
+                rhs = (co.d.block(n - 1).transpose() * A_n)
+                if (n - 1) % 2:
+                    rhs = rhs.scaled(Fraction(-1))
+                assert lhs == rhs
 
     def test_mod_p_chains_vanish(self):
         # zero bracket and p | ∂: chains ⊗ F_p has zero differential

@@ -5,6 +5,7 @@ captured with capsys, and exit codes are asserted directly.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +196,19 @@ class TestExamples:
         text = (out / "model.expected").read_text()
         assert "model x1 -> x^3, y1 -> x^2*y: quasi-isomorphism" in text
         assert "H(UL; F_p) dims by degree: 0:1 5:1 6:1 11:1 12:1" in text
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "model"])
+    def test_report_matches_golden(self, name, tmp_path, capsys):
+        # tests/golden holds `bockstein examples NAME` (.expected) and
+        # `bockstein --json examples NAME` (.json) for the default options
+        golden = Path(__file__).parent / "golden"
+        assert main(["examples", name, "--out", str(tmp_path)]) == 0
+        assert ((tmp_path / f"{name}.expected").read_bytes()
+                == (golden / f"{name}.expected").read_bytes())
+        capsys.readouterr()
+        assert main(["--json", "examples", name, "--out", str(tmp_path)]) == 0
+        assert (capsys.readouterr().out.encode()
+                == (golden / f"{name}.json").read_bytes())
 
     def test_roundtrip_written_dgl(self, tmp_path, capsys):
         out = tmp_path / "r"

@@ -5,10 +5,13 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bockstein.gamma import (GammaAlgebra, GammaError, apply_map,
+from bockstein.gamma import (GammaAlgebra, GammaError, adjoint, apply_map,
                              is_gamma_derivation, is_gamma_morphism,
-                             pairing_matrix, tensor_pairing_sign)
+                             pairing_matrix, pairing_signs,
+                             tensor_pairing_sign)
 from bockstein.graded import GradedMap
 from bockstein.lie import PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal
@@ -356,3 +359,47 @@ class TestPairing:
         from bockstein.gamma import lambda_gamma_pairing
         exp = {w: Fraction(c) for w, c in G.expand(((0, 2),)).items()}
         assert lambda_gamma_pairing(Z3, G.degrees, (0,), exp) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           st.integers(1, 14), st.sampled_from([Z3, PrimeField(5)]))
+    def test_pairing_is_signed_identity(self, degrees, nmax, ring):
+        gens = [(f"g{i}", d) for i, d in enumerate(degrees)]
+        G = GammaAlgebra(ring, nmax, gens)
+        lam = PbwAlgebra(abelian(ring, nmax, gens))
+        for n in range(nmax + 1):
+            signs = pairing_signs(G, n)
+            diag = Matrix.zeros(ring, len(signs), len(signs))
+            for i, s in enumerate(signs):
+                diag.a[i][i] = ring.of(s)
+            assert pairing_matrix(ring, lam, G, n) == diag
+
+    @pytest.mark.parametrize("ring", [Z3, F3])
+    @pytest.mark.parametrize("degree", [-1, 0, 1])
+    def test_adjoint_matches_pairing_sandwich(self, degree, ring):
+        # adjoint(f) = A_src⁻¹ · fᵀ · A_tgt · (-1)^{deg f · n} blockwise
+        rng = random.Random(31 + degree)
+        nmax = 8
+        src_gens = [("u", 1), ("v", 2), ("w", 3)]
+        tgt_gens = [("a", 1), ("b", 2), ("c", 2), ("d", 3)]
+        lam_s = PbwAlgebra(abelian(ring, nmax, src_gens))
+        lam_t = PbwAlgebra(abelian(ring, nmax, tgt_gens))
+        G_s = GammaAlgebra(ring, nmax, src_gens)
+        G_t = GammaAlgebra(ring, nmax, tgt_gens)
+        f = GradedMap(lam_s.basis, lam_t.basis, degree, ring)
+        for n in range(max(0, -degree), nmax + 1 - max(0, degree)):
+            rows, cols = lam_t.dim(n + degree), lam_s.dim(n)
+            f.set_block(n, Matrix(ring, rows, cols,
+                                  [[rng.randint(-4, 4) for _ in range(cols)]
+                                   for _ in range(rows)]))
+        assert f.blocks
+        fd = adjoint(f, G_s, G_t)
+        assert fd.degree == -degree
+        assert set(fd.blocks) == {n + degree for n in f.blocks}
+        for n, m in f.blocks.items():
+            want = (pairing_matrix(ring, lam_s, G_s, n).inverse()
+                    * m.transpose()
+                    * pairing_matrix(ring, lam_t, G_t, n + degree))
+            if (degree * n) % 2:
+                want = want.scaled(ring.neg(ring.one))
+            assert fd.block(n + degree) == want
