@@ -27,20 +27,14 @@ class CochainAlgebra:
     algebra: PbwAlgebra
     d: GradedMap
 
-    @property
-    def ring(self):
-        return self.algebra.ring
-
-    @property
-    def n_max(self):
-        return self.algebra.n_max
-
 
 @dataclass
-class CceCochains(CochainAlgebra):
-    L: DgLie = None
-    d0: GradedMap = None
-    d1: GradedMap = None
+class CceCochains:
+    L: DgLie
+    algebra: PbwAlgebra
+    d: GradedMap
+    d0: GradedMap
+    d1: GradedMap
 
 
 @dataclass
@@ -135,7 +129,7 @@ def cochains(L: DgLie) -> CceCochains:
     d1 = lam.derivation(1, d1_images)
     d = d0 + d1
     _check_square_zero(d, n_max)
-    return CceCochains(lam, d, L, d0, d1)
+    return CceCochains(L, lam, d, d0, d1)
 
 
 def chains(L: DgLie, co: CceCochains | None = None) -> CceChains:
@@ -160,11 +154,10 @@ def verify_quasi_iso(gen_images: dict, src: CochainAlgebra,
     homology is compared in degrees ≤ window (default n_max - 1, the top
     degree being distorted by truncation).
     """
-    ring = src.ring
-    if not ring.is_field:
+    if not src.algebra.ring.is_field:
         raise ComplexError("quasi-isomorphism check runs over a field")
     if window is None:
-        window = src.n_max - 1
+        window = src.algebra.n_max - 1
     images = {}
     for key, elem in gen_images.items():
         i = src.algebra.L.index[key] if isinstance(key, str) else key

@@ -18,7 +18,7 @@ from .cce import cochains, free_cochain_algebra, verify_quasi_iso
 from .dglfile import DglParseError, emit_dgl, parse_dgl, parse_map
 from .graded import FieldHomology, homology
 from .lie import DgLie, LieError, PbwAlgebra
-from .scalars import RingError
+from .scalars import PrimeField, RingError, ZpLocal
 from .structure import StructureError, hopf_morphism, is_lie_type, \
     verify_envelope_pages
 
@@ -43,20 +43,18 @@ def _load(path: str, prime: int | None, nmax: int | None) -> DgLie:
     except DglParseError as exc:
         raise InputError(f"{path}: {exc}")
     if prime is not None or nmax is not None:
-        from .scalars import ZpLocal
-        ring = ZpLocal(prime) if prime is not None else None
         try:
+            ring = ZpLocal(prime) if prime is not None else None
             L = L.replace(ring=ring, n_max=nmax)
         except (LieError, RingError) as exc:
             raise InputError(str(exc))
     return L
 
 
-def _validated(L: DgLie) -> list:
+def _validated(L: DgLie):
     bad = L.validate()
     if bad:
         raise MathFailure("invalid DGL: " + "; ".join(bad))
-    return bad
 
 
 def _complex_for(L: DgLie, target: str):
@@ -71,10 +69,7 @@ def _complex_for(L: DgLie, target: str):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args):
-    try:
-        L = _load(args.file, args.prime, args.nmax)
-    except InputError:
-        raise
+    L = _load(args.file, args.prime, args.nmax)
     bad = L.validate()
     if bad:
         lines = [f"invalid: {msg}" for msg in bad]
@@ -133,7 +128,7 @@ def _page_report(result, rmax):
 def cmd_bss(args):
     L = _load(args.file, args.prime, args.nmax)
     _validated(L)
-    C, _ = _complex_for(L, args.target)
+    C, alg = _complex_for(L, args.target)
     result = bockstein_pages(C, args.rmax)
     lines = [f"Bockstein spectral sequence of the {args.target} complex, "
              f"p = {L.p}, degrees 0..{C.n_max - 1}:"]
@@ -149,7 +144,10 @@ def cmd_bss(args):
         rep["window_warning"] = need
     code = EXIT_OK
     if args.check_envelopes:
-        t3 = verify_envelope_pages(L, args.rmax)
+        if alg is None:     # the check reads the pages of UL itself
+            alg = PbwAlgebra(L)
+            result = bockstein_pages(alg.as_complex(), args.rmax)
+        t3 = verify_envelope_pages(alg, result)
         rep["envelope_consistency"] = {"ok": t3.ok, "failures": t3.failures}
         lines.append("page/enveloping consistency: "
                      + ("ok" if t3.ok else "FAILED"))
@@ -189,7 +187,6 @@ def cmd_check_morphism(args):
     _validated(L2)
     if args.mod_p:
         # Frobenius-twisted morphisms only exist over the residue field
-        from .scalars import PrimeField
         L1, L2 = (L.replace(ring=PrimeField(L.p)) for L in (L1, L2))
     src, tgt = PbwAlgebra(L1), PbwAlgebra(L2)
     try:
@@ -223,8 +220,10 @@ def cmd_check_morphism(args):
 def builtin_dgl(name: str, p: int = 3, n: int = 1,
                 rmax: int = 2) -> tuple[DgLie, int]:
     """(DgLie, rmax) for a built-in example; nmax = 2·n·p^rmax + 2."""
-    from .scalars import ZpLocal
-    ring = ZpLocal(p)
+    try:
+        ring = ZpLocal(p)
+    except RingError as exc:
+        raise InputError(str(exc))
     nmax = 2 * n * p ** rmax + 2
     if name == "example1":
         return DgLie(ring, nmax, [("e", 2 * n - 1), ("f", 2 * n)], {},
@@ -244,7 +243,6 @@ def builtin_dgl(name: str, p: int = 3, n: int = 1,
 def _model_report(p: int, n: int, L: DgLie):
     """Quasi-isomorphism of the hard-coded small cochain model, plus the
     mod-p Hilbert series of H(UL)."""
-    from .scalars import PrimeField
     fp = PrimeField(p)
     nmax = 4 * n * p + 1
     tgt = free_cochain_algebra(fp, nmax, [("x", 2 * n), ("y", 2 * n + 1)],
@@ -274,7 +272,6 @@ def _model_report(p: int, n: int, L: DgLie):
 
 
 def _example2_report(p: int, n: int):
-    from .scalars import PrimeField
     fp = PrimeField(p)
     nmax = 2 * n * p * p
     ul = PbwAlgebra(DgLie(fp, nmax, [("a", 2 * n * p - 1), ("b", 2 * n * p),

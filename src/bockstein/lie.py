@@ -457,6 +457,19 @@ class PbwAlgebra:
                            ring.mul(ring.mul(ca, cb), s))
         return out
 
+    def tensor_d(self, t: dict) -> dict:
+        """d⊗1 + (-1)^{|left|}·1⊗d on UL ⊗ UL; keys are (mono, mono) pairs."""
+        ring = self.ring
+        out = {}
+        for (m1, m2), c in t.items():
+            accumulate(ring, out, {(k1, m2): c1 for k1, c1
+                                   in self.d_elem({m1: ring.one}).items()}, c)
+            if self.monomial_degree(m1) % 2:
+                c = ring.neg(c)
+            accumulate(ring, out, {(m1, k2): c2 for k2, c2
+                                   in self.d_elem({m2: ring.one}).items()}, c)
+        return out
+
     def coproduct(self, mono) -> dict:
         """Δ of a basis monomial; generators are primitive."""
         ring = self.ring

@@ -7,11 +7,11 @@ dual check on the divided-power algebra (UL)^♯, where restriction is
 equivalent to compatibility with the γ operations.  The two verdicts must
 always agree; a mismatch is raised as an internal error, never reported as
 a result.  Second, the Hopf structure induced on a Bockstein page of UL:
-product and coproduct via chain representatives, with the tensor-square
-page comparison checked to be bijective before it is used.  Third, a
-page-by-page report that each page looks like the enveloping algebra of
-its primitives: β-closure, a dimension count, and primitivity of the image
-of the Lie inclusion.
+product and coproduct via chain representatives, the page of UL ⊗ UL
+being read off UL's own decomposition piece by piece (Künneth), so no
+second complex is decomposed.  Third, a page-by-page report that each
+page looks like the enveloping algebra of its primitives: β-closure, a
+dimension count, and primitivity of the image of the Lie inclusion.
 
 The coalgebra structure constants of UL in the PBW basis do not involve
 the bracket (straightening never fires when a coproduct term is expanded,
@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from .bss import BssResult, bockstein_pages, bss_of_morphism
 from .gamma import (GammaAlgebra, adjoint, is_gamma_derivation,
                     is_gamma_morphism)
-from .graded import GradedBasis, GradedChainComplex, GradedMap
-from .lie import DgLie, PbwAlgebra
+from .graded import (ComplexError, GradedBasis, GradedChainComplex,
+                     GradedMap, WindowError)
+from .lie import PbwAlgebra
 from .scalars import Matrix, accumulate
 
 
@@ -228,7 +229,8 @@ class TensorSquareBss:
     """UL ⊗ UL as a chain complex, with its own Bockstein pages.
 
     Basis at degree n: pairs of PBW monomials; the differential is
-    d⊗1 + (-1)^{left degree}·1⊗d.  Shared by all pages of one UL.
+    PbwAlgebra.tensor_d.  Decomposed by its own Smith form, it is the
+    reference the closed-form readout of PageAlgebra is tested against.
     """
 
     def __init__(self, alg: PbwAlgebra, r_max: int):
@@ -250,15 +252,8 @@ class TensorSquareBss:
         basis = GradedBasis(names, n_max)
         d = GradedMap(basis, basis, -1, ring)
         for n in range(1, n_max + 1):
-            cols = []
-            for m1, m2 in self.pairs[n]:
-                out = {(k1, m2): c1 for k1, c1
-                       in alg.d_elem({m1: ring.one}).items()}
-                s = ring.of(-1 if alg.monomial_degree(m1) % 2 else 1)
-                accumulate(ring, out,
-                           {(m1, k2): c2 for k2, c2
-                            in alg.d_elem({m2: ring.one}).items()}, s)
-                cols.append(self.to_vector(out, n - 1))
+            cols = [self.to_vector(alg.tensor_d({pr: ring.one}), n - 1)
+                    for pr in self.pairs[n]]
             if cols:
                 d.set_block(n, Matrix.from_columns(
                     ring, len(self.pairs[n - 1]), cols))
@@ -276,23 +271,33 @@ class TensorSquareBss:
 class PageAlgebra:
     """Product, coproduct, and β induced on one Bockstein page of UL.
 
-    Products and coproducts are computed on chain representatives and read
-    back through the page projection; the comparison map from pairs of page
-    classes into the tensor-square page is checked to be bijective before
-    any coproduct is trusted.
+    Products are computed on chain representatives and read back through
+    the page projection.  For coproducts, UL ⊗ UL in the basis P⊗P of UL's
+    decomposition is a sum of tensor products of pieces: free⊗free is free,
+    free⊗E(k) a shifted E(k), and E(a)⊗E(b) two copies of E(min(a, b)) by a
+    basis change that is the identity mod p (Browder, "Torsion in
+    H-spaces", 1961).  So a tensor chain surviving to page r has the class
+    Σ c·u_i·v_j mod p over pairs of live classes, where u, v are the
+    monomials' page coordinates; the comparison with the tensor-square
+    page is the identity, and the constructor checks what that rests on:
+    each class representative reads back as its own unit vector.
     """
 
-    def __init__(self, alg: PbwAlgebra, result: BssResult, r: int,
-                 tensor: TensorSquareBss | None = None):
+    def __init__(self, alg: PbwAlgebra, result: BssResult, r: int):
         self.alg = alg
         self.result = result
         self.r = r
-        self.tensor = tensor if tensor is not None else TensorSquareBss(alg, r)
         self.page = result.page(r)
-        self.page_t = self.tensor.bss.page(r)
         self.fp = alg.ring.residue_field()
         self.window = self.page.n_max
-        self._kunneth = {}
+        self._coords = {}       # monomial -> page coordinates mod p
+        for n, cls in self.page.classes.items():
+            for i, cl in enumerate(cls):
+                unit = [int(j == i) for j in range(len(cls))]
+                if self._read(n, cl.rep) != unit:
+                    raise StructureError(
+                        f"Künneth comparison is not the identity: {cl.name} "
+                        f"at degree {n} does not read back as itself")
 
     def class_pairs(self, n: int) -> list:
         return [(a, i, j)
@@ -300,33 +305,39 @@ class PageAlgebra:
                 for i in range(self.page.dim(a))
                 for j in range(self.page.dim(n - a))]
 
-    def _kunneth_matrix(self, n: int) -> Matrix:
-        k = self._kunneth.get(n)
-        if k is not None:
-            return k
-        ring = self.alg.ring
-        cols = []
-        for a, i, j in self.class_pairs(n):
-            u = self.page.classes[a][i].rep
-            v = self.page.classes[n - a][j].rep
-            vec = [ring.zero] * len(self.tensor.pairs[n])
-            for ii, cu in enumerate(u):
-                if ring.is_zero(cu):
-                    continue
-                for jj, cv in enumerate(v):
-                    if ring.is_zero(cv):
-                        continue
-                    key = (self.alg.monomials(a)[ii],
-                           self.alg.monomials(n - a)[jj])
-                    vec[self.tensor.index[n][key]] = ring.mul(cu, cv)
-            cols.append(self.tensor.bss.class_of_chain(self.r, n, vec))
-        k = Matrix.from_columns(self.fp, self.page_t.dim(n), cols)
-        if k.rows != k.cols or k.rank() != k.rows:
-            raise StructureError(
-                f"induced coproduct ill-defined: tensor-square page at "
-                f"degree {n} does not factor through pairs of page classes")
-        self._kunneth[n] = k
-        return k
+    def _read(self, n: int, vec) -> list:
+        """Page-r coordinates mod p of a UL chain (survival not checked)."""
+        w = self.result.decomposition.coordinates(n, vec)
+        return [self.alg.ring.reduce_mod_p(w[cl.new_index])
+                for cl in self.page.classes.get(n, [])]
+
+    def _mono_coords(self, mono) -> list:
+        if mono not in self._coords:
+            n = self.alg.monomial_degree(mono)
+            self._coords[mono] = self._read(
+                n, self.alg.to_vector({mono: self.alg.ring.one}, n))
+        return self._coords[mono]
+
+    def _pair_coords(self, n: int, t: dict) -> list:
+        """Page-r class of a chain of UL ⊗ UL, over class_pairs(n)."""
+        ring, fp, r = self.alg.ring, self.fp, self.r
+        if n > self.window or n < 0:
+            raise WindowError(f"degree {n} outside page trust window")
+        for c in self.alg.tensor_d(t).values():
+            if ring.valuation(c) < r:
+                raise ComplexError(
+                    f"chain does not survive to page {r}: d(c) ∉ p^{r}·C")
+        pairs = self.class_pairs(n)
+        pos = {pr: k for k, pr in enumerate(pairs)}
+        out = [fp.zero] * len(pairs)
+        for (m1, m2), c in t.items():
+            a, c = self.alg.monomial_degree(m1), ring.reduce_mod_p(c)
+            for i, ui in enumerate(self._mono_coords(m1)):
+                for j, vj in enumerate(self._mono_coords(m2)):
+                    if ui and vj:
+                        k = pos[(a, i, j)]
+                        out[k] = fp.add(out[k], fp.mul(c, fp.mul(ui, vj)))
+        return out
 
     def _rep_elem(self, n: int, vec) -> dict:
         """Chain representative (as a UL element) of page coordinates."""
@@ -344,14 +355,8 @@ class PageAlgebra:
 
     def coproduct(self, n: int, vec):
         """Coproduct of a page class, as coordinates over class_pairs(n)."""
-        elem = self._rep_elem(n, vec)
-        t = self.alg.coproduct_elem(elem)
-        cls = self.tensor.bss.class_of_chain(
-            self.r, n, self.tensor.to_vector(t, n))
-        out = self._kunneth_matrix(n).solve(cls)
-        if out is None:
-            raise StructureError(f"coproduct class unsolvable at degree {n}")
-        return out
+        return self._pair_coords(
+            n, self.alg.coproduct_elem(self._rep_elem(n, vec)))
 
     def beta(self, n: int, vec):
         return self.page.beta.block(n).apply(vec)
@@ -374,23 +379,15 @@ class PageAlgebra:
         """Basis of the kernel of the reduced coproduct, in page coords."""
         if n < 1 or n > self.window:
             return []
-        self._kunneth_matrix(n)   # the comparison must be bijective
         cols = []
         for cl in self.page.classes.get(n, []):
             elem = self.alg.from_vector(n, cl.rep)
             red = {k: v for k, v in self.alg.coproduct_elem(elem).items()
                    if k[0] and k[1]}
-            cols.append(self.tensor.bss.class_of_chain(
-                self.r, n, self.tensor.to_vector(red, n)))
+            cols.append(self._pair_coords(n, red))
         if not cols:
             return []
-        m = Matrix.from_columns(self.fp, self.page_t.dim(n), cols)
-        return m.kernel_basis()
-
-
-def page_hopf_structure(alg: PbwAlgebra, result: BssResult, r: int,
-                        tensor: TensorSquareBss | None = None) -> PageAlgebra:
-    return PageAlgebra(alg, result, r, tensor)
+        return Matrix.from_columns(self.fp, len(cols[0]), cols).kernel_basis()
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +427,19 @@ def _envelope_dims(p: int, gen_counts: dict, window: int) -> list:
     return series
 
 
-def verify_envelope_pages(L: DgLie, r_max: int,
-                    window: int | None = None) -> EnvelopePageReport:
+def verify_envelope_pages(alg: PbwAlgebra, result: BssResult,
+                          window: int | None = None) -> EnvelopePageReport:
     """Page-by-page consistency of E^r(UL) with U(primitives).
 
-    For each page r ≤ r_max and degree ≤ window: (a) β^r maps primitives to
-    primitives; (b) page dimensions match the enveloping count on a basis
-    of P(E^r); (c) the image of E^r of the Lie inclusion is primitive.
+    `result` holds the pages of UL's own complex.  For each computed page
+    r and degree ≤ window: (a) β^r maps primitives to primitives; (b) page
+    dimensions match the enveloping count on a basis of P(E^r); (c) the
+    image of E^r of the Lie inclusion is primitive.
     """
-    alg = PbwAlgebra(L)
-    result = bockstein_pages(alg.as_complex(), r_max)
-    result_l = bockstein_pages(L.as_complex(), r_max)
+    r_max = len(result.pages)
+    result_l = bockstein_pages(alg.L.as_complex(), r_max)
     page_maps = bss_of_morphism(alg.inclusion_of_lie(), result_l, result,
                                 r_max)
-    tensor = TensorSquareBss(alg, r_max)
     full = result.page(1).n_max
     window = full if window is None else min(window, full)
     fp = alg.ring.residue_field()
@@ -451,7 +447,7 @@ def verify_envelope_pages(L: DgLie, r_max: int,
     prim_dims = {}
     page_dims = {}
     for r in range(1, r_max + 1):
-        pa = PageAlgebra(alg, result, r, tensor)
+        pa = PageAlgebra(alg, result, r)
         page = result.page(r)
         prim = {n: pa.primitives(n) for n in range(1, window + 1)}
         prim_dims[r] = {n: len(v) for n, v in prim.items() if v}

@@ -158,3 +158,30 @@ def bss_beta_ranks(C, r, page_dims_r, page_dims_r1):
         ranks[n + 1] = page_dims_r[n] - ranks.get(n, 0) - page_dims_r1[n]
         assert ranks[n + 1] >= 0
     return ranks
+
+
+# ---------------------------------------------------------------------------
+# Page coproducts through the Smith form of UL ⊗ UL
+# ---------------------------------------------------------------------------
+
+def page_pairs_by_snf(pa, tensor, n, t):
+    """Coordinates over pa.class_pairs(n) of the page class of a chain t of
+    UL ⊗ UL, read off the tensor square's own decomposition (`tensor` is a
+    TensorSquareBss) and solved against the Künneth matrix, whose columns
+    are the tensor-square classes of the products u_i ⊗ v_j of class
+    representatives."""
+    alg, ring, r = pa.alg, pa.alg.ring, pa.r
+    cols = []
+    for a, i, j in pa.class_pairs(n):
+        u = pa.page.classes[a][i].rep
+        v = pa.page.classes[n - a][j].rep
+        prod = {(m1, m2): ring.mul(cu, cv)
+                for m1, cu in alg.from_vector(a, u).items()
+                for m2, cv in alg.from_vector(n - a, v).items()}
+        cols.append(tensor.bss.class_of_chain(r, n, tensor.to_vector(prod, n)))
+    k = Matrix.from_columns(pa.fp, tensor.bss.page(r).dim(n), cols)
+    assert k.rows == k.cols and k.rank() == k.rows, \
+        f"Künneth matrix at degree {n} is not invertible"
+    out = k.solve(tensor.bss.class_of_chain(r, n, tensor.to_vector(t, n)))
+    assert out is not None
+    return out

@@ -19,9 +19,10 @@ from bockstein.graded import FieldHomology
 from bockstein.lie import DgLie, PbwAlgebra, abelian
 from bockstein.scalars import PrimeField, ZpLocal
 from bockstein.structure import (StructureError, differential_restricts_to_lie,
-                                 hopf_morphism, is_lie_type, verify_envelope_pages)
+                                 hopf_morphism, is_lie_type)
 from oracles import bss_beta_ranks, bss_page_dims, mod_p_homology_dims
 from test_graded import random_complex
+from test_structure import envelope_report
 
 Z3 = ZpLocal(3)
 F3 = PrimeField(3)
@@ -287,10 +288,10 @@ def test_criterion_6_axiom_suites():
 def test_criterion_7_pages_are_enveloping_algebras():
     # every computed page of U(L) is the enveloping algebra of its
     # primitives, β^r preserves primitives, and Lie classes land in them
-    rep = verify_envelope_pages(DgLie(Z3, 20, [("e", 1), ("f", 2)], {},
+    rep = envelope_report(DgLie(Z3, 20, [("e", 1), ("f", 2)], {},
                                 {1: {0: 3}}), 3)
     assert rep.ok, rep.failures
-    rep = verify_envelope_pages(abelian(Z3, 14, [("a", 5), ("b", 6), ("c", 2)]), 2)
+    rep = envelope_report(abelian(Z3, 14, [("a", 5), ("b", 6), ("c", 2)]), 2)
     assert rep.ok, rep.failures
     rng = random.Random(97)
     checked = 0
@@ -307,7 +308,7 @@ def test_criterion_7_pages_are_enveloping_algebras():
             if rng.random() < 0.5:
                 gens.append((f"z{len(gens)}", rng.choice(lows)))
             L = DgLie(ring, window + 1, gens, {}, diff)
-            rep = verify_envelope_pages(L, 2, window=window)
+            rep = envelope_report(L, 2, window=window)
             assert rep.ok, (p, gens, rep.failures)
             checked += 1
     assert checked == 20

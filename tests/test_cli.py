@@ -77,6 +77,10 @@ class TestValidate:
         assert main(["validate", "/nonexistent.dgl"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_non_prime_exits_2(self, ex1, capsys):
+        assert main(["validate", ex1, "--prime", "4"]) == 2
+        assert "4 is not an odd prime" in capsys.readouterr().err
+
 
 class TestBss:
     def test_lie_pages(self, ex1, capsys):
@@ -209,6 +213,12 @@ class TestExamples:
         assert main(["--json", "examples", name, "--out", str(tmp_path)]) == 0
         assert (capsys.readouterr().out.encode()
                 == (golden / f"{name}.json").read_bytes())
+
+    def test_non_prime_exits_2(self, tmp_path, capsys):
+        assert main(["examples", "example1", "--prime", "4",
+                     "--out", str(tmp_path)]) == 2
+        assert "4 is not an odd prime" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_roundtrip_written_dgl(self, tmp_path, capsys):
         out = tmp_path / "r"

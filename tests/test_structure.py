@@ -6,12 +6,14 @@ import random
 import pytest
 
 from bockstein.bss import bockstein_pages
+from bockstein.graded import ComplexError, WindowError
 from bockstein.lie import DgLie, PbwAlgebra, abelian
-from bockstein.scalars import PrimeField, ZpLocal
+from bockstein.scalars import Matrix, PrimeField, ZpLocal
 from bockstein.structure import (PageAlgebra, StructureError, TensorSquareBss,
                                  _envelope_dims, differential_restricts_to_lie,
                                  hopf_morphism, is_lie_type,
-                                 page_hopf_structure, verify_envelope_pages)
+                                 verify_envelope_pages)
+from oracles import page_pairs_by_snf
 
 Z3 = ZpLocal(3)
 F3 = PrimeField(3)
@@ -158,7 +160,7 @@ class TestPageAlgebra:
         # p | ∂, so E^1 carries the product of UL ⊗ F_3
         alg = example1_ul()
         result = bockstein_pages(alg.as_complex(), 1)
-        pa = page_hopf_structure(alg, result, 1)
+        pa = PageAlgebra(alg, result, 1)
         # each degree is 1-dimensional with representative a PBW monomial;
         # products of classes are classes of products
         prod = pa.product(1, [1], 2, [1])
@@ -197,9 +199,8 @@ class TestPageAlgebra:
     def test_beta_leibniz(self):
         alg = example1_ul(n_max=14)
         result = bockstein_pages(alg.as_complex(), 2)
-        tensor = TensorSquareBss(alg, 2)
         for r in (1, 2):
-            pa = PageAlgebra(alg, result, r, tensor)
+            pa = PageAlgebra(alg, result, r)
             page = result.page(r)
             degs = [n for n in page.degrees() if 1 <= n <= 6]
             for n1 in degs:
@@ -211,10 +212,83 @@ class TestPageAlgebra:
                     assert pa.beta_leibniz(n1, v1, n2, v2)
 
 
+def _snf_primitives(pa, tensor, n):
+    """Kernel of the reduced coproduct with columns from the SNF route."""
+    alg = pa.alg
+    cols = []
+    for cl in pa.page.classes.get(n, []):
+        red = {k: v for k, v in alg.coproduct_elem(
+            alg.from_vector(n, cl.rep)).items() if k[0] and k[1]}
+        cols.append(page_pairs_by_snf(pa, tensor, n, red))
+    if not cols:
+        return []
+    return Matrix.from_columns(pa.fp, len(cols[0]), cols).kernel_basis()
+
+
+XYZW = [("x", 1), ("y", 1), ("z", 2), ("w", 3)]
+Z5 = ZpLocal(5)
+
+
+class TestClosedFormCoproduct:
+    """The Künneth readout off UL's decomposition against the Smith form of
+    UL ⊗ UL, on every class of every computed page."""
+
+    @pytest.mark.parametrize("L, r_max", [
+        (DgLie(Z3, 12, [("e", 1), ("f", 2)], {}, {1: {0: 3}}), 2),
+        (DgLie(Z3, 11, [("e", 1), ("f", 2), ("g", 2)], {}, {1: {0: 3}}), 2),
+        (DgLie(Z3, 8, XYZW, {(0, 1): {2: 1}}, {3: {2: 3}}), 2),
+        (DgLie(Z3, 8, XYZW, {(0, 1): {2: 1}}, {3: {2: 1}}), 2),
+        (DgLie(Z3, 10, [("x", 1), ("z", 2)], {(0, 0): {1: 1}}), 2),
+        (DgLie(Z5, 12, [("e", 1), ("f", 2)], {}, {1: {0: 25}}), 3),
+    ], ids=["example1", "efg", "xyzw-3z", "xyzw-z", "xx-z", "p5-25"])
+    def test_matches_snf_route(self, L, r_max):
+        alg = PbwAlgebra(L)
+        result = bockstein_pages(alg.as_complex(), r_max)
+        tensor = TensorSquareBss(alg, r_max)
+        for r in range(1, r_max + 1):
+            pa = PageAlgebra(alg, result, r)
+            for n in range(pa.window + 1):
+                dim = pa.page.dim(n)
+                for i in range(dim):
+                    unit = [int(j == i) for j in range(dim)]
+                    t = alg.coproduct_elem(pa._rep_elem(n, unit))
+                    assert pa.coproduct(n, unit) == \
+                        page_pairs_by_snf(pa, tensor, n, t), (r, n, i)
+                assert pa.primitives(n) == (
+                    _snf_primitives(pa, tensor, n) if n >= 1 else []), (r, n)
+
+    def test_non_surviving_chain_rejected(self):
+        alg = example1_ul()
+        pa = PageAlgebra(alg, bockstein_pages(alg.as_complex(), 2), 2)
+        # d(f ⊗ 1) = 3·e ⊗ 1 is not divisible by 9
+        with pytest.raises(ComplexError):
+            pa._pair_coords(2, {((1,), ()): Z3.one})
+
+    def test_degree_above_window_rejected(self):
+        alg = example1_ul()
+        pa = PageAlgebra(alg, bockstein_pages(alg.as_complex(), 1), 1)
+        with pytest.raises(WindowError):
+            pa.coproduct(pa.window + 1, [])
+
+    def test_corrupted_representative_rejected(self):
+        alg = example1_ul()
+        result = bockstein_pages(alg.as_complex(), 1)
+        cl = result.page(1).classes[4][0]
+        cl.rep = [Z3.mul(Z3.of(3), c) for c in cl.rep]
+        with pytest.raises(StructureError):
+            PageAlgebra(alg, result, 1)
+
+
+def envelope_report(L, r_max, window=None):
+    alg = PbwAlgebra(L)
+    return verify_envelope_pages(
+        alg, bockstein_pages(alg.as_complex(), r_max), window)
+
+
 class TestVerifyEnvelopePages:
     def test_example1(self):
         L = DgLie(Z3, 20, [("e", 1), ("f", 2)], {}, {1: {0: 3}})
-        rep = verify_envelope_pages(L, 3)
+        rep = envelope_report(L, 3)
         assert rep.ok, rep.failures
         assert rep.primitive_dims[2] == {5: 1, 6: 1, 18: 1}
         assert rep.primitive_dims[3] == {17: 1, 18: 1}
@@ -222,13 +296,13 @@ class TestVerifyEnvelopePages:
 
     def test_abelian_no_torsion(self):
         L = abelian(Z3, 10, [("x", 2), ("y", 3)])
-        rep = verify_envelope_pages(L, 2)
+        rep = envelope_report(L, 2)
         assert rep.ok, rep.failures
         assert rep.primitive_dims[1] == rep.primitive_dims[2]
 
     def test_three_generator_example(self):
         L = DgLie(Z3, 12, [("e", 1), ("f", 2), ("g", 2)], {}, {1: {0: 3}})
-        rep = verify_envelope_pages(L, 2)
+        rep = envelope_report(L, 2)
         assert rep.ok, rep.failures
         # E^1 primitives: e, f, g, plus the cubes of f and g
         assert rep.primitive_dims[1] == {1: 1, 2: 2, 6: 2}
