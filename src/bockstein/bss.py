@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .graded import (ComplexError, Decomposition, GradedBasis,
                      GradedChainComplex, GradedMap, WindowError, decompose)
-from .scalars import Matrix
+from .scalars import Matrix, RingError
 
 
 @dataclass
@@ -96,6 +96,8 @@ def bockstein_pages(C: GradedChainComplex, r_max: int,
     if r_max < 1:
         raise ValueError("r_max must be ≥ 1")
     ring = C.ring
+    if ring.is_field:
+        raise RingError("Bockstein pages run over Z_(p); reduce afterwards")
     fp = ring.residue_field()
     if dec is None:
         dec = decompose(C)

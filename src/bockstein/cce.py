@@ -166,12 +166,12 @@ def verify_quasi_iso(gen_images: dict, src: CochainAlgebra,
     m = src.algebra.algebra_map(tgt.algebra, images)
     lhs = tgt.d.compose(m)
     rhs = m.compose(src.d)
-    for n in range(window):
+    for n in range(window + 1):
         if lhs.block(n).a != rhs.block(n).a:
             return False, f"not a cochain map at degree {n}"
     H_src = FieldHomology(src.algebra.basis, src.d)
     H_tgt = FieldHomology(tgt.algebra.basis, tgt.d)
-    ind = induced_map(m, H_src, H_tgt)
+    ind = induced_map(m, H_src, H_tgt, window)
     dims = {}
     for n in range(window + 1):
         a, b = H_src.dim(n), H_tgt.dim(n)

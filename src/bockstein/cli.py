@@ -331,6 +331,16 @@ def cmd_examples(args):
 
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """argparse type: an integer ≥ low (anything else exits 2)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be ≥ {low}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bockstein",
@@ -342,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--prime", type=int, default=None)
-        sp.add_argument("--nmax", type=int, default=None)
+        sp.add_argument("--nmax", type=_int_at_least(0), default=None)
 
     sp = sub.add_parser("validate", help="check a .dgl file")
     sp.add_argument("file")
@@ -358,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bss", help="Bockstein pages")
     sp.add_argument("file")
     sp.add_argument("--target", choices=["lie", "ul"], default="ul")
-    sp.add_argument("--rmax", type=int, default=2)
+    sp.add_argument("--rmax", type=_int_at_least(1), default=2)
     sp.add_argument("--check-envelopes", action="store_true",
                     dest="check_envelopes")
     common(sp)
@@ -371,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("examples", help="write and check a built-in example")
     sp.add_argument("name")
-    sp.add_argument("--rmax", type=int, default=2)
+    sp.add_argument("--rmax", type=_int_at_least(1), default=2)
     sp.add_argument("--out", default=None)
     common(sp)
     sp.set_defaults(func=cmd_examples)

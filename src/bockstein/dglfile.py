@@ -117,6 +117,8 @@ def parse_dgl(text: str) -> DgLie:
                 n_max = int(body)
             except ValueError:
                 _fail(ln, f"bad nmax {body!r}")
+            if n_max < 0:
+                _fail(ln, f"nmax must be ≥ 0, got {n_max}")
         elif key == "generator":
             toks = body.split()
             if len(toks) != 2 or not _ATOM.match(toks[0]) or "^" in toks[0]:

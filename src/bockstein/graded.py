@@ -1,16 +1,17 @@
 """Finite-type free graded modules, graded maps, chain complexes, homology.
 
-Degrees live in a window [0, N_max].  Homology of a Z_(p) complex is computed
-by decomposing the complex into elementary pieces (iterated Smith normal form
-with basis tracking, top degree down); the same decomposition later drives the
-Bockstein pages, so torsion bookkeeping happens exactly once.
+Degrees live in a window [0, N_max].  Homology is computed by decomposing
+the complex into free and elementary pieces (iterated Smith normal form with
+basis tracking, top degree down).  Over Z_(p) the same decomposition later
+drives the Bockstein pages, so torsion bookkeeping happens exactly once; over
+F_p every piece has exponent 0, so the free pieces are a homology basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import Matrix, RingError, ZpLocal
+from .scalars import Matrix, RingError
 
 
 class WindowError(ValueError):
@@ -192,7 +193,7 @@ class GradedChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# Elementary-piece decomposition over Z_(p)
+# Elementary-piece decomposition over Z_(p) or F_p
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -232,11 +233,10 @@ def decompose(C: GradedChainComplex) -> Decomposition:
     Differentials are processed from the top degree down; at each level the
     columns already hit from above are frozen, and Smith normal form is
     applied to the remaining columns only, which keeps the pieces found so
-    far intact.
+    far intact.  Over F_p the SNF is a rank factorization, so every
+    elementary piece has exponent 0.
     """
     ring = C.ring
-    if ring.is_field:
-        raise RingError("decompose runs over Z_(p); reduce afterwards instead")
     n_max = C.n_max
     cur = {n: C.d.block(n).copy() for n in range(1, n_max + 1)}
     P = {n: Matrix.identity(ring, C.dim(n)) for n in range(n_max + 1)}
@@ -356,14 +356,15 @@ def homology(C: GradedChainComplex, dec: Decomposition | None = None) -> Homolog
 
 
 # ---------------------------------------------------------------------------
-# Homology over a field (used for cochain models and as an independent oracle)
+# Homology over a field, read off the piece decomposition
 # ---------------------------------------------------------------------------
 
 class FieldHomology:
     """Per-degree homology of a complex over F_p, any differential degree ±1.
 
-    Stores, per degree, a basis of cycles completed from boundaries, so that
-    classes of cycles and maps induced on homology can be extracted.
+    Reads the piece decomposition of the complex: over a field every piece
+    has exponent 0, so the free pieces form a homology basis.  A degree +1
+    differential is decomposed as the chain complex C_m = C^{N-m}, N = n_max.
     """
 
     def __init__(self, basis: GradedBasis, d: GradedMap):
@@ -372,59 +373,46 @@ class FieldHomology:
         self.basis = basis
         self.d = d
         self.ring = d.ring
-        self._cycle = {}       # n -> Matrix, columns a basis of cycles
-        self._boundary_count = {}
-        for n in range(basis.n_max + 1):
-            self._compute(n)
+        if d.degree == 1:      # reindex the blocks as C_m = C^{N-m}
+            N = basis.n_max
+            basis = GradedBasis({N - n: basis.names(n)
+                                 for n in basis.degrees()}, N)
+            d = GradedMap(basis, basis, -1, self.ring,
+                          {N - n: m for n, m in d.blocks.items() if n < N})
+        self._dec = decompose(GradedChainComplex(basis, d, self.ring))
+        self._free = {}        # chain degree -> free piece indices, in order
+        for pc in self._dec.pieces:
+            if pc.kind == "free":
+                self._free.setdefault(pc.top_degree, []).append(pc.top_index)
 
-    def _compute(self, n: int):
-        ring = self.ring
-        dim = self.basis.dim(n)
-        out = self.d.block(n)
-        kern = out.kernel_basis()
-        inc = n - self.d.degree
-        bnd = []
-        if 0 <= inc <= self.basis.n_max:
-            B = self.d.block(inc)
-            R, pivots = B.rref()
-            bnd = [B.column(j) for j in pivots]
-        # complete boundaries to a basis of cycles
-        cols = [list(v) for v in bnd]
-        for v in kern:
-            trial = Matrix.from_columns(ring, dim, cols + [v])
-            if trial.rank() == len(cols) + 1:
-                cols.append(list(v))
-        self._cycle[n] = Matrix.from_columns(ring, dim, cols) if cols else \
-            Matrix.zeros(ring, dim, 0)
-        self._boundary_count[n] = len(bnd)
+    def _m(self, n: int) -> int:
+        """Chain degree of degree n: n itself, or N - n for a cochain d."""
+        return n if self.d.degree == -1 else self.basis.n_max - n
 
     def dim(self, n: int) -> int:
-        return self._cycle[n].cols - self._boundary_count[n]
+        return len(self._free.get(self._m(n), []))
 
     def class_of(self, n: int, vec):
         """Homology coordinates of a cycle; raises if not a cycle."""
         ring = self.ring
         if any(not ring.is_zero(x) for x in self.d.block(n).apply(vec)):
             raise ComplexError("not a cycle")
-        coords = self._solve_in_cycles(n, vec)
-        return coords[self._boundary_count[n]:]
-
-    def _solve_in_cycles(self, n, vec):
-        M = self._cycle[n]
-        sol = M.solve(vec)
-        if sol is None:
-            raise ComplexError("cycle not in computed cycle space")
-        return sol
+        m = self._m(n)
+        w = self._dec.coordinates(m, vec)
+        return [w[j] for j in self._free.get(m, [])]
 
     def representative(self, n: int, h_index: int):
-        return self._cycle[n].column(self._boundary_count[n] + h_index)
+        m = self._m(n)
+        return self._dec.representative(m, self._free[m][h_index])
 
 
-def induced_map(f: GradedMap, H_src: FieldHomology, H_tgt: FieldHomology) -> dict:
-    """Per-degree matrices of H(f); f must be a (co)chain map."""
+def induced_map(f: GradedMap, H_src: FieldHomology, H_tgt: FieldHomology,
+                window: int) -> dict:
+    """Per-degree matrices of H(f) in degrees ≤ window; f must be a (co)chain
+    map there."""
     ring = f.ring
     out = {}
-    for n in range(H_src.basis.n_max + 1):
+    for n in range(window + 1):
         if not (0 <= n + f.degree <= H_tgt.basis.n_max):
             continue
         cols = []

@@ -188,6 +188,15 @@ class PrimeField:
     def divides(self, b, a) -> bool:
         return b % self.p != 0 or a % self.p == 0
 
+    def valuation(self, a) -> int:
+        """0 on every nonzero element; raises on zero, like ZpLocal."""
+        if a % self.p == 0:
+            raise ZeroDivisionError("valuation of zero is undefined")
+        return 0
+
+    def unit_part(self, a):
+        return a
+
     def coerce_vector(self, entries):
         return [self.of(x) for x in entries]
 
@@ -353,47 +362,28 @@ class Matrix:
         return R, pivots
 
     def rank(self) -> int:
-        if self.ring.is_field:
-            return len(self.rref()[1])
         return len(self.snf().invariant_exponents)
 
     def inverse(self) -> "Matrix":
-        """Inverse; over Z_(p) requires all pivots to be units."""
+        """V*U from the SNF U*A*V = I; RingError unless every exponent is 0."""
         if self.rows != self.cols:
             raise DimensionError("only square matrices invert")
-        ring = self.ring
-        n = self.rows
-        A = self.copy()
-        I = Matrix.identity(ring, n)
-        for c in range(n):
-            pr = next((i for i in range(c, n) if ring.is_unit(A.a[i][c])), None)
-            if pr is None:
-                raise RingError("matrix is not invertible over the ring")
-            A.a[c], A.a[pr] = A.a[pr], A.a[c]
-            I.a[c], I.a[pr] = I.a[pr], I.a[c]
-            inv = ring.inv(A.a[c][c])
-            A.a[c] = [ring.mul(inv, x) for x in A.a[c]]
-            I.a[c] = [ring.mul(inv, x) for x in I.a[c]]
-            for i in range(n):
-                if i != c and not ring.is_zero(A.a[i][c]):
-                    f = A.a[i][c]
-                    A.a[i] = [ring.sub(x, ring.mul(f, y))
-                              for x, y in zip(A.a[i], A.a[c])]
-                    I.a[i] = [ring.sub(x, ring.mul(f, y))
-                              for x, y in zip(I.a[i], I.a[c])]
-        return I
+        res = self.snf()
+        if res.invariant_exponents != [0] * self.rows:
+            raise RingError("matrix is not invertible over the ring")
+        return res.V * res.U
 
-    # -- Smith normal form over Z_(p) ---------------------------------------
+    # -- Smith normal form over Z_(p) or F_p ---------------------------------
 
     def snf(self) -> "SnfResult":
         """U*A*V = S diagonal with entries p^{k_1} | p^{k_2} | ... then zeros.
 
         Pivots are chosen by minimal p-adic valuation and normalized to pure
         powers of p, so the exponents are nondecreasing.  U, V are invertible
-        over Z_(p); their inverses are accumulated alongside.
+        over the ring; their inverses are accumulated alongside.  Over F_p
+        every nonzero entry is a unit, so all exponents are 0 and S =
+        diag(1, ..., 1, 0, ...): a rank factorization.
         """
-        if self.ring.is_field:
-            raise RingError("snf is defined over Z_(p), not F_p")
         ring = self.ring
         S = self.copy()
         U = Matrix.identity(ring, self.rows)
@@ -483,7 +473,8 @@ class Matrix:
 
 @dataclass
 class SnfResult:
-    """U*A*V = S with U, V invertible over Z_(p) and S = diag(p^{k_i}, ..., 0)."""
+    """U*A*V = S with U, V invertible and S = diag(p^{k_i}, ..., 0); over F_p
+    every k_i is 0."""
 
     U: Matrix
     S: Matrix

@@ -76,13 +76,8 @@ def _dual_gamma(alg: PbwAlgebra) -> GammaAlgebra:
 
 
 def _in_span(ring, basis_vecs: list, vec) -> bool:
-    if all(ring.is_zero(c) for c in vec):
-        return True
-    if not basis_vecs:
-        return False
-    m = Matrix.from_columns(ring, len(vec), basis_vecs)
-    aug = Matrix.from_columns(ring, len(vec), basis_vecs + [list(vec)])
-    return m.rank() == aug.rank()
+    return Matrix.from_columns(ring, len(vec), basis_vecs).solve(vec) \
+        is not None
 
 
 # ---------------------------------------------------------------------------

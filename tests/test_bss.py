@@ -8,7 +8,7 @@ import pytest
 from bockstein.bss import bockstein_pages, bss_of_morphism, is_chain_map
 from bockstein.graded import (ComplexError, GradedBasis, GradedChainComplex,
                               GradedMap, homology)
-from bockstein.scalars import Matrix, ZpLocal
+from bockstein.scalars import Matrix, PrimeField, RingError, ZpLocal
 from oracles import bss_beta_ranks, bss_page_dims
 from test_graded import complex_from_blocks, random_complex
 
@@ -29,6 +29,14 @@ class TestElementaryPages:
         assert (e3.dim(0), e3.dim(1)) == (0, 0)
         assert bss.stable_page == 3
         assert bss.max_exponent == 2
+
+    def test_field_complex_rejected(self):
+        # pages need the Z_(p) lattice; an F_p complex has no p-torsion
+        F3 = PrimeField(3)
+        C = complex_from_blocks(F3, {0: ["x"], 1: ["y"]}, {1: [[1]]},
+                                n_max=1)
+        with pytest.raises(RingError):
+            bockstein_pages(C, r_max=1)
 
     def test_free_class_survives(self):
         C = complex_from_blocks(Z3, {0: ["x"], 1: []}, {}, n_max=1)

@@ -179,6 +179,26 @@ class TestVerifyQuasiIso:
             {"x1": {(0, 0, 0): 1}, "y1": {(0, 1): 1}}, src, tgt)
         assert not ok
 
+    def test_not_a_cochain_map_at_window_edge(self):
+        # u ↦ x but dx = y ≠ 0 = m(du): the failure sits at degree window
+        tgt = free_cochain_algebra(F3, 8, [("x", 2), ("y", 3)],
+                                   {"x": {"y": 1}})
+        src = free_cochain_algebra(F3, 8, [("u", 2)], {})
+        assert verify_quasi_iso({"u": {"x": 1}}, src, tgt, window=2) == \
+            (False, "not a cochain map at degree 2")
+
+    def test_window_bounds_cochain_map_check(self):
+        # v ↦ z with dz = w breaks the cochain condition only in degree 4
+        tgt = free_cochain_algebra(F3, 8, [("x", 2), ("z", 4), ("w", 5)],
+                                   {"z": {"w": 1}})
+        src = free_cochain_algebra(F3, 8, [("u", 2), ("v", 4)], {})
+        images = {"u": {"x": 1}, "v": {"z": 1}}
+        for window in (2, 3):
+            ok, rep = verify_quasi_iso(images, src, tgt, window=window)
+            assert ok and rep["window"] == window, rep
+        assert verify_quasi_iso(images, src, tgt, window=4) == \
+            (False, "not a cochain map at degree 4")
+
     def test_cochains_vs_chains_dims(self):
         # Γ(sL) and ΛV have equal dimensions in every degree (dual bases)
         L = DgLie(Z3, 9, [("x", 1), ("y", 1), ("z", 2)], {(0, 1): {2: 1}})

@@ -82,6 +82,27 @@ class TestValidate:
         assert "4 is not an odd prime" in capsys.readouterr().err
 
 
+    def test_negative_nmax_line_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "neg.dgl"
+        f.write_text("prime 3\nnmax -2\ngenerator e 1\n")
+        assert main(["validate", str(f)]) == 2
+        assert "line 2: nmax must be ≥ 0, got -2" in capsys.readouterr().err
+
+    def test_nmax_zero_is_valid(self, tmp_path, capsys):
+        f = tmp_path / "zero.dgl"
+        f.write_text("prime 3\nnmax 0\ngenerator e 1\n")
+        assert main(["validate", str(f)]) == 0
+        assert main(["bss", str(f)]) == 0
+
+
+def exit_code(argv) -> int:
+    """Exit code of main(argv), including argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestBss:
     def test_lie_pages(self, ex1, capsys):
         assert main(["bss", ex1, "--target", "lie", "--rmax", "2"]) == 0
@@ -96,6 +117,14 @@ class TestBss:
         assert "β^2 [f^3] -> [e*f^2]" in out
         assert "degree 17: [e*f^8]" in out
         assert "degree 18: [f^9]" in out
+
+    def test_rmax_below_1_exits_2(self, ex1, capsys):
+        assert exit_code(["bss", ex1, "--rmax", "0"]) == 2
+        assert "--rmax: must be ≥ 1, got 0" in capsys.readouterr().err
+
+    def test_negative_nmax_flag_exits_2(self, ex1, capsys):
+        assert exit_code(["bss", ex1, "--nmax", "-1"]) == 2
+        assert "--nmax: must be ≥ 0, got -1" in capsys.readouterr().err
 
     def test_window_warning(self, ex1, capsys):
         main(["bss", ex1, "--target", "ul", "--rmax", "2"])
@@ -134,6 +163,10 @@ class TestCochains:
         assert "generator ve degree 2" in out
         assert "generator vf degree 3" in out
         assert "d(ve) = 3 vf" in out
+
+    def test_negative_nmax_flag_exits_2(self, ex1, capsys):
+        assert exit_code(["cochains", ex1, "--nmax", "-1"]) == 2
+        assert "--nmax: must be ≥ 0, got -1" in capsys.readouterr().err
 
 
 class TestCheckMorphism:
@@ -218,6 +251,12 @@ class TestExamples:
         assert main(["examples", "example1", "--prime", "4",
                      "--out", str(tmp_path)]) == 2
         assert "4 is not an odd prime" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_rmax_below_1_exits_2(self, tmp_path, capsys):
+        assert exit_code(["examples", "example1", "--rmax", "0",
+                          "--out", str(tmp_path)]) == 2
+        assert "--rmax: must be ≥ 1, got 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_roundtrip_written_dgl(self, tmp_path, capsys):

@@ -226,6 +226,29 @@ class TestFieldHomology:
         ident = GradedMap(basis, basis, 0, F3)
         for n in (0, 1):
             ident.set_block(n, Matrix.identity(F3, basis.dim(n)))
-        ind = induced_map(ident, H, H)
+        ind = induced_map(ident, H, H, 1)
         for n in (0, 1):
             assert ind[n] == Matrix.identity(F3, H.dim(n))
+
+    def test_random_complexes_and_duals(self):
+        # random Z_(3) complexes reduced mod 3, and their degree +1 duals
+        rng = random.Random(11)
+        for _ in range(100):
+            C = random_complex(Z3, rng)
+            dims = mod_p_homology_dims(C, 3)
+            d = C.d.reduce_mod_p()
+            db = dual_basis(C.basis)
+            for basis, dmap in ((C.basis, d), (db, dualize(d, db, db))):
+                H = FieldHomology(basis, dmap)
+                for n in range(C.n_max):
+                    assert H.dim(n) == dims[n], f"degree {n}"
+                for n in range(C.n_max + 1):
+                    for j in range(H.dim(n)):
+                        assert H.class_of(n, H.representative(n, j)) == \
+                            [1 if i == j else 0 for i in range(H.dim(n))]
+                    src = n - dmap.degree
+                    if not 0 <= src <= C.n_max:
+                        continue
+                    x = [rng.randrange(3) for _ in range(basis.dim(src))]
+                    assert H.class_of(n, dmap.apply(src, x)) == \
+                        [0] * H.dim(n)

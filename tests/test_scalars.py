@@ -102,14 +102,19 @@ class TestMatrixBasics:
         assert m * Matrix.identity(Z3, 4) == m
 
     def test_inverse(self):
-        m = Matrix(Z3, 2, 2, [[Fraction(1), Fraction(2)],
-                              [Fraction(1), Fraction(1)]])
-        inv = m.inverse()
-        assert m * inv == Matrix.identity(Z3, 2)
+        for ring in (Z3, F3):
+            m = Matrix(ring, 2, 2, [[1, 2], [1, 1]])
+            inv = m.inverse()
+            assert m * inv == Matrix.identity(ring, 2)
+            assert inv * m == Matrix.identity(ring, 2)
         singular = Matrix(Z3, 2, 2, [[Fraction(3), Fraction(0)],
                                      [Fraction(0), Fraction(1)]])
         with pytest.raises(RingError):
             singular.inverse()   # det = 3 is not a unit in Z_(3)
+        with pytest.raises(RingError):
+            Matrix(F3, 2, 2, [[1, 2], [2, 1]]).inverse()   # det = -3 = 0
+        with pytest.raises(DimensionError):
+            Matrix(F3, 1, 2, [[1, 0]]).inverse()
 
     def test_rank_against_oracle(self):
         rng = random.Random(7)
@@ -151,14 +156,10 @@ class TestSnf:
         assert res.invariant_exponents == [2]
         assert res.S.a[0][0] == 9
 
-    def test_rejects_field(self):
-        with pytest.raises(RingError):
-            Matrix.identity(F3, 2).snf()
-
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 4), st.integers(0, 4), st.data())
-    def test_random_snf_invariants(self, rows, cols, data):
-        ring = Z3
+    @given(st.sampled_from([Z3, F3]), st.integers(0, 4), st.integers(0, 4),
+           st.data())
+    def test_random_snf_invariants(self, ring, rows, cols, data):
         ents = data.draw(st.lists(
             st.integers(-40, 40), min_size=rows * cols, max_size=rows * cols))
         m = Matrix(ring, rows, cols,
@@ -179,7 +180,12 @@ class TestSnf:
                     assert res.S.a[i][j] == Fraction(3) ** exps[i]
                 else:
                     assert ring.is_zero(res.S.a[i][j])
-        assert len(exps) == bareiss_rank(m.a)
+        if ring.is_field:
+            # S = diag(1, ..., 1, 0, ...): a rank factorization
+            assert exps == [0] * len(exps)
+            assert len(exps) == fp_rank(m.a, 3)
+        else:
+            assert len(exps) == bareiss_rank(m.a)
 
 
 class TestKernelSolve:
