@@ -296,9 +296,9 @@ def _example2_report(p: int, n: int):
 
 
 def cmd_examples(args):
-    p, n = args.prime or 3, 1
+    p, n = 3 if args.prime is None else args.prime, 1
     L, rmax = builtin_dgl(args.name, p=p, rmax=args.rmax)
-    if args.nmax:
+    if args.nmax is not None:
         L = L.replace(n_max=args.nmax)
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)

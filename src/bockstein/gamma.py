@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import factorial
 
 from .graded import GradedBasis, GradedMap, dualize
+from .lie import ordered_monomials, run_length
 from .scalars import Matrix, ZpLocal, accumulate
 
 
@@ -43,32 +44,12 @@ class GammaAlgebra:
             raise GammaError("generator degrees must be >= 1")
         self._shuffle_cache = {}
         self._expand_cache = {(): {(): 1}}
-        self._words = {0: [()]}          # degree -> ordered gamma words
-        self._build_bases()
+        self._words = {n: [run_length(m) for m in monos]   # degree -> words
+                       for n, monos in ordered_monomials(self.degrees,
+                                                         n_max).items()}
         names = {n: [self.word_name(w) for w in ws]
                  for n, ws in self._words.items()}
         self.basis = GradedBasis(names, n_max)
-
-    # -- bases ---------------------------------------------------------------
-
-    def _build_bases(self):
-        # gamma words enumerated exactly like PBW monomials on the same
-        # generator list, canonically sorted by the flattened index tuple
-        flat = {0: [()]}
-
-        def extend(start, mono, deg):
-            for i in range(start, len(self.names)):
-                nd = deg + self.degrees[i]
-                if nd > self.n_max:
-                    continue
-                m2 = mono + (i,)
-                flat.setdefault(nd, []).append(m2)
-                extend(i if self.degrees[i] % 2 == 0 else i + 1, m2, nd)
-
-        extend(0, (), 0)
-        for n, monos in flat.items():
-            monos.sort()
-            self._words[n] = [_run_length(m) for m in monos]
 
     def words(self, n: int) -> list:
         return self._words.get(n, [])
@@ -168,7 +149,7 @@ class GammaAlgebra:
         for w, c in list(residual.items()):
             if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
                 continue
-            gw = _run_length(w)
+            gw = run_length(w)
             if any(k > 1 and self.degrees[i] % 2 for i, k in gw):
                 raise GammaError("tensor element does not lie in Γ(V)")
             out[gw] = c
@@ -245,18 +226,6 @@ class GammaAlgebra:
         exact = self.from_tensor(result, ZpLocal(ring.p))
         return {gw: ring.of(c) for gw, c in exact.items()
                 if not ring.is_zero(ring.of(c))}
-
-
-def _run_length(mono) -> tuple:
-    out = []
-    i = 0
-    while i < len(mono):
-        j = i
-        while j < len(mono) and mono[j] == mono[i]:
-            j += 1
-        out.append((mono[i], j - i))
-        i = j
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Finite-type free graded modules, graded maps, chain complexes, homology.
 
 Degrees live in a window [0, N_max].  Homology is computed by decomposing
-the complex into free and elementary pieces (iterated Smith normal form with
-basis tracking, top degree down).  Over Z_(p) the same decomposition later
-drives the Bockstein pages, so torsion bookkeeping happens exactly once; over
-F_p every piece has exponent 0, so the free pieces are a homology basis.
+the complex into free and elementary pieces: one in-place elimination per
+degree, top degree down, each basis change applied wherever that basis is
+used (the differentials in and out, P and P^-1).  Over Z_(p) the same
+decomposition later drives the Bockstein pages, so torsion bookkeeping
+happens exactly once; over F_p every piece has exponent 0, so the free
+pieces are a homology basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import Matrix, RingError
+from .scalars import BasisChange, Matrix, RingError, eliminate
 
 
 class WindowError(ValueError):
@@ -230,65 +232,36 @@ class Decomposition:
 def decompose(C: GradedChainComplex) -> Decomposition:
     """Split C into free and elementary pieces with recorded basis change.
 
-    Differentials are processed from the top degree down; at each level the
-    columns already hit from above are frozen, and Smith normal form is
-    applied to the remaining columns only, which keeps the pieces found so
-    far intact.  Over F_p the SNF is a rank factorization, so every
-    elementary piece has exponent 0.
+    Differentials are brought to Smith form from the top degree down by one
+    in-place `eliminate` per degree n.  Its row operations change the basis
+    of C_{n-1}, so they act on P[n-1] and the columns of d_{n-1} as well as
+    on P^-1[n-1] and the rows of d_n; its column operations change the
+    basis of C_n and act on P[n], P^-1[n] and d_n.  Columns hit from above
+    are left out of the elimination: they are cycles, so their columns of
+    d_n vanish, and the pieces found so far stay intact.  The rows of d_{n+1}
+    are not updated, since d_{n+1} is not read again.  Over F_p every
+    nonzero entry is a unit, so every elementary piece has exponent 0.
     """
     ring = C.ring
     n_max = C.n_max
-    cur = {n: C.d.block(n).copy() for n in range(1, n_max + 1)}
+    cur = {n: C.d.block(n).copy() for n in range(n_max + 1)}  # d_0: no rows
     P = {n: Matrix.identity(ring, C.dim(n)) for n in range(n_max + 1)}
     Pinv = {n: Matrix.identity(ring, C.dim(n)) for n in range(n_max + 1)}
-    bottoms = {n: {} for n in range(n_max + 1)}   # index -> exponent of its piece
-    tops = {n: set() for n in range(n_max + 1)}
     pieces = []
-
-    for n in range(n_max, 0, -1):
-        M = cur[n]
-        if M.cols == 0:
-            continue
-        frozen = set(bottoms[n])
-        free_cols = [j for j in range(M.cols) if j not in frozen]
-        if M.rows == 0 or not free_cols:
-            rank = 0
-        else:
-            sub = Matrix(ring, M.rows, len(free_cols))
-            for i in range(M.rows):
-                for jj, j in enumerate(free_cols):
-                    sub.a[i][jj] = M.a[i][j]
-            res = sub.snf()
-            rank = len(res.invariant_exponents)
-            # scatter V into a full column transform (identity on frozen cols)
-            Vf = Matrix.identity(ring, M.cols)
-            Vfinv = Matrix.identity(ring, M.cols)
-            for a, ja in enumerate(free_cols):
-                for b, jb in enumerate(free_cols):
-                    Vf.a[ja][jb] = res.V.a[a][b]
-                    Vfinv.a[ja][jb] = res.Vinv.a[a][b]
-            P[n] = P[n] * Vf
-            Pinv[n] = Vfinv * Pinv[n]
-            P[n - 1] = P[n - 1] * res.Uinv
-            Pinv[n - 1] = res.U * Pinv[n - 1]
-            cur[n] = res.U * M * Vf
-            if n + 1 <= n_max:
-                cur[n + 1] = Vfinv * cur[n + 1]
-            if n - 1 >= 1:
-                cur[n - 1] = cur[n - 1] * res.Uinv
-            for i in range(rank):
-                k = res.invariant_exponents[i]
-                top_col = free_cols[i]
-                pieces.append(Piece("elementary", n, top_col, k, i))
-                tops[n].add(top_col)
-                bottoms[n - 1][i] = k
-        for j in range(C.dim(n)):
-            if j not in tops[n] and j not in bottoms[n]:
-                pieces.append(Piece("free", n, j))
-
-    for j in range(C.dim(0)):
-        if j not in bottoms[0]:
-            pieces.append(Piece("free", 0, j))
+    hit = 0          # basis vectors 0..hit-1 of degree n are hit from above
+    for n in range(n_max, -1, -1):
+        free_cols = list(range(hit, C.dim(n)))
+        exponents = []
+        if n > 0:
+            rows = BasisChange(out=[P[n - 1], cur[n - 1]],
+                               into=[Pinv[n - 1], cur[n]])
+            cols = BasisChange(out=[P[n], cur[n]], into=[Pinv[n]])
+            exponents = eliminate(cur[n], rows, cols, free_cols)
+        for i, k in enumerate(exponents):
+            pieces.append(Piece("elementary", n, free_cols[i], k, i))
+        for j in free_cols[len(exponents):]:
+            pieces.append(Piece("free", n, j))
+        hit = len(exponents)
 
     dec = Decomposition(C, pieces, P, Pinv)
     _verify_decomposition(dec)

@@ -207,6 +207,46 @@ def abelian(ring, n_max, generators, differential=None) -> DgLie:
     return DgLie(ring, n_max, generators, {}, differential)
 
 
+def ordered_monomials(degrees, n_max: int) -> dict:
+    """Degree -> sorted monomials on generators of the given degrees.
+
+    A monomial is a nondecreasing tuple of generator indices in which each
+    odd-degree index appears at most once; the empty tuple sits in degree 0.
+    This one enumeration orders both the PBW basis of UL and the gamma words
+    of Γ on the same generators, which keeps the Λ/Γ pairing a signed
+    identity.
+    """
+    monos = {0: [()]}
+
+    def extend(start, mono, deg):
+        for i in range(start, len(degrees)):
+            nd = deg + degrees[i]
+            if nd > n_max:
+                continue
+            m2 = mono + (i,)
+            monos.setdefault(nd, []).append(m2)
+            extend(i + degrees[i] % 2, m2, nd)
+
+    extend(0, (), 0)
+    for ms in monos.values():
+        ms.sort()
+    return monos
+
+
+def run_length(mono) -> tuple:
+    """Runs of a sorted monomial as (index, multiplicity): (0, 0, 2) ->
+    ((0, 2), (2, 1))."""
+    out = []
+    i = 0
+    while i < len(mono):
+        j = i
+        while j < len(mono) and mono[j] == mono[i]:
+            j += 1
+        out.append((mono[i], j - i))
+        i = j
+    return tuple(out)
+
+
 class PbwAlgebra:
     """UL with ordered-monomial basis per degree up to the window.
 
@@ -223,34 +263,14 @@ class PbwAlgebra:
         self.n_max = L.n_max
         self._straight_cache = {}
         self._coproduct_cache = {}
-        self._monos = {0: [()]}
-        self._build_basis()
+        self._monos = ordered_monomials(L.degrees, self.n_max)
+        self._index = {n: {m: j for j, m in enumerate(monos)}
+                       for n, monos in self._monos.items()}
         names = {n: [self.monomial_name(m) for m in monos]
                  for n, monos in self._monos.items()}
         self.basis = GradedBasis(names, self.n_max)
 
     # -- basis -------------------------------------------------------------
-
-    def _build_basis(self):
-        L = self.L
-
-        def extend(start, mono, deg):
-            for i in range(start, L.n_gens()):
-                nd = deg + L.degrees[i]
-                if nd > self.n_max:
-                    continue
-                m2 = mono + (i,)
-                self._monos.setdefault(nd, []).append(m2)
-                if L.degrees[i] % 2 == 0:
-                    extend(i, m2, nd)
-                else:
-                    extend(i + 1, m2, nd)
-
-        extend(0, (), 0)
-        for monos in self._monos.values():
-            monos.sort()
-        self._index = {n: {m: j for j, m in enumerate(monos)}
-                       for n, monos in self._monos.items()}
 
     def monomials(self, n: int) -> list:
         return self._monos.get(n, [])
@@ -264,16 +284,9 @@ class PbwAlgebra:
     def monomial_name(self, mono) -> str:
         if not mono:
             return "1"
-        parts = []
-        i = 0
-        while i < len(mono):
-            j = i
-            while j < len(mono) and mono[j] == mono[i]:
-                j += 1
-            g = self.L.names[mono[i]]
-            parts.append(g if j - i == 1 else f"{g}^{j - i}")
-            i = j
-        return "*".join(parts)
+        names = self.L.names
+        return "*".join(names[i] if k == 1 else f"{names[i]}^{k}"
+                        for i, k in run_length(mono))
 
     def to_vector(self, elem: dict, n: int):
         ring = self.ring

@@ -3,6 +3,11 @@
 Z_(p) elements are `fractions.Fraction`s whose denominator is coprime to p;
 F_p elements are ints in [0, p).  A ring object supplies the arithmetic so
 matrix code is ring-agnostic.  Everything is exact: no floats anywhere.
+
+Smith forms come from one in-place elimination, `eliminate`, whose row and
+column operations are elementary basis changes (`BasisChange`), each applied
+to every matrix that uses the basis.  `Matrix.snf` tracks U, V and their
+inverses this way; `graded.decompose` tracks the complex's own basis.
 """
 
 from __future__ import annotations
@@ -378,11 +383,12 @@ class Matrix:
     def snf(self) -> "SnfResult":
         """U*A*V = S diagonal with entries p^{k_1} | p^{k_2} | ... then zeros.
 
-        Pivots are chosen by minimal p-adic valuation and normalized to pure
-        powers of p, so the exponents are nondecreasing.  U, V are invertible
-        over the ring; their inverses are accumulated alongside.  Over F_p
-        every nonzero entry is a unit, so all exponents are 0 and S =
-        diag(1, ..., 1, 0, ...): a rank factorization.
+        One run of `eliminate` on a copy of A: each row operation is a basis
+        change of the target, applied to U and S (rows) and to U^-1
+        (columns); each column operation one of the source, applied to V and
+        S (columns) and to V^-1 (rows).  Over F_p every nonzero entry is a
+        unit, so all exponents are 0 and S = diag(1, ..., 1, 0, ...): a rank
+        factorization.
         """
         ring = self.ring
         S = self.copy()
@@ -390,32 +396,9 @@ class Matrix:
         Uinv = Matrix.identity(ring, self.rows)
         V = Matrix.identity(ring, self.cols)
         Vinv = Matrix.identity(ring, self.cols)
-        exponents = []
-        t = 0
-        while t < min(self.rows, self.cols):
-            best = None
-            for i in range(t, self.rows):
-                for j in range(t, self.cols):
-                    if not ring.is_zero(S.a[i][j]):
-                        v = ring.valuation(S.a[i][j])
-                        if best is None or v < best[0]:
-                            best = (v, i, j)
-            if best is None:
-                break
-            v, pi, pj = best
-            _swap_rows(S, U, Uinv, t, pi)
-            _swap_cols(S, V, Vinv, t, pj)
-            u = ring.unit_part(S.a[t][t])
-            _scale_row(S, U, Uinv, t, ring.inv(u))
-            piv = S.a[t][t]
-            for i in range(self.rows):
-                if i != t and not ring.is_zero(S.a[i][t]):
-                    _add_row(S, U, Uinv, i, t, ring.neg(ring.div(S.a[i][t], piv)))
-            for j in range(self.cols):
-                if j != t and not ring.is_zero(S.a[t][j]):
-                    _add_col(S, V, Vinv, j, t, ring.neg(ring.div(S.a[t][j], piv)))
-            exponents.append(v)
-            t += 1
+        exponents = eliminate(S, BasisChange(out=[Uinv], into=[U, S]),
+                              BasisChange(out=[V, S], into=[Vinv]),
+                              range(self.cols))
         return SnfResult(U=U, S=S, V=V, Uinv=Uinv, Vinv=Vinv,
                          invariant_exponents=exponents)
 
@@ -503,50 +486,95 @@ def accumulate(ring, acc: dict, terms: dict, coeff) -> dict:
     return acc
 
 
-def _swap_rows(S, U, Uinv, i, j):
-    if i == j:
-        return
-    S.a[i], S.a[j] = S.a[j], S.a[i]
-    U.a[i], U.a[j] = U.a[j], U.a[i]
-    # inverse of a swap is the same swap, applied on the other side (columns)
-    for r in range(Uinv.rows):
-        Uinv.a[r][i], Uinv.a[r][j] = Uinv.a[r][j], Uinv.a[r][i]
+class BasisChange:
+    """Elementary changes of one basis, applied wherever that basis is used.
+
+    `out` holds the matrices whose columns are indexed by the basis (maps out
+    of the space, such as P, the new basis in old coordinates); `into` those
+    whose rows are (maps into it, such as P^-1).  Each operation acts on the
+    columns of every `out` matrix and, inverted, on the rows of every `into`
+    matrix, so every product out·into of the basis is unchanged.
+    """
+
+    def __init__(self, out=(), into=()):
+        self.out = list(out)
+        self.into = list(into)
+
+    def swap(self, i: int, j: int):
+        """e_i <-> e_j."""
+        if i == j:
+            return
+        for M in self.out:
+            for row in M.a:
+                row[i], row[j] = row[j], row[i]
+        for M in self.into:
+            M.a[i], M.a[j] = M.a[j], M.a[i]
+
+    def scale(self, i: int, c):
+        """e_i -> c·e_i, c a unit."""
+        for M in self.out:
+            mul = M.ring.mul
+            for row in M.a:
+                row[i] = mul(row[i], c)
+        for M in self.into:
+            mul, cinv = M.ring.mul, M.ring.inv(c)
+            M.a[i] = [mul(cinv, x) for x in M.a[i]]
+
+    def add(self, j: int, i: int, c):
+        """e_j -> e_j + c·e_i, i ≠ j."""
+        for M in self.out:
+            add, mul, is_zero = M.ring.add, M.ring.mul, M.ring.is_zero
+            for row in M.a:
+                if not is_zero(row[i]):
+                    row[j] = add(row[j], mul(c, row[i]))
+        for M in self.into:
+            sub, mul, is_zero = M.ring.sub, M.ring.mul, M.ring.is_zero
+            ri = M.a[i]
+            for k, y in enumerate(M.a[j]):
+                if not is_zero(y):
+                    ri[k] = sub(ri[k], mul(c, y))
 
 
-def _swap_cols(S, V, Vinv, i, j):
-    if i == j:
-        return
-    for r in range(S.rows):
-        S.a[r][i], S.a[r][j] = S.a[r][j], S.a[r][i]
-    for r in range(V.rows):
-        V.a[r][i], V.a[r][j] = V.a[r][j], V.a[r][i]
-    Vinv.a[i], Vinv.a[j] = Vinv.a[j], Vinv.a[i]
+def eliminate(S: Matrix, rows: BasisChange, cols: BasisChange,
+              col_order) -> list:
+    """Bring S to Smith form in place; returns the exponents of its pivots.
 
-
-def _scale_row(S, U, Uinv, i, c):
+    Step t pivots on an entry of minimal valuation (the first in row-major
+    order over rows t.. and columns col_order[t..]), moves it to (t,
+    col_order[t]), scales it to a pure power of p and clears its column,
+    then its row.  Row operations are changes of the target basis (`rows`,
+    whose `into` holds S) and column operations changes of the source
+    basis (`cols`, whose `out` holds S).  Columns outside col_order take no
+    pivot and are not cleared, so the result is a Smith form only when they
+    are zero.
+    """
     ring = S.ring
-    S.a[i] = [ring.mul(c, x) for x in S.a[i]]
-    U.a[i] = [ring.mul(c, x) for x in U.a[i]]
-    cinv = ring.inv(c)
-    for r in range(Uinv.rows):
-        Uinv.a[r][i] = ring.mul(Uinv.a[r][i], cinv)
-
-
-def _add_row(S, U, Uinv, i, j, c):
-    """Row_i += c * Row_j (and bookkeeping for U, Uinv)."""
-    ring = S.ring
-    S.a[i] = [ring.add(x, ring.mul(c, y)) for x, y in zip(S.a[i], S.a[j])]
-    U.a[i] = [ring.add(x, ring.mul(c, y)) for x, y in zip(U.a[i], U.a[j])]
-    for r in range(Uinv.rows):
-        Uinv.a[r][j] = ring.sub(Uinv.a[r][j], ring.mul(c, Uinv.a[r][i]))
-
-
-def _add_col(S, V, Vinv, j, k, c):
-    """Col_j += c * Col_k (and bookkeeping for V, Vinv)."""
-    ring = S.ring
-    for r in range(S.rows):
-        S.a[r][j] = ring.add(S.a[r][j], ring.mul(c, S.a[r][k]))
-    for r in range(V.rows):
-        V.a[r][j] = ring.add(V.a[r][j], ring.mul(c, V.a[r][k]))
-    Vinv.a[k] = [ring.sub(x, ring.mul(c, y))
-                 for x, y in zip(Vinv.a[k], Vinv.a[j])]
+    is_zero, div = ring.is_zero, ring.div
+    a = S.a
+    col_order = list(col_order)
+    exponents = []
+    for t in range(min(S.rows, len(col_order))):
+        best = None
+        for i in range(t, S.rows):
+            row = a[i]
+            for j in col_order[t:]:
+                if not is_zero(row[j]):
+                    v = ring.valuation(row[j])
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        if best is None:
+            break
+        v, pi, pj = best
+        ct = col_order[t]
+        rows.swap(t, pi)
+        cols.swap(ct, pj)
+        rows.scale(t, ring.unit_part(a[t][ct]))
+        piv = a[t][ct]
+        for i in range(S.rows):
+            if i != t and not is_zero(a[i][ct]):
+                rows.add(t, i, div(a[i][ct], piv))
+        for j in col_order:
+            if j != ct and not is_zero(a[t][j]):
+                cols.add(j, ct, ring.neg(div(a[t][j], piv)))
+        exponents.append(v)
+    return exponents

@@ -6,8 +6,9 @@ mod-p homology from rank-nullity, and Bockstein page dimensions from the
 exact-couple subquotient lattices
     E^r_n = Z^r_n / (p·Z^{r-1}_n + d(Z^{r-1}_{n+1})/p^{r-1}),
     Z^r_n = {c : d(c) ∈ p^r·C_{n-1}},
-computed with matrix Smith forms on the raw differential only (no basis
-change of the complex is ever performed here).
+computed on the raw differential only (no basis change of the complex is
+ever performed here) with `smith`, a dense Smith form of this module's own
+that shares no code with the library's `eliminate`.
 """
 
 from fractions import Fraction
@@ -88,6 +89,52 @@ def _fp_grid(m, p):
 # Subquotient-lattice Bockstein oracle
 # ---------------------------------------------------------------------------
 
+def smith(m):
+    """(U, V, exponents) with U·A·V = diag(p^k_1, ..., p^k_r, 0, ...) for a
+    Z_(p) matrix A, as lists of rows over Fraction.
+
+    Textbook elimination on copies of m.a: pivot on a least-valuation entry,
+    scale it to a power of p, clear its column by row operations (tracked in
+    U) and its row by column operations (tracked in V).
+    """
+    ring = m.ring
+    assert not ring.is_field, "the lattice oracle works over Z_(p)"
+    rows, cols = m.rows, m.cols
+    S = [list(row) for row in m.a]
+    U = _identity(rows)
+    V = _identity(cols)
+    exponents = []
+    for t in range(min(rows, cols)):
+        nonzero = [(ring.valuation(S[i][j]), i, j)
+                   for i in range(t, rows) for j in range(t, cols) if S[i][j]]
+        if not nonzero:
+            break
+        k, pi, pj = min(nonzero)
+        S[t], S[pi] = S[pi], S[t]
+        U[t], U[pi] = U[pi], U[t]
+        for row in S + V:
+            row[t], row[pj] = row[pj], row[t]
+        c = Fraction(ring.p) ** k / S[t][t]
+        S[t] = [c * x for x in S[t]]
+        U[t] = [c * x for x in U[t]]
+        for i in range(rows):
+            f = S[i][t] / S[t][t]
+            if i != t and f:
+                S[i] = [x - f * y for x, y in zip(S[i], S[t])]
+                U[i] = [x - f * y for x, y in zip(U[i], U[t])]
+        for j in range(cols):
+            f = S[t][j] / S[t][t]
+            if j != t and f:
+                for row in S + V:
+                    row[j] -= f * row[t]
+        exponents.append(k)
+    return U, V, exponents
+
+
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def _z_lattice_basis(C, n, r):
     """Columns spanning Z^r_n = {c in C_n : d(c) ∈ p^r C_{n-1}} (full rank)."""
     ring = C.ring
@@ -95,16 +142,12 @@ def _z_lattice_basis(C, n, r):
     dim = C.dim(n)
     if dim == 0:
         return []
-    d = C.d.block(n)
-    if d.rows == 0 or d.is_zero():
-        return Matrix.identity(ring, dim).columns()
-    res = d.snf()
+    _, V, exponents = smith(C.d.block(n))
     cols = []
     for j in range(dim):
-        col = res.V.column(j)
-        if j < len(res.invariant_exponents):
-            k = res.invariant_exponents[j]
-            scale = Fraction(p) ** max(r - k, 0)
+        col = [row[j] for row in V]
+        if j < len(exponents):
+            scale = Fraction(p) ** max(r - exponents[j], 0)
             col = [scale * x for x in col]
         cols.append(col)
     return cols
@@ -114,14 +157,18 @@ def _lattice_quotient_dim(ring, N_cols, D_cols, dim):
     """dim_Fp N/D for lattices D ⊆ N of full rank `dim` with pN ⊆ D."""
     if dim == 0:
         return 0
-    N = Matrix.from_columns(ring, dim, N_cols)
+    p = ring.p
+    U, V, exps = smith(Matrix.from_columns(ring, dim, N_cols))
+    assert len(exps) == dim, "numerator lattice not full rank"
     M_cols = []
     for col in D_cols:
-        sol = N.solve(col)
-        assert sol is not None, "denominator lattice not inside numerator"
-        M_cols.append(sol)
-    M = Matrix.from_columns(ring, dim, M_cols)
-    exps = M.snf().invariant_exponents
+        # N x = col  <=>  x = V·diag(p^-k)·U·col
+        y = [sum(u * b for u, b in zip(row, col)) / p ** k
+             for row, k in zip(U, exps)]
+        assert all(x.denominator % p for x in y), \
+            "denominator lattice not inside numerator"
+        M_cols.append([sum(v * x for v, x in zip(row, y)) for row in V])
+    _, _, exps = smith(Matrix.from_columns(ring, dim, M_cols))
     assert len(exps) == dim, "denominator lattice not full rank"
     assert all(k <= 1 for k in exps), "p·N ⊄ D: not an F_p quotient"
     return sum(1 for k in exps if k >= 1)

@@ -76,10 +76,12 @@ class TestElementaryPages:
 
 
 class TestAgainstLatticeOracle:
-    def test_random_pages_and_ranks(self):
+    @pytest.mark.parametrize("n_max, max_dim, draws",
+                             [(4, 3, 30), (8, 8, 15)], ids=["small", "large"])
+    def test_random_pages_and_ranks(self, n_max, max_dim, draws):
         rng = random.Random(2024)
-        for _ in range(30):
-            C = random_complex(Z3, rng, n_max=4, max_dim=3)
+        for _ in range(draws):
+            C = random_complex(Z3, rng, n_max=n_max, max_dim=max_dim)
             bss = bockstein_pages(C, 3)
             dims4 = bss_page_dims(C, 4)
             for r in (1, 2, 3):

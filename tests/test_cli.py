@@ -248,10 +248,19 @@ class TestExamples:
                 == (golden / f"{name}.json").read_bytes())
 
     def test_non_prime_exits_2(self, tmp_path, capsys):
-        assert main(["examples", "example1", "--prime", "4",
-                     "--out", str(tmp_path)]) == 2
-        assert "4 is not an odd prime" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+        # 0 is a given prime, not a missing one: no fallback to p = 3
+        for prime in ("4", "0"):
+            assert main(["examples", "example1", "--prime", prime,
+                         "--out", str(tmp_path)]) == 2
+            assert f"{prime} is not an odd prime" in capsys.readouterr().err
+            assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["example1", "model"])
+    def test_nmax_zero_is_used(self, name, tmp_path, capsys):
+        assert main(["examples", name, "--nmax", "0", "--rmax", "1",
+                     "--out", str(tmp_path)]) == 0
+        text = (tmp_path / f"{name}.expected").read_text()
+        assert text.startswith(f"{name}: p = 3, nmax = 0\n")
 
     def test_rmax_below_1_exits_2(self, tmp_path, capsys):
         assert exit_code(["examples", "example1", "--rmax", "0",

@@ -180,9 +180,11 @@ class TestDecomposition:
             for n in range(C.n_max):
                 assert H.mod_p_dim(n) == dims[n], f"degree {n}"
 
-    def test_representative_coordinates_inverse(self):
+    @pytest.mark.parametrize("n_max, max_dim", [(4, 3), (8, 8)],
+                             ids=["small", "large"])
+    def test_representative_coordinates_inverse(self, n_max, max_dim):
         rng = random.Random(3)
-        C = random_complex(Z3, rng)
+        C = random_complex(Z3, rng, n_max=n_max, max_dim=max_dim)
         dec = decompose(C)
         for n in range(C.n_max + 1):
             for j in range(C.dim(n)):
