@@ -127,7 +127,9 @@ def cochains(L: DgLie) -> CceCochains:
 
     d0 = lam.derivation(1, d0_images)
     d1 = lam.derivation(1, d1_images)
-    d = d0 + d1
+    # d0 images are linear and d1 images quadratic: their keys never meet
+    d = lam.derivation(1, {x: {**d0_images.get(x, {}), **d1_images.get(x, {})}
+                           for x in set(d0_images) | set(d1_images)})
     _check_square_zero(d, n_max)
     return CceCochains(L, lam, d, d0, d1)
 

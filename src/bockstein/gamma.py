@@ -1,26 +1,25 @@
-"""Free divided-powers algebras inside the tensor coalgebra.
+"""Free divided-powers algebras Γ(V): divided powers on the even generators
+tensored with an exterior algebra on the odd ones.
 
-Γ(V) sits in T_C(V) as the symmetric words; its product is the shuffle
-product and γ^k(v) = [v|...|v] on even generators.  The basis consists of
-words γ^{k_1}(v_1)···γ^{k_s}(v_s) with v_i in generator order and k_i ≤ 1
-for odd v_i — mirroring PBW monomials of an enveloping algebra on the dual
-generators, so the Λ/Γ pairing is a signed identity and dualizing a map
-is a signed blockwise transpose (`pairing_signs`, `adjoint`).
+The basis consists of words γ^{k_1}(v_1)···γ^{k_s}(v_s) with v_i in
+generator order and k_i ≤ 1 for odd v_i — mirroring PBW monomials of an
+enveloping algebra on the dual generators, so the Λ/Γ pairing is a signed
+identity and dualizing a map is a signed blockwise transpose
+(`pairing_signs`, `adjoint`).
 
-Divided powers of arbitrary even elements are computed in the ambient
-tensor coalgebra as (k-fold shuffle power)/k!; over F_p the element is
-lifted to integers first, the division performed exactly, and the result
-reduced (legitimate because γ^j of a multiple of p is 0 mod p for j ≥ 1).
+Products and divided powers are closed forms on words (`word_product`,
+`divided_power`).  Γ(V) also sits in the tensor coalgebra T_C(V) as the
+symmetric words under the shuffle product (`shuffle`, `expand`);
+`pairing_matrix` builds the pairing through that embedding.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .graded import GradedBasis, GradedMap, dualize
 from .lie import ordered_monomials, run_length
-from .scalars import Matrix, ZpLocal, accumulate
+from .scalars import Matrix, accumulate
 
 
 class GammaError(ValueError):
@@ -44,6 +43,7 @@ class GammaAlgebra:
             raise GammaError("generator degrees must be >= 1")
         self._shuffle_cache = {}
         self._expand_cache = {(): {(): 1}}
+        self._product_cache = {}
         self._words = {n: [run_length(m) for m in monos]   # degree -> words
                        for n, monos in ordered_monomials(self.degrees,
                                                          n_max).items()}
@@ -126,55 +126,43 @@ class GammaAlgebra:
         self._expand_cache[gword] = out
         return out
 
-    def expand_elem(self, elem: dict) -> dict:
-        """Element -> tensor expansion over the ring."""
-        out = {}
-        for gw, c in elem.items():
-            accumulate(self.ring, out, self.expand(gw), c)
-        return out
-
-    def from_tensor(self, tensor_elem: dict, ring=None) -> dict:
-        """Tensor expansion -> gamma coordinates; raises if outside Γ(V).
-
-        Each gamma word hits its sorted tensor word with coefficient 1, and
-        distinct gamma words have distinct letter multisets, so peeling the
-        sorted words recovers the coordinates without linear algebra; the
-        residual must cancel exactly or the element is not symmetric.
-        Coefficients lie in `ring`, by default the algebra's own.
-        """
-        ring = self.ring if ring is None else ring
-        out = {}
-        residual = {w: c for w, c in tensor_elem.items()
-                    if not ring.is_zero(c)}
-        for w, c in list(residual.items()):
-            if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
-                continue
-            gw = run_length(w)
-            if any(k > 1 and self.degrees[i] % 2 for i, k in gw):
-                raise GammaError("tensor element does not lie in Γ(V)")
-            out[gw] = c
-            accumulate(ring, residual, self.expand(gw), ring.neg(c))
-        if residual:
-            raise GammaError("tensor element does not lie in Γ(V)")
-        return out
-
     # -- algebra structure -----------------------------------------------------
+
+    def word_product(self, wa, wb) -> dict:
+        """Product of two gamma words as a cached element (do not mutate);
+        {} beyond the window.
+
+        Per generator the exponents add, a shared even letter giving the
+        factor C(a+b, a) and a shared odd letter 0.  The sign is that of the
+        odd letters of wb passing the higher-indexed odd letters of wa.
+        """
+        out = self._product_cache.get((wa, wb))
+        if out is None:
+            out = {}
+            exps, coeff = dict(wa), 1
+            odd_a = [i for i, _ in wa if self.degrees[i] % 2]
+            for j, b in wb:
+                a = exps.get(j, 0)
+                if self.degrees[j] % 2:
+                    coeff *= 0 if a else (-1) ** sum(i > j for i in odd_a)
+                else:
+                    coeff *= comb(a + b, a)
+                exps[j] = a + b
+            coeff = self.ring.of(coeff)
+            if (self.word_degree(wa) + self.word_degree(wb) <= self.n_max
+                    and not self.ring.is_zero(coeff)):
+                out = {tuple(sorted(exps.items())): coeff}
+            self._product_cache[(wa, wb)] = out
+        return out
 
     def mul(self, a: dict, b: dict) -> dict:
         ring = self.ring
-        tensor = {}
+        out = {}
         for wa, ca in a.items():
             for wb, cb in b.items():
-                if self.word_degree(wa) + self.word_degree(wb) > self.n_max:
-                    continue
-                coeff = ring.mul(ca, cb)
-                if ring.is_zero(coeff):
-                    continue
-                for ta, na in self.expand(wa).items():
-                    for tb, nb in self.expand(wb).items():
-                        accumulate(ring, tensor, self.shuffle(ta, tb),
-                                   ring.mul(coeff, ring.of(na * nb)))
-        return self.from_tensor(tensor)
+                accumulate(ring, out, self.word_product(wa, wb),
+                           ring.mul(ca, cb))
+        return out
 
     def gen(self, i: int) -> dict:
         return {((i, 1),): self.ring.one}
@@ -189,7 +177,14 @@ class GammaAlgebra:
         return degs.pop()
 
     def divided_power(self, elem: dict, k: int) -> dict:
-        """γ^k of a homogeneous even-degree element."""
+        """γ^k of a homogeneous even-degree element.
+
+        γ^k(x + y) = Σ_i γ^i(x)·γ^{k-i}(y) and γ^k(c·w) = c^k·γ^k(w) reduce
+        it to basis words w, where for k ≥ 2 γ^k(w) is zero if w has an odd
+        letter and otherwise (1/k!)·∏_j (k·a_j)!/(a_j!)^k times the word
+        with exponents k·a_j.  That coefficient is an integer, so the result
+        is exact over F_p as well.
+        """
         ring = self.ring
         if k < 0:
             raise GammaError("negative divided power")
@@ -204,28 +199,31 @@ class GammaAlgebra:
             raise GammaError("divided powers only on nonzero even degrees")
         if n * k > self.n_max:
             raise GammaError(f"γ^{k} lands in degree {n * k} > window")
-        # integer lift, exact k-fold shuffle power over Q, divide by k!
-        lift = {gw: Fraction(c) for gw, c in elem.items()}
-        tensor = {}
-        for gw, c in lift.items():
-            for w, m in self.expand(gw).items():
-                tensor[w] = tensor.get(w, Fraction(0)) + c * m
-        power = {(): Fraction(1)}
-        for _ in range(k):
-            nxt = {}
-            for wa, ca in power.items():
-                for wb, cb in tensor.items():
-                    for w, c in self.shuffle(wa, wb).items():
-                        nxt[w] = nxt.get(w, Fraction(0)) + ca * cb * c
-            power = {w: c for w, c in nxt.items() if c}
-        kf = factorial(k)
-        result = {w: c / kf for w, c in power.items()}
-        for w, c in result.items():
-            if c.denominator % ring.p == 0:
-                raise GammaError("divided power not p-integral (internal)")
-        exact = self.from_tensor(result, ZpLocal(ring.p))
-        return {gw: ring.of(c) for gw, c in exact.items()
-                if not ring.is_zero(ring.of(c))}
+        powers = [{(): ring.one}] + [{}] * k    # γ^j of the terms so far
+        for w, c in elem.items():
+            own = [{(): ring.one}] + [self._word_divided_power(w, i, c)
+                                      for i in range(1, k + 1)]
+            nxt = []
+            for j in range(k + 1):
+                nxt.append({})
+                for i in range(j + 1):
+                    accumulate(ring, nxt[j], self.mul(powers[j - i], own[i]),
+                               ring.one)
+            powers = nxt
+        return powers[k]
+
+    def _word_divided_power(self, w, k: int, c) -> dict:
+        """γ^k(c·w) = c^k·γ^k(w) for a basis word w and k ≥ 1."""
+        if k > 1 and any(self.degrees[i] % 2 for i, _ in w):
+            return {}
+        num = 1
+        for _, a in w:
+            num *= factorial(k * a) // factorial(a) ** k
+        num, rest = divmod(num, factorial(k))
+        if rest:
+            raise GammaError("divided power not integral (internal)")
+        return accumulate(self.ring, {}, {tuple((i, k * a) for i, a in w): num},
+                          self.ring.of(c ** k))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +241,20 @@ def apply_map(f: GradedMap, src: GammaAlgebra, tgt: GammaAlgebra,
     return tgt.from_vector(n + f.degree, f.apply(n, src.to_vector(elem, n)))
 
 
+def _word_map(f: GradedMap, src: GammaAlgebra, tgt: GammaAlgebra):
+    """f as a function on elements of src, each basis word mapped once."""
+    images = {w: apply_map(f, src, tgt, {w: f.ring.one})
+              for n in range(src.n_max + 1) for w in src.words(n)}
+
+    def fmap(elem: dict) -> dict:
+        out = {}
+        for w, c in elem.items():
+            accumulate(f.ring, out, images[w], c)
+        return out
+
+    return fmap
+
+
 def is_gamma_morphism(f: GradedMap, src: GammaAlgebra, tgt: GammaAlgebra):
     """(True, None) if f is an algebra map respecting all γ^k, else a witness.
 
@@ -253,26 +265,22 @@ def is_gamma_morphism(f: GradedMap, src: GammaAlgebra, tgt: GammaAlgebra):
     ring = f.ring
     if f.degree != 0:
         raise GammaError("Γ-morphism must have degree 0")
-    one_img = apply_map(f, src, tgt, {(): ring.one})
-    if one_img != {(): ring.one}:
+    fm = _word_map(f, src, tgt)
+    if fm({(): ring.one}) != {(): ring.one}:
         return False, ("unit", (), 0)
     for n1 in range(1, src.n_max + 1):
         for w1 in src.words(n1):
             for n2 in range(n1, src.n_max + 1 - n1):
                 for w2 in src.words(n2):
-                    lhs = apply_map(f, src, tgt,
-                                    src.mul({w1: ring.one}, {w2: ring.one}))
-                    rhs = tgt.mul(apply_map(f, src, tgt, {w1: ring.one}),
-                                  apply_map(f, src, tgt, {w2: ring.one}))
+                    lhs = fm(src.word_product(w1, w2))
+                    rhs = tgt.mul(fm({w1: ring.one}), fm({w2: ring.one}))
                     if lhs != rhs:
                         return False, ("product", w1, w2)
     for n in range(2, src.n_max + 1, 2):
         for w in src.words(n):
             for k in range(2, src.n_max // n + 1):
-                lhs = apply_map(f, src, tgt,
-                                src.divided_power({w: ring.one}, k))
-                rhs = tgt.divided_power(
-                    apply_map(f, src, tgt, {w: ring.one}), k)
+                lhs = fm(src.divided_power({w: ring.one}, k))
+                rhs = tgt.divided_power(fm({w: ring.one}), k)
                 if lhs != rhs:
                     return False, ("gamma", w, k)
     return True, None
@@ -283,16 +291,13 @@ def is_gamma_derivation(theta: GradedMap, A: GammaAlgebra):
     θ(γ^k(a)) = θ(a)·γ^{k-1}(a) on basis words; else (False, witness)."""
     ring = theta.ring
     deg = theta.degree
-
-    def th(elem):
-        return apply_map(theta, A, A, elem)
-
+    th = _word_map(theta, A, A)
     for n1 in range(1, A.n_max + 1):
         for w1 in A.words(n1):
             for n2 in range(n1, A.n_max + 1 - n1):
                 for w2 in A.words(n2):
                     a, b = {w1: ring.one}, {w2: ring.one}
-                    lhs = th(A.mul(a, b))
+                    lhs = th(A.word_product(w1, w2))
                     sign = ring.of(-1 if (deg * n1) % 2 else 1)
                     rhs = accumulate(ring, A.mul(th(a), b),
                                      A.mul(a, th(b)), sign)

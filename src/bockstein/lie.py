@@ -263,6 +263,8 @@ class PbwAlgebra:
         self.n_max = L.n_max
         self._straight_cache = {}
         self._coproduct_cache = {}
+        self._d_images = {g: {(k,): c for k, c in tgt.items()}
+                          for g, tgt in L.d_gen.items()}
         self._monos = ordered_monomials(L.degrees, self.n_max)
         self._index = {n: {m: j for j, m in enumerate(monos)}
                        for n, monos in self._monos.items()}
@@ -365,65 +367,42 @@ class PbwAlgebra:
     # -- differential as a derivation ----------------------------------------
 
     def d_elem(self, elem: dict) -> dict:
-        ring = self.ring
-        L = self.L
         out = {}
         for mono, c in elem.items():
-            sign = ring.one
-            for pos, g in enumerate(mono):
-                for k, ck in L.d_gen.get(g, {}).items():
-                    word = mono[:pos] + (k,) + mono[pos + 1:]
-                    out = accumulate(ring, out, self._straighten(word),
-                                     ring.mul(ring.mul(c, sign), ck))
-                if L.degrees[g] % 2 == 1:
-                    sign = ring.neg(sign)
+            accumulate(self.ring, out, self._derive(mono, -1, self._d_images),
+                       c)
         return out
 
     def differential(self) -> GradedMap:
-        d = GradedMap(self.basis, self.basis, -1, self.ring)
-        for n in range(1, self.n_max + 1):
-            cols = [self.to_vector(self.d_elem({m: self.ring.one}), n - 1)
-                    for m in self.monomials(n)]
-            if cols:
-                d.set_block(n, Matrix.from_columns(self.ring, self.dim(n - 1),
-                                                   cols))
-        return d
+        return self.derivation(-1, self._d_images)
 
     def as_complex(self) -> GradedChainComplex:
         return GradedChainComplex(self.basis, self.differential(), self.ring)
 
     def derivation(self, degree: int, gen_images: dict) -> GradedMap:
-        """Extend generator images (element dicts) to a derivation on UL.
-
-        Signs follow the Koszul rule for an operator of the given degree
-        passing the skipped prefix.
-        """
-        ring = self.ring
-        L = self.L
-        theta = GradedMap(self.basis, self.basis, degree, ring)
-        for n in range(self.n_max + 1):
-            if not (0 <= n + degree <= self.n_max):
-                continue
-            cols = []
-            for mono in self.monomials(n):
-                out = {}
-                sign = ring.one
-                for pos, g in enumerate(mono):
-                    img = gen_images.get(g, {})
-                    for m2, c2 in img.items():
-                        word_terms = self.mul(
-                            self.mul(self._straighten(mono[:pos]),
-                                     {m2: ring.one}),
-                            self._straighten(mono[pos + 1:]))
-                        out = accumulate(ring, out, word_terms,
-                                         ring.mul(sign, c2))
-                    if (degree * L.degrees[g]) % 2 == 1:
-                        sign = ring.neg(sign)
-                cols.append(self.to_vector(out, n + degree))
-            if cols:
-                theta.set_block(n, Matrix.from_columns(
-                    ring, self.dim(n + degree), cols))
+        """Extend generator images (element dicts) to a derivation on UL."""
+        theta = GradedMap(self.basis, self.basis, degree, self.ring)
+        for n in range(max(0, -degree), self.n_max + 1 - max(0, degree)):
+            self._set_sparse_block(theta, n,
+                                   [self._derive(mono, degree, gen_images)
+                                    for mono in self.monomials(n)])
         return theta
+
+    def _derive(self, mono, degree: int, gen_images: dict) -> dict:
+        """A derivation on a monomial: the sum over its letters of the word
+        with that letter replaced by its image, straightened once, with the
+        Koszul sign of an operator of the given degree passing the prefix."""
+        ring = self.ring
+        out = {}
+        sign = ring.one
+        for pos, g in enumerate(mono):
+            for m2, c2 in gen_images.get(g, {}).items():
+                accumulate(ring, out,
+                           self._straighten(mono[:pos] + m2 + mono[pos + 1:]),
+                           ring.mul(sign, c2))
+            if (degree * self.L.degrees[g]) % 2 == 1:
+                sign = ring.neg(sign)
+        return out
 
     def algebra_map(self, target: "PbwAlgebra", gen_images: dict) -> GradedMap:
         """Extend generator images (elements of the target) multiplicatively.
@@ -444,10 +423,24 @@ class PbwAlgebra:
             return out
 
         for n in range(self.n_max + 1):
-            cols = [target.to_vector(image(m), n) for m in self.monomials(n)]
-            if cols:
-                f.set_block(n, Matrix.from_columns(ring, target.dim(n), cols))
+            target._set_sparse_block(f, n,
+                                     [image(m) for m in self.monomials(n)])
         return f
+
+    def _set_sparse_block(self, f: GradedMap, n: int, cols: list):
+        """Set f's block at degree n from its columns, elements of this
+        algebra (f's target) in degree n + deg f; zero blocks stay unset."""
+        index = self._index.get(n + f.degree, {})
+        block = Matrix.zeros(self.ring, len(index), len(cols))
+        for j, elem in enumerate(cols):
+            for mono, c in elem.items():
+                i = index.get(mono)
+                if i is None:
+                    raise LieError("element not homogeneous of the stated "
+                                   "degree")
+                block.a[i][j] = c
+        if any(cols):
+            f.set_block(n, block)
 
     # -- coproduct and primitives ---------------------------------------------
 
@@ -541,9 +534,8 @@ class PbwAlgebra:
         lie_basis = L.lie_basis()
         f = GradedMap(lie_basis, self.basis, 0, self.ring)
         for n in lie_basis.degrees():
-            cols = [self.to_vector({(L.index[name],): self.ring.one}, n)
-                    for name in lie_basis.names(n)]
-            f.set_block(n, Matrix.from_columns(self.ring, self.dim(n), cols))
+            self._set_sparse_block(f, n, [{(L.index[name],): self.ring.one}
+                                          for name in lie_basis.names(n)])
         return f
 
 

@@ -8,12 +8,16 @@ exact-couple subquotient lattices
     Z^r_n = {c : d(c) ∈ p^r·C_{n-1}},
 computed on the raw differential only (no basis change of the complex is
 ever performed here) with `smith`, a dense Smith form of this module's own
-that shares no code with the library's `eliminate`.
+that shares no code with the library's `eliminate`.  Products and divided
+powers in Γ(V) are computed in the tensor coalgebra by shuffles.
 """
 
 from fractions import Fraction
+from math import factorial
 
-from bockstein.scalars import Matrix, PrimeField, ZpLocal
+from bockstein.gamma import GammaError
+from bockstein.lie import run_length
+from bockstein.scalars import Matrix, PrimeField, ZpLocal, accumulate
 
 
 # ---------------------------------------------------------------------------
@@ -232,3 +236,81 @@ def page_pairs_by_snf(pa, tensor, n, t):
     out = k.solve(tensor.bss.class_of_chain(r, n, tensor.to_vector(t, n)))
     assert out is not None
     return out
+
+
+# ---------------------------------------------------------------------------
+# Γ(V) through the tensor coalgebra
+# ---------------------------------------------------------------------------
+#
+# Γ(V) sits in T_C(V) as the symmetric words; its product is the shuffle
+# product and γ^k(x) = x^k/k! there.  These routes use only the library's
+# `GammaAlgebra.shuffle` and `expand`, never its closed-form product.
+
+def gamma_expand_elem(G, elem):
+    """Element of Γ(V) -> tensor expansion over G's ring."""
+    out = {}
+    for gw, c in elem.items():
+        accumulate(G.ring, out, G.expand(gw), c)
+    return out
+
+
+def gamma_from_tensor(G, tensor_elem, ring=None):
+    """Tensor expansion -> gamma coordinates; raises if outside Γ(V).
+
+    Each gamma word hits its sorted tensor word with coefficient 1, and
+    distinct gamma words have distinct letter multisets, so peeling the
+    sorted words recovers the coordinates without linear algebra; the
+    residual must cancel exactly or the element is not symmetric.
+    Coefficients lie in `ring`, by default G's own.
+    """
+    ring = G.ring if ring is None else ring
+    out = {}
+    residual = {w: c for w, c in tensor_elem.items() if not ring.is_zero(c)}
+    for w, c in list(residual.items()):
+        if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
+            continue
+        gw = run_length(w)
+        if any(k > 1 and G.degrees[i] % 2 for i, k in gw):
+            raise GammaError("tensor element does not lie in Γ(V)")
+        out[gw] = c
+        accumulate(ring, residual, G.expand(gw), ring.neg(c))
+    if residual:
+        raise GammaError("tensor element does not lie in Γ(V)")
+    return out
+
+
+def gamma_mul(G, a, b):
+    """Product in Γ(V) as the shuffle product of the tensor expansions."""
+    ring = G.ring
+    tensor = {}
+    for ta, ca in gamma_expand_elem(G, a).items():
+        for tb, cb in gamma_expand_elem(G, b).items():
+            if sum(G.degrees[i] for i in ta + tb) <= G.n_max:
+                accumulate(ring, tensor, G.shuffle(ta, tb), ring.mul(ca, cb))
+    return gamma_from_tensor(G, tensor)
+
+
+def gamma_divided_power(G, elem, k):
+    """γ^k of a homogeneous even-degree element as the k-fold shuffle power
+    over Q divided by k!, on an integer lift of the coefficients (γ^j of a
+    multiple of p is 0 mod p for j ≥ 1, so reducing afterwards is sound)."""
+    ring = G.ring
+    lift = {gw: Fraction(c) for gw, c in elem.items()}
+    tensor = {}
+    for gw, c in lift.items():
+        for w, m in G.expand(gw).items():
+            tensor[w] = tensor.get(w, Fraction(0)) + c * m
+    power = {(): Fraction(1)}
+    for _ in range(k):
+        nxt = {}
+        for wa, ca in power.items():
+            for wb, cb in tensor.items():
+                for w, c in G.shuffle(wa, wb).items():
+                    nxt[w] = nxt.get(w, Fraction(0)) + ca * cb * c
+        power = {w: c for w, c in nxt.items() if c}
+    result = {w: c / factorial(k) for w, c in power.items()}
+    assert all(c.denominator % ring.p for c in result.values()), \
+        "divided power not p-integral"
+    exact = gamma_from_tensor(G, result, ZpLocal(ring.p))
+    return {gw: ring.of(c) for gw, c in exact.items()
+            if not ring.is_zero(ring.of(c))}

@@ -89,6 +89,19 @@ class TestCochains:
         for n in range(8):
             assert dd.block(n).is_zero()
 
+    @pytest.mark.parametrize("ring", [Z3, F3])
+    def test_d_is_dense_d0_plus_d1(self, ring):
+        # d is built from the merged generator images in one pass; it must
+        # equal the blockwise sum of its linear and quadratic parts.  The
+        # second DGL has an odd self-bracket [x,x] = z (halved in d1)
+        for L in (DgLie(ring, 9, [("x", 1), ("y", 1), ("z", 2), ("w", 3)],
+                        {(0, 1): {2: 1}}, {3: {2: 1}}),
+                  DgLie(ring, 10, [("x", 1), ("z", 2), ("w", 3)],
+                        {(0, 0): {1: 1}}, {2: {1: 1}})):
+            co = cochains(L)
+            assert not co.d0.is_zero() and not co.d1.is_zero()
+            assert co.d == co.d0 + co.d1
+
     def test_minimality_detector(self):
         # d0 entries divisible by p iff ∂ entries divisible by p
         L = example1(n_max=8)           # ∂f = 3e

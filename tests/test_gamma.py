@@ -1,4 +1,5 @@
-"""Shuffle product, divided powers and their axioms, Γ-predicates, pairing."""
+"""Shuffle product, closed-form products and divided powers against the
+shuffle route, divided-power axioms, Γ-predicates, pairing."""
 
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from bockstein.gamma import (GammaAlgebra, GammaError, adjoint, apply_map,
 from bockstein.graded import GradedMap
 from bockstein.lie import PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal
+from oracles import gamma_divided_power, gamma_mul
 
 Z3 = ZpLocal(3)
 F3 = PrimeField(3)
@@ -91,6 +93,58 @@ class TestBasisAndProduct:
                 a = {((0, j),): ring.one}
                 b = {((0, k),): ring.one}
                 assert G.mul(a, b) == {((0, j + k),): ring.of(comb(j + k, j))}
+
+
+def random_sparse_element(G, rng, n, terms=3):
+    """Up to `terms` random words of degree n with nonzero coefficients,
+    some with denominator 2 (a unit for odd p)."""
+    ring = G.ring
+    out = {}
+    for w in rng.sample(G.words(n), min(terms, G.dim(n))):
+        c = ring.of(Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]),
+                             rng.choice([1, 2])))
+        if not ring.is_zero(c):
+            out[w] = c
+    return out
+
+
+GAMMA_CASES = dict(
+    degrees=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    nmax=st.integers(1, 14),
+    ring=st.sampled_from([Z3, F3, ZpLocal(5), PrimeField(5)]),
+    seed=st.integers(0, 2 ** 16))
+
+
+class TestClosedFormAgainstShuffleRoute:
+    """`mul` and `divided_power` against the tensor-coalgebra route of
+    tests/oracles.py (shuffle products, k-fold shuffle power over Q / k!)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(**GAMMA_CASES)
+    def test_mul(self, degrees, nmax, ring, seed):
+        G = GammaAlgebra(ring, nmax, [(f"g{i}", d)
+                                      for i, d in enumerate(degrees)])
+        rng = random.Random(seed)
+        for t in range(10):
+            n1 = rng.randint(0, nmax)
+            # the last pair overshoots the window: both routes drop it
+            n2 = nmax + 1 - n1 if t == 9 else rng.randint(0, nmax - n1)
+            a = random_sparse_element(G, rng, n1)
+            b = random_sparse_element(G, rng, n2)
+            assert G.mul(a, b) == gamma_mul(G, a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**GAMMA_CASES)
+    def test_divided_power(self, degrees, nmax, ring, seed):
+        G = GammaAlgebra(ring, nmax, [(f"g{i}", d)
+                                      for i, d in enumerate(degrees)])
+        rng = random.Random(seed)
+        even = [n for n in range(2, nmax // 2 + 1, 2) if G.dim(n)]
+        for _ in range(5 if even else 0):
+            n = rng.choice(even)
+            k = rng.randint(2, nmax // n)
+            a = random_sparse_element(G, rng, n)
+            assert G.divided_power(a, k) == gamma_divided_power(G, a, k)
 
 
 def random_even_element(G, rng, n):
