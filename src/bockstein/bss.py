@@ -90,8 +90,7 @@ def _class_name(basis: GradedBasis, n: int, rep, ring, used):
     return name
 
 
-def bockstein_pages(C: GradedChainComplex, r_max: int,
-                    dec: Decomposition | None = None) -> BssResult:
+def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
     """Pages E^1..E^{r_max}, reported for degrees ≤ n_max - 1."""
     if r_max < 1:
         raise ValueError("r_max must be ≥ 1")
@@ -99,8 +98,7 @@ def bockstein_pages(C: GradedChainComplex, r_max: int,
     if ring.is_field:
         raise RingError("Bockstein pages run over Z_(p); reduce afterwards")
     fp = ring.residue_field()
-    if dec is None:
-        dec = decompose(C)
+    dec = decompose(C)
     window = C.n_max - 1
 
     elementary = [pc for pc in dec.pieces

@@ -50,8 +50,8 @@ class CceChains:
                                   self.algebra.ring)
 
 
-def free_cochain_algebra(ring, n_max, generators, d_images=None,
-                         check=True) -> CochainAlgebra:
+def free_cochain_algebra(ring, n_max, generators,
+                         d_images=None) -> CochainAlgebra:
     """(ΛW, d) from generator degrees and d on generators (element dicts,
     keyed like PbwAlgebra.element specs)."""
     lam = PbwAlgebra(abelian(ring, n_max, generators))
@@ -60,8 +60,7 @@ def free_cochain_algebra(ring, n_max, generators, d_images=None,
         i = lam.L.index[key] if isinstance(key, str) else key
         images[i] = lam.element(elem) if not _is_elem(elem) else elem
     d = lam.derivation(1, images)
-    if check:
-        _check_square_zero(d, n_max)
+    _check_square_zero(d)
     return CochainAlgebra(lam, d)
 
 
@@ -69,10 +68,10 @@ def _is_elem(x) -> bool:
     return isinstance(x, dict) and all(isinstance(k, tuple) for k in x)
 
 
-def _check_square_zero(d: GradedMap, n_max: int):
+def _check_square_zero(d: GradedMap):
     dd = d.compose(d)
     for n in sorted(dd.blocks):
-        if n + 2 <= n_max and not dd.block(n).is_zero():
+        if not dd.block(n).is_zero():
             raise ComplexError(f"d∘d ≠ 0 at degree {n}")
 
 
@@ -130,7 +129,7 @@ def cochains(L: DgLie) -> CceCochains:
     # d0 images are linear and d1 images quadratic: their keys never meet
     d = lam.derivation(1, {x: {**d0_images.get(x, {}), **d1_images.get(x, {})}
                            for x in set(d0_images) | set(d1_images)})
-    _check_square_zero(d, n_max)
+    _check_square_zero(d)
     return CceCochains(L, lam, d, d0, d1)
 
 

@@ -183,6 +183,10 @@ def cmd_cochains(args):
 def cmd_check_morphism(args):
     L1 = _load(args.source, args.prime, args.nmax)
     L2 = _load(args.target_file, args.prime, args.nmax)
+    for what, a, b in (("prime", L1.p, L2.p), ("nmax", L1.n_max, L2.n_max)):
+        if a != b:
+            raise InputError(f"source and target differ in {what}: "
+                             f"{a} and {b}")
     _validated(L1)
     _validated(L2)
     if args.mod_p:

@@ -62,19 +62,6 @@ class GradedBasis:
         return f"GradedBasis({dict(self._names)}, n_max={self.n_max})"
 
 
-def suspend(basis: GradedBasis, marker: str = "s") -> GradedBasis:
-    """(sM)_i = M_{i-1}; names gain the suspension marker.
-
-    Degrees pushed past n_max are dropped (the window truncates).
-    """
-    shifted = {}
-    for n in basis.degrees():
-        if n + 1 > basis.n_max:
-            continue
-        shifted[n + 1] = [marker + name for name in basis.names(n)]
-    return GradedBasis(shifted, basis.n_max)
-
-
 class GradedMap:
     """Degree-d linear map between graded bases; per-degree matrix blocks.
 
@@ -157,19 +144,19 @@ def dual_basis(basis: GradedBasis, marker: str = "#") -> GradedBasis:
                         for n in basis.degrees()}, basis.n_max)
 
 
-def dualize(f: GradedMap, source_dual: GradedBasis, target_dual: GradedBasis,
-            signed: bool = True) -> GradedMap:
+def dualize(f: GradedMap, source_dual: GradedBasis,
+            target_dual: GradedBasis) -> GradedMap:
     """Dual of a degree-d map: transposed blocks with Koszul sign bookkeeping.
 
     The dual map sends (target)^# -> (source)^# and, indexing duals by the
     degrees they pair against, its block at degree n+d is the transpose of the
-    block at n, scaled by (-1)^{d*n} when `signed` (trivial for degree-0 maps).
+    block at n, scaled by (-1)^{d*n} (trivial for degree-0 maps).
     """
     ring = f.ring
     out = GradedMap(target_dual, source_dual, -f.degree, ring)
     for n, m in f.blocks.items():
         mt = m.transpose()
-        if signed and (f.degree * n) % 2 == 1:
+        if (f.degree * n) % 2 == 1:
             mt = mt.scaled(ring.neg(ring.one))
         out.set_block(n + f.degree, mt)
     return out
@@ -315,12 +302,10 @@ class HomologySummary:
         return self.betti(n) + len(self._torsion.get(n, [])) + low
 
 
-def homology(C: GradedChainComplex, dec: Decomposition | None = None) -> HomologySummary:
+def homology(C: GradedChainComplex) -> HomologySummary:
     """Betti numbers and p-torsion orders per degree ≤ n_max - 1."""
-    if dec is None:
-        dec = decompose(C)
     betti, torsion = {}, {}
-    for pc in dec.pieces:
+    for pc in decompose(C).pieces:
         if pc.kind == "free":
             betti[pc.top_degree] = betti.get(pc.top_degree, 0) + 1
         elif pc.exponent >= 1:

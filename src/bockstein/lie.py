@@ -10,8 +10,9 @@ with odd squares resolved as x^2 = (1/2)[x,x].
 
 from __future__ import annotations
 
-from .graded import (ComplexError, GradedBasis, GradedChainComplex, GradedMap,
-                     WindowError)
+from math import comb
+
+from .graded import GradedBasis, GradedChainComplex, GradedMap
 from .scalars import Matrix, accumulate
 
 
@@ -442,26 +443,7 @@ class PbwAlgebra:
         if any(cols):
             f.set_block(n, block)
 
-    # -- coproduct and primitives ---------------------------------------------
-
-    def tensor_mul(self, a: dict, b: dict) -> dict:
-        """Product in UL ⊗ UL; keys are (mono, mono) pairs."""
-        ring = self.ring
-        out = {}
-        for (a1, a2), ca in a.items():
-            for (b1, b2), cb in b.items():
-                if (self.monomial_degree(a1 + b1) > self.n_max or
-                        self.monomial_degree(a2 + b2) > self.n_max):
-                    continue
-                s = ring.of(-1 if (self.monomial_degree(a2)
-                                   * self.monomial_degree(b1)) % 2 else 1)
-                s2 = self._straighten(a2 + b2)
-                accumulate(ring, out,
-                           {(m1, m2): ring.mul(c1, c2)
-                            for m1, c1 in self._straighten(a1 + b1).items()
-                            for m2, c2 in s2.items()},
-                           ring.mul(ring.mul(ca, cb), s))
-        return out
+    # -- coproduct ---------------------------------------------------------
 
     def tensor_d(self, t: dict) -> dict:
         """d⊗1 + (-1)^{|left|}·1⊗d on UL ⊗ UL; keys are (mono, mono) pairs."""
@@ -477,18 +459,33 @@ class PbwAlgebra:
         return out
 
     def coproduct(self, mono) -> dict:
-        """Δ of a basis monomial; generators are primitive."""
-        ring = self.ring
+        """Δ of a basis monomial in closed form; generators are primitive.
+
+        Δ(x_1···x_k) = Π(x_i⊗1 + 1⊗x_i), and a sub-monomial of an ordered
+        monomial is ordered, so the bracket never enters: a run g^m gives
+        C(m, j)·g^j ⊗ g^(m-j), and an odd g sent left passes the odd
+        letters already sent right (Milnor–Moore).  Coefficients that
+        vanish in the ring, C(p, j) over F_p, are dropped.
+        """
         cached = self._coproduct_cache.get(mono)
         if cached is not None:
             return cached
-        if not mono:
-            out = {((), ()): ring.one}
-        else:
-            head = self.coproduct(mono[:-1])
-            g = (mono[-1],)
-            out = self.tensor_mul(head, {(g, ()): ring.one,
-                                         ((), g): ring.one})
+        ring = self.ring
+        terms = [((), (), ring.one, 0)]   # left, right, coeff, odd on right
+        for g, m in run_length(mono):
+            odd = self.L.degrees[g] % 2
+            nxt = []
+            for j in range(m + 1):
+                c = ring.of(comb(m, j))
+                if ring.is_zero(c):
+                    continue
+                for left, right, coeff, parity in terms:
+                    s = ring.neg(c) if odd and j == 1 and parity else c
+                    nxt.append((left + (g,) * j, right + (g,) * (m - j),
+                                ring.mul(coeff, s),
+                                parity ^ (odd and j < m)))
+            terms = nxt
+        out = {(left, right): c for left, right, c, _ in terms}
         self._coproduct_cache[mono] = out
         return out
 
@@ -498,35 +495,6 @@ class PbwAlgebra:
         for mono, c in elem.items():
             accumulate(ring, out, self.coproduct(mono), c)
         return out
-
-    def tensor_pairs(self, n: int, reduced: bool = True) -> list:
-        """Index of the (reduced) tensor-square basis in total degree n."""
-        lo = 1 if reduced else 0
-        out = []
-        for i in range(lo, n + 1 - lo):
-            for m1 in self.monomials(i):
-                for m2 in self.monomials(n - i):
-                    out.append((m1, m2))
-        return out
-
-    def reduced_coproduct_matrix(self, n: int) -> tuple:
-        """(matrix, pair index) of Δ̄ = Δ - id⊗1 - 1⊗id on degree n."""
-        ring = self.ring
-        pairs = self.tensor_pairs(n, reduced=True)
-        pos = {pr: i for i, pr in enumerate(pairs)}
-        m = Matrix.zeros(ring, len(pairs), self.dim(n))
-        for j, mono in enumerate(self.monomials(n)):
-            for key, c in self.coproduct(mono).items():
-                if key in pos:
-                    m.a[pos[key]][j] = c
-        return m, pairs
-
-    def primitives(self, n: int) -> list:
-        """Basis vectors of P_n = ker Δ̄ over the ground ring."""
-        if n < 1:
-            return []
-        m, _ = self.reduced_coproduct_matrix(n)
-        return m.kernel_basis()
 
     def inclusion_of_lie(self) -> GradedMap:
         """ι: (L, ∂) -> (UL, ∂) as a degree-0 chain map."""

@@ -14,9 +14,12 @@ page looks like the enveloping algebra of its primitives: β-closure, a
 dimension count, and primitivity of the image of the Lie inclusion.
 
 The coalgebra structure constants of UL in the PBW basis do not involve
-the bracket (straightening never fires when a coproduct term is expanded,
-because letters accumulate in their original relative order), so the dual
+the bracket: Δ of an ordered monomial is a signed sum of binomial
+multiples of its ordered sub-monomials (PbwAlgebra.coproduct), so the dual
 of any UL is paired against the same Γ-algebra as in the abelian case.
+Primitivity is read off Δ directly, and a Hopf morphism's coalgebra
+condition is checked on generators, where it says that each generator
+image is primitive.
 """
 
 from __future__ import annotations
@@ -58,11 +61,9 @@ def _gen_images(alg: PbwAlgebra, f: GradedMap,
     return out
 
 
-def _is_primitive(alg: PbwAlgebra, elem: dict, n: int) -> bool:
-    if not elem:
-        return True
-    m, _ = alg.reduced_coproduct_matrix(n)
-    return all(alg.ring.is_zero(c) for c in m.apply(alg.to_vector(elem, n)))
+def _is_primitive(alg: PbwAlgebra, elem: dict) -> bool:
+    """No term of Δ(elem) has both tensor factors of positive degree."""
+    return not any(m1 and m2 for m1, m2 in alg.coproduct_elem(elem))
 
 
 def _named(alg: PbwAlgebra, elem: dict) -> dict:
@@ -108,7 +109,7 @@ def differential_restricts_to_lie(alg: PbwAlgebra,
     if d != alg.derivation(-1, gens):
         raise StructureError("operator is not a derivation of the product")
     for i, img in gens.items():
-        if not _is_primitive(alg, img, alg.L.degrees[i] - 1):
+        if not _is_primitive(alg, img):
             raise StructureError(
                 "not a coalgebra derivation: image of "
                 f"{alg.L.names[i]} is not primitive")
@@ -143,10 +144,14 @@ def hopf_morphism(source: PbwAlgebra, target: PbwAlgebra,
                   gen_images: dict) -> HopfMorphism:
     """Validated Hopf-algebra morphism UL₁ -> UL₂ from generator images.
 
-    Images extend multiplicatively; the straightening relations and the
-    coproduct are checked within the window.
+    Images extend multiplicatively, and the straightening relations are
+    checked within the window, so f is an algebra map.  The coproduct is
+    then checked on generators only: Δ∘f and (f⊗f)∘Δ are both algebra maps,
+    so they agree everywhere once they agree on generators, that is, once
+    every generator image is primitive.  Generators are taken by degree,
+    so the one named in a failure is the lowest-degree basis monomial
+    whose coproduct f does not preserve.
     """
-    ring = source.ring
     imgs = {}
     for key, val in gen_images.items():
         i = source.L.index[key] if isinstance(key, str) else key
@@ -172,24 +177,13 @@ def hopf_morphism(source: PbwAlgebra, target: PbwAlgebra,
                 raise StructureError(
                     "not an algebra morphism: relation "
                     f"{source.L.names[j]}·{source.L.names[i]} not preserved")
-    for n in range(source.n_max + 1):
-        for mono in source.monomials(n):
-            img = _map_elem(f, source, target, {mono: ring.one}, n)
-            lhs = target.coproduct_elem(img)
-            rhs = {}
-            for (m1, m2), c in source.coproduct(mono).items():
-                e1 = _map_elem(f, source, target, {m1: ring.one},
-                               source.monomial_degree(m1))
-                e2 = _map_elem(f, source, target, {m2: ring.one},
-                               source.monomial_degree(m2))
-                accumulate(ring, rhs,
-                           {(k1, k2): ring.mul(c1, c2)
-                            for k1, c1 in e1.items()
-                            for k2, c2 in e2.items()}, c)
-            if lhs != rhs:
-                raise StructureError(
-                    "not a coalgebra morphism: coproduct of "
-                    f"{source.monomial_name(mono)} not preserved")
+    gens = sorted((deg, i) for i, deg in enumerate(source.L.degrees)
+                  if deg <= source.n_max)
+    for _, i in gens:
+        if not _is_primitive(target, imgs.get(i, {})):
+            raise StructureError(
+                "not a coalgebra morphism: coproduct of "
+                f"{source.L.names[i]} not preserved")
     return HopfMorphism(source, target, imgs, f)
 
 

@@ -8,8 +8,9 @@ exact-couple subquotient lattices
     Z^r_n = {c : d(c) ∈ p^r·C_{n-1}},
 computed on the raw differential only (no basis change of the complex is
 ever performed here) with `smith`, a dense Smith form of this module's own
-that shares no code with the library's `eliminate`.  Products and divided
-powers in Γ(V) are computed in the tensor coalgebra by shuffles.
+that shares no code with the library's `eliminate`.  UL's coproduct is
+multiplied out in UL ⊗ UL, and products and divided powers in Γ(V) are
+computed in the tensor coalgebra by shuffles.
 """
 
 from fractions import Fraction
@@ -236,6 +237,90 @@ def page_pairs_by_snf(pa, tensor, n, t):
     out = k.solve(tensor.bss.class_of_chain(r, n, tensor.to_vector(t, n)))
     assert out is not None
     return out
+
+
+# ---------------------------------------------------------------------------
+# UL's coalgebra by products in UL ⊗ UL
+# ---------------------------------------------------------------------------
+#
+# Δ is built as the algebra map with Δ(g) = g⊗1 + 1⊗g, multiplying in
+# UL ⊗ UL through the library's straightening, never its closed form.
+
+def tensor_mul(alg, a, b):
+    """Product in UL ⊗ UL; keys are (mono, mono) pairs."""
+    ring = alg.ring
+    out = {}
+    for (a1, a2), ca in a.items():
+        for (b1, b2), cb in b.items():
+            if (alg.monomial_degree(a1 + b1) > alg.n_max or
+                    alg.monomial_degree(a2 + b2) > alg.n_max):
+                continue
+            s = ring.of(-1 if (alg.monomial_degree(a2)
+                               * alg.monomial_degree(b1)) % 2 else 1)
+            left = alg.mul({a1: ring.one}, {b1: ring.one})
+            right = alg.mul({a2: ring.one}, {b2: ring.one})
+            accumulate(ring, out,
+                       {(m1, m2): ring.mul(c1, c2)
+                        for m1, c1 in left.items()
+                        for m2, c2 in right.items()},
+                       ring.mul(ring.mul(ca, cb), s))
+    return out
+
+
+def coproduct_by_products(alg, mono):
+    """Δ of a basis monomial as the product of the (g⊗1 + 1⊗g)."""
+    ring = alg.ring
+    out = {((), ()): ring.one}
+    for g in mono:
+        out = tensor_mul(alg, out, {((g,), ()): ring.one,
+                                    ((), (g,)): ring.one})
+    return out
+
+
+def ul_primitives(alg, n):
+    """Basis vectors of P_n = ker Δ̄ over the ground ring, from the dense
+    matrix of the reduced coproduct Δ̄ = Δ - id⊗1 - 1⊗id on degree n."""
+    if n < 1:
+        return []
+    pairs = [(m1, m2) for i in range(1, n)
+             for m1 in alg.monomials(i) for m2 in alg.monomials(n - i)]
+    pos = {pr: i for i, pr in enumerate(pairs)}
+    m = Matrix.zeros(alg.ring, len(pairs), alg.dim(n))
+    for j, mono in enumerate(alg.monomials(n)):
+        for key, c in coproduct_by_products(alg, mono).items():
+            if key in pos:
+                m.a[pos[key]][j] = c
+    return m.kernel_basis()
+
+
+def coalgebra_failure_by_monomials(source, target, f):
+    """The coalgebra-morphism message of the first basis monomial, by
+    degree and then order, whose coproduct the algebra map f: source ->
+    target does not preserve; None when Δ∘f = (f⊗f)∘Δ on every monomial."""
+    ring = source.ring
+
+    def image(mono):
+        n = source.monomial_degree(mono)
+        if not 0 <= n <= target.n_max:
+            return {}
+        return target.from_vector(
+            n, f.apply(n, source.to_vector({mono: ring.one}, n)))
+
+    for n in range(source.n_max + 1):
+        for mono in source.monomials(n):
+            lhs = {}
+            for m, c in image(mono).items():
+                accumulate(ring, lhs, coproduct_by_products(target, m), c)
+            rhs = {}
+            for (m1, m2), c in coproduct_by_products(source, mono).items():
+                accumulate(ring, rhs,
+                           {(k1, k2): ring.mul(c1, c2)
+                            for k1, c1 in image(m1).items()
+                            for k2, c2 in image(m2).items()}, c)
+            if lhs != rhs:
+                return ("not a coalgebra morphism: coproduct of "
+                        f"{source.monomial_name(mono)} not preserved")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,22 @@ class TestCheckMorphism:
         assert "('b', {'b': 1, 'c^3': 1})" in out
         assert "('gamma', ((2, 1),), 3)" in out
 
+    @pytest.mark.parametrize("change, values", [
+        (("prime 3", "prime 5"), "prime: 3 and 5"),
+        (("nmax 14", "nmax 8"), "nmax: 14 and 8"),
+        (("nmax 14", "nmax 18"), "nmax: 14 and 18"),
+    ], ids=["prime", "smaller-target-window", "larger-target-window"])
+    def test_mismatched_source_and_target_exit_2(self, abc, tmp_path, capsys,
+                                                 change, values):
+        # without --prime/--nmax each file keeps its own ring and window
+        other = tmp_path / "other.dgl"
+        other.write_text(ABC.replace(*change))
+        m = tmp_path / "id.map"
+        m.write_text(IDMAP)
+        assert main(["check-morphism", abc, str(other), str(m)]) == 2
+        assert f"source and target differ in {values}" in \
+            capsys.readouterr().err
+
     def test_twist_not_hopf_over_zp(self, abc, tmp_path, capsys):
         # over Z_(3) the binomial middle terms survive, so the twisted
         # map fails the coalgebra check outright

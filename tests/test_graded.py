@@ -8,7 +8,7 @@ import pytest
 from bockstein.graded import (ComplexError, FieldHomology, GradedBasis,
                               GradedChainComplex, GradedMap, WindowError,
                               decompose, dual_basis, dualize, homology,
-                              induced_map, suspend)
+                              induced_map)
 from bockstein.scalars import Matrix, PrimeField, ZpLocal
 from oracles import mod_p_homology_dims
 
@@ -93,12 +93,6 @@ class TestBasisAndMaps:
     def test_window_enforced(self):
         with pytest.raises(WindowError):
             GradedBasis({5: ["x"]}, 4)
-
-    def test_suspend(self):
-        b = GradedBasis({0: ["a"], 3: ["b", "c"]}, 3)
-        sb = suspend(b)
-        assert sb.names(1) == ["sa"]
-        assert sb.dim(4) == 0          # pushed past the window: dropped
 
     def test_block_shape_checked(self):
         b = GradedBasis({0: ["a"], 1: ["x", "y"]}, 1)

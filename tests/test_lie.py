@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bockstein.graded import homology
 from bockstein.lie import DgLie, LieError, PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal
+from oracles import coproduct_by_products, tensor_mul, ul_primitives
 
 Z3 = ZpLocal(3)
 F3 = PrimeField(3)
@@ -18,6 +21,27 @@ def example1(ring=Z3, n=1, n_max=12):
     """L_ab(e, f), |e| = 2n-1, |f| = 2n, ∂f = p·e."""
     return DgLie(ring, n_max, [("e", 2 * n - 1), ("f", 2 * n)],
                  {}, {1: {0: ring.p}})
+
+
+# Two non-abelian shapes, each with a bracket the straightening must use:
+# [x,y] = z on x(1), y(2), z(3), and the odd self-bracket [x,x] = z on
+# x(1), z(2).
+NON_ABELIAN = [([("x", 1), ("y", 2), ("z", 3)], {(0, 1): {2: 1}}),
+               ([("x", 1), ("z", 2)], {(0, 0): {1: 1}})]
+
+
+@st.composite
+def ul_presentations(draw):
+    """DgLie arguments (ring, nmax, generators, brackets) over Z_(3), F_3,
+    Z_(5) or F_5 with nmax ≤ 12: a non-abelian shape or 2-4 abelian
+    generators of degree 1-6."""
+    ring = draw(st.sampled_from([Z3, F3, ZpLocal(5), PrimeField(5)]))
+    n_max = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(NON_ABELIAN + [None]))
+    if shape is not None:
+        return (ring, n_max) + shape
+    degrees = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    return ring, n_max, [(f"g{i}", d) for i, d in enumerate(degrees)], {}
 
 
 class TestValidation:
@@ -231,26 +255,37 @@ class TestCoproduct:
             b = A.from_vector(n2, [Fraction(rng.randint(-2, 2))
                                    for _ in range(A.dim(n2))])
             assert (A.coproduct_elem(A.mul(a, b))
-                    == A.tensor_mul(A.coproduct_elem(a), A.coproduct_elem(b)))
+                    == tensor_mul(A, A.coproduct_elem(a),
+                                  A.coproduct_elem(b)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ul_presentations())
+    def test_closed_form_matches_products(self, presentation):
+        # the oracle multiplies out Π(g⊗1 + 1⊗g) in UL ⊗ UL
+        A = PbwAlgebra(DgLie(*presentation))
+        for n in range(A.n_max + 1):
+            for mono in A.monomials(n):
+                assert A.coproduct(mono) == coproduct_by_products(A, mono), \
+                    mono
 
 
 class TestPrimitives:
     def test_lowest_degree_all_primitive(self):
         A = PbwAlgebra(abelian(Z3, 6, [("x", 1), ("y", 1)]))
-        assert len(A.primitives(1)) == 2
+        assert len(ul_primitives(A, 1)) == 2
 
     def test_fp_power_primitive(self):
         # over F_3, f^3 is primitive, f^2 is not
         A = PbwAlgebra(abelian(F3, 12, [("f", 2)]))
-        assert len(A.primitives(4)) == 0
-        prim6 = A.primitives(6)
+        assert len(ul_primitives(A, 4)) == 0
+        prim6 = ul_primitives(A, 6)
         assert len(prim6) == 1
         assert A.from_vector(6, prim6[0]) == {(0, 0, 0): 1}
 
     def test_over_zp_no_power_primitives(self):
         A = PbwAlgebra(abelian(Z3, 12, [("f", 2)]))
         for n in (4, 6, 8):
-            assert len(A.primitives(n)) == 0
+            assert len(ul_primitives(A, n)) == 0
 
     def test_lie_in_primitives(self):
         L = DgLie(Z3, 8, [("x", 1), ("y", 2), ("z", 3)], {(0, 1): {2: 1}})
@@ -258,7 +293,7 @@ class TestPrimitives:
         for i in range(3):
             n = L.degrees[i]
             vec = A.to_vector(A.gen(i), n)
-            prim = A.primitives(n)
+            prim = ul_primitives(A, n)
             M = Matrix.from_columns(Z3, A.dim(n), prim)
             assert M.solve(vec) is not None
 
@@ -266,8 +301,8 @@ class TestPrimitives:
         A = PbwAlgebra(example1(n_max=10))
         d = A.differential()
         for n in range(2, 10):
-            prim = A.primitives(n)
-            tgt = A.primitives(n - 1)
+            prim = ul_primitives(A, n)
+            tgt = ul_primitives(A, n - 1)
             M = Matrix.from_columns(Z3, A.dim(n - 1), tgt)
             for v in prim:
                 img = d.apply(n, v)

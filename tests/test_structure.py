@@ -4,6 +4,8 @@ enveloping-algebra shape of Bockstein pages."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bockstein.bss import bockstein_pages
 from bockstein.graded import ComplexError, WindowError
@@ -13,7 +15,8 @@ from bockstein.structure import (PageAlgebra, StructureError, TensorSquareBss,
                                  _envelope_dims, differential_restricts_to_lie,
                                  hopf_morphism, is_lie_type,
                                  verify_envelope_pages)
-from oracles import page_pairs_by_snf
+from oracles import coalgebra_failure_by_monomials, page_pairs_by_snf
+from test_lie import ul_presentations
 
 Z3 = ZpLocal(3)
 F3 = PrimeField(3)
@@ -132,6 +135,23 @@ class TestHopfMorphism:
             hopf_morphism(src, tgt,
                           {"x": {"x": 1}, "y": {"y": 1}, "z": {"z": 1}})
 
+    @settings(max_examples=300, deadline=None)
+    @given(ul_presentations(), st.integers(0, 2 ** 16))
+    def test_generator_check_matches_monomial_loop(self, presentation, seed):
+        # once the relations hold, the coalgebra verdict and message on
+        # generators are those of Δ∘f = (f⊗f)∘Δ on every basis monomial
+        alg = PbwAlgebra(DgLie(*presentation))
+        images = random_generator_images(alg, random.Random(seed))
+        try:
+            hopf_morphism(alg, alg, images)
+            got = None
+        except StructureError as exc:
+            got = str(exc)
+            if got.startswith("not an algebra morphism"):
+                return
+        f = alg.algebra_map(alg, images)
+        assert got == coalgebra_failure_by_monomials(alg, alg, f)
+
     def test_lie_morphism_and_composition(self):
         src = ul_abc(F3)
         phi = hopf_morphism(src, src, {"a": {"a": 1},
@@ -148,6 +168,31 @@ class TestHopfMorphism:
                     acc[m2] = F3.add(acc.get(m2, F3.zero), c2)
             comp[i] = {k: v for k, v in acc.items() if v}
         assert is_lie_type(hopf_morphism(src, src, comp)).verdict
+
+
+def random_generator_images(alg, rng):
+    """Per generator in the window, a random mix of the generators of its
+    degree (primitive), p-th powers of even generators (primitive over
+    F_p only) and other monomials of its degree (mostly not primitive)."""
+    ring, degrees = alg.ring, alg.L.degrees
+    images = {}
+    for i, d in enumerate(degrees):
+        if d > alg.n_max:
+            continue
+        lin = [(j,) for j, dj in enumerate(degrees) if dj == d]
+        powers = [(j,) * ring.p for j, dj in enumerate(degrees)
+                  if dj % 2 == 0 and dj * ring.p == d]
+        other = [m for m in alg.monomials(d)
+                 if len(m) > 1 and m not in powers]
+        img = {}
+        for pool, chance in ((lin, 0.8), (powers, 0.5), (other, 0.5)):
+            for mono in pool:
+                if rng.random() < chance:
+                    c = ring.of(rng.randint(-3, 3))
+                    if not ring.is_zero(c):
+                        img[mono] = c
+        images[i] = alg.element(img)
+    return images
 
 
 def example1_ul(n_max=12):
