@@ -167,12 +167,10 @@ def cmd_cochains(args):
     for name, deg in zip(lam.L.names, lam.L.degrees):
         lines.append(f"  generator {name} degree {deg}")
         rep["generators"].append({"name": name, "degree": deg})
-    for name, deg in zip(lam.L.names, lam.L.degrees):
-        i = lam.L.index[name]
+    for i, (name, deg) in enumerate(zip(lam.L.names, lam.L.degrees)):
         if deg + 1 > lam.n_max:
             continue
-        img = lam.from_vector(deg + 1,
-                              co.d.apply(deg, lam.to_vector(lam.gen(i), deg)))
+        img = co.d.image(deg, lam.gen(i))
         terms = " + ".join(f"{c} {lam.monomial_name(m)}"
                            for m, c in sorted(img.items())) or "0"
         lines.append(f"  d({name}) = {terms}")

@@ -151,9 +151,8 @@ def parse_dgl(text: str) -> DgLie:
             if mono not in names:
                 _fail(ln, f"unknown generator {mono!r}")
             c = ring.one if coeff is None else _parse_coeff(coeff, ring, ln)
-            k = names[mono]
-            out[k] = ring.add(out.get(k, ring.zero), c)
-        return {k: c for k, c in out.items() if not ring.is_zero(c)}
+            accumulate(ring, out, {names[mono]: c}, ring.one)
+        return out
 
     differential = {}
     brackets = {}

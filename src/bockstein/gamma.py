@@ -11,6 +11,10 @@ Products and divided powers are closed forms on words (`word_product`,
 `divided_power`).  Γ(V) also sits in the tensor coalgebra T_C(V) as the
 symmetric words under the shuffle product (`shuffle`, `expand`);
 `pairing_matrix` builds the pairing through that embedding.
+
+The basis is a `GradedBasis` keyed by the words, so elements and
+coordinates convert in `graded`; the detectors read each word's image
+under a map as a block column (`GradedMap.image`).
 """
 
 from __future__ import annotations
@@ -44,18 +48,16 @@ class GammaAlgebra:
         self._shuffle_cache = {}
         self._expand_cache = {(): {(): 1}}
         self._product_cache = {}
-        self._words = {n: [run_length(m) for m in monos]   # degree -> words
-                       for n, monos in ordered_monomials(self.degrees,
-                                                         n_max).items()}
-        names = {n: [self.word_name(w) for w in ws]
-                 for n, ws in self._words.items()}
-        self.basis = GradedBasis(names, n_max)
+        self.basis = GradedBasis(
+            {n: [run_length(m) for m in monos]
+             for n, monos in ordered_monomials(self.degrees, n_max).items()},
+            n_max, self.word_name)
 
     def words(self, n: int) -> list:
-        return self._words.get(n, [])
+        return self.basis.keys(n)
 
     def dim(self, n: int) -> int:
-        return len(self._words.get(n, []))
+        return self.basis.dim(n)
 
     def word_degree(self, gword) -> int:
         return sum(k * self.degrees[i] for i, k in gword)
@@ -65,23 +67,6 @@ class GammaAlgebra:
             return "1"
         return "*".join(self.names[i] if k == 1 else f"g{k}({self.names[i]})"
                         for i, k in gword)
-
-    def to_vector(self, elem: dict, n: int):
-        ring = self.ring
-        vec = [ring.zero] * self.dim(n)
-        idx = {w: j for j, w in enumerate(self._words.get(n, []))}
-        for w, c in elem.items():
-            if ring.is_zero(c):
-                continue
-            if self.word_degree(w) != n:
-                raise GammaError("element not homogeneous of stated degree")
-            vec[idx[w]] = c
-        return vec
-
-    def from_vector(self, n: int, vec) -> dict:
-        ring = self.ring
-        return {w: c for w, c in zip(self._words.get(n, []), vec)
-                if not ring.is_zero(c)}
 
     # -- shuffle product in T_C(V), integer coefficients ----------------------
 
@@ -230,21 +215,11 @@ class GammaAlgebra:
 # Γ-morphism / Γ-derivation detectors
 # ---------------------------------------------------------------------------
 
-def apply_map(f: GradedMap, src: GammaAlgebra, tgt: GammaAlgebra,
-              elem: dict) -> dict:
-    """Apply a per-degree matrix map to a homogeneous element."""
-    n = src.element_degree(elem)
-    if n is None:
-        return {}
-    if not (0 <= n + f.degree <= tgt.n_max):
-        return {}
-    return tgt.from_vector(n + f.degree, f.apply(n, src.to_vector(elem, n)))
-
-
-def _word_map(f: GradedMap, src: GammaAlgebra, tgt: GammaAlgebra):
-    """f as a function on elements of src, each basis word mapped once."""
-    images = {w: apply_map(f, src, tgt, {w: f.ring.one})
-              for n in range(src.n_max + 1) for w in src.words(n)}
+def _word_map(f: GradedMap):
+    """f as a function on elements of its source, each basis word's image
+    read once as a block column."""
+    images = {w: f.image(n, {w: f.ring.one})
+              for n in f.source.degrees() for w in f.source.keys(n)}
 
     def fmap(elem: dict) -> dict:
         out = {}
@@ -265,7 +240,7 @@ def is_gamma_morphism(f: GradedMap, src: GammaAlgebra, tgt: GammaAlgebra):
     ring = f.ring
     if f.degree != 0:
         raise GammaError("Γ-morphism must have degree 0")
-    fm = _word_map(f, src, tgt)
+    fm = _word_map(f)
     if fm({(): ring.one}) != {(): ring.one}:
         return False, ("unit", (), 0)
     for n1 in range(1, src.n_max + 1):
@@ -291,7 +266,7 @@ def is_gamma_derivation(theta: GradedMap, A: GammaAlgebra):
     θ(γ^k(a)) = θ(a)·γ^{k-1}(a) on basis words; else (False, witness)."""
     ring = theta.ring
     deg = theta.degree
-    th = _word_map(theta, A, A)
+    th = _word_map(theta)
     for n1 in range(1, A.n_max + 1):
         for w1 in A.words(n1):
             for n2 in range(n1, A.n_max + 1 - n1):

@@ -7,13 +7,18 @@ used (the differentials in and out, P and P^-1).  Over Z_(p) the same
 decomposition later drives the Bockstein pages, so torsion bookkeeping
 happens exactly once; over F_p every piece has exponent 0, so the free
 pieces are a homology basis.
+
+Sparse elements meet dense blocks only here: a `GradedBasis` knows each
+degree's keys (PBW monomials, Γ words, names) and their positions, and a
+`GradedMap` reads an element's image off its block columns (`image`) and
+is built from the images of basis keys (`set_columns`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import BasisChange, Matrix, RingError, eliminate
+from .scalars import BasisChange, Matrix, RingError, accumulate, eliminate
 
 
 class WindowError(ValueError):
@@ -21,38 +26,65 @@ class WindowError(ValueError):
 
 
 class ComplexError(ValueError):
-    """d∘d ≠ 0 or a malformed differential."""
+    """d∘d ≠ 0, or a malformed map or element."""
 
 
 class GradedBasis:
-    """Ordered basis names per degree in [0, n_max]; finite rank everywhere."""
+    """Ordered basis keys per degree in [0, n_max]; finite rank everywhere.
 
-    def __init__(self, names_by_degree: dict, n_max: int):
+    A key is whatever names a basis vector to its owner: a PBW monomial, a
+    Γ word, a generator index or a plain name.  `name` prints a key (keys
+    are their own names by default).  Each degree keeps a key -> position
+    dict, so elements (sparse dicts key -> scalar) and coordinate vectors
+    convert here and nowhere else.
+    """
+
+    def __init__(self, keys_by_degree: dict, n_max: int, name=None):
         self.n_max = n_max
-        self._names = {}
-        for n, names in names_by_degree.items():
-            if not names:
+        self._keys, self._pos, self._names = {}, {}, {}
+        for n, keys in keys_by_degree.items():
+            if not keys:
                 continue
             if n < 0 or n > n_max:
                 raise WindowError(f"degree {n} outside window [0, {n_max}]")
-            if len(set(names)) != len(names):
+            self._keys[n] = list(keys)
+            self._pos[n] = {k: j for j, k in enumerate(keys)}
+            if len(self._pos[n]) != len(keys):
                 raise ValueError(f"duplicate basis names in degree {n}")
-            self._names[n] = list(names)
+            self._names[n] = [k if name is None else name(k) for k in keys]
 
     def dim(self, n: int) -> int:
-        return len(self._names.get(n, []))
+        return len(self._keys.get(n, []))
 
     def names(self, n: int) -> list:
         return list(self._names.get(n, []))
 
+    def keys(self, n: int) -> list:
+        """The keys of degree n in basis order (do not mutate)."""
+        return self._keys.get(n, [])
+
     def degrees(self):
-        return sorted(self._names)
+        return sorted(self._keys)
 
     def total_dim(self) -> int:
-        return sum(len(v) for v in self._names.values())
+        return sum(len(v) for v in self._keys.values())
 
-    def index(self, n: int, name: str) -> int:
-        return self._names[n].index(name)
+    def index(self, n: int, key) -> int:
+        j = self._pos.get(n, {}).get(key)
+        if j is None:
+            raise ComplexError(f"{key!r} is not a basis element of degree {n}")
+        return j
+
+    def to_vector(self, n: int, elem: dict, ring) -> list:
+        """Coordinates in degree n of a sparse element; zero terms skipped."""
+        vec = [ring.zero] * self.dim(n)
+        for key, c in elem.items():
+            if not ring.is_zero(c):
+                vec[self.index(n, key)] = c
+        return vec
+
+    def from_vector(self, n: int, vec, ring) -> dict:
+        return {k: c for k, c in zip(self.keys(n), vec) if not ring.is_zero(c)}
 
     def __eq__(self, other):
         return (isinstance(other, GradedBasis) and self.n_max == other.n_max
@@ -88,11 +120,38 @@ class GradedMap:
         if not m.is_zero():
             self.blocks[n] = m
 
+    def set_columns(self, n: int, elems: list):
+        """Set the block at degree n from its columns, sparse elements of
+        the target in degree n + deg; an all-zero block stays unset."""
+        if not any(elems):
+            return
+        m = n + self.degree
+        blk = Matrix.zeros(self.ring, self.target.dim(m), len(elems))
+        for j, elem in enumerate(elems):
+            for key, c in elem.items():
+                blk.a[self.target.index(m, key)][j] = c
+        self.set_block(n, blk)
+
     def block(self, n: int) -> Matrix:
         if n in self.blocks:
             return self.blocks[n]
         return Matrix.zeros(self.ring, self.target.dim(n + self.degree),
                             self.source.dim(n))
+
+    def image(self, n: int, elem: dict) -> dict:
+        """f of a sparse element of source degree n, as a sparse element of
+        the target: the sum of the block columns of its keys."""
+        ring, is_zero = self.ring, self.ring.is_zero
+        cols = [(self.source.index(n, key), c) for key, c in elem.items()
+                if not is_zero(c)]
+        blk = self.blocks.get(n)
+        out = {}
+        if blk is not None:
+            keys = self.target.keys(n + self.degree)
+            for j, c in cols:
+                accumulate(ring, out, {k: x for k, x in zip(
+                    keys, [row[j] for row in blk.a]) if not is_zero(x)}, c)
+        return out
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self ∘ other."""

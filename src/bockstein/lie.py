@@ -6,6 +6,11 @@ of generator indices, nondecreasing, odd generators at most once) to
 scalars.  Products straighten by the commutator rule
     x_j x_i = (-1)^{|x_i||x_j|} x_i x_j + [x_j, x_i]   (j > i),
 with odd squares resolved as x^2 = (1/2)[x,x].
+
+UL's basis is a `GradedBasis` keyed by the monomials, so elements and
+coordinates convert in `graded`.  The differential d of UL is built once,
+as the derivation on ∂'s generator images, and stored: `d_elem` and
+`tensor_d` read monomial images off its columns.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from math import comb
 
 from .graded import GradedBasis, GradedChainComplex, GradedMap
-from .scalars import Matrix, accumulate
+from .scalars import accumulate
 
 
 class LieError(ValueError):
@@ -46,6 +51,7 @@ class DgLie:
                    if not ring.is_zero(ring.of(c))}
             if tgt:
                 self.d_gen[i] = tgt
+        self._violations = None     # validate()'s verdict, once computed
 
     @property
     def brackets(self) -> dict:
@@ -53,11 +59,21 @@ class DgLie:
         return {k: dict(v) for k, v in self._brackets.items()}
 
     def replace(self, ring=None, n_max=None) -> "DgLie":
-        """The same presentation over another ring and/or degree window."""
-        return DgLie(self.ring if ring is None else ring,
-                     self.n_max if n_max is None else n_max,
-                     list(zip(self.names, self.degrees)), self.brackets,
-                     {k: dict(v) for k, v in self.d_gen.items()})
+        """The same presentation over another ring and/or degree window.
+
+        A clean verdict of `validate` carries over from a Z_(p) presentation
+        (or to the same ring): every axiom is a polynomial identity in the
+        structure constants, which holds over Q, so it survives a ring map
+        to F_p and a change of p, and no axiom reads n_max.
+        """
+        out = DgLie(self.ring if ring is None else ring,
+                    self.n_max if n_max is None else n_max,
+                    list(zip(self.names, self.degrees)), self.brackets,
+                    {k: dict(v) for k, v in self.d_gen.items()})
+        if self._violations == [] and (not self.ring.is_field
+                                       or out.ring == self.ring):
+            out._violations = []
+        return out
 
     def n_gens(self) -> int:
         return len(self.names)
@@ -96,7 +112,13 @@ class DgLie:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> list:
-        """All axiom checks on all generator tuples; list of violations."""
+        """All axiom checks on all generator tuples; list of violations.
+        Computed once per presentation."""
+        if self._violations is None:
+            self._violations = self._check_axioms()
+        return list(self._violations)
+
+    def _check_axioms(self) -> list:
         ring = self.ring
         out = []
         for i, n in enumerate(self.degrees):
@@ -119,14 +141,8 @@ class DgLie:
                             f"{self.names[j]}] hits {self.names[k]} of degree "
                             f"{self.degrees[k]}, expected {want_deg}")
                 # anti-commutativity
-                rev = self.bracket_gens(j, i)
-                s = self._sign(i, j)
-                bad = {}
-                for k in set(br) | set(rev):
-                    v = ring.add(rev.get(k, ring.zero),
-                                 ring.mul(s, br.get(k, ring.zero)))
-                    if not ring.is_zero(v):
-                        bad[k] = v
+                bad = accumulate(ring, self.bracket_gens(j, i), br,
+                                 self._sign(i, j))
                 if bad and i <= j:
                     out.append(
                         f"anti-commutativity fails for ({self.names[i]},"
@@ -182,25 +198,18 @@ class DgLie:
     # -- chain complex of L itself ----------------------------------------
 
     def lie_basis(self) -> GradedBasis:
-        names = {}
+        """Generators by degree, keyed by index and named by name."""
+        keys = {}
         for i, n in enumerate(self.degrees):
             if n <= self.n_max:
-                names.setdefault(n, []).append(self.names[i])
-        return GradedBasis(names, self.n_max)
+                keys.setdefault(n, []).append(i)
+        return GradedBasis(keys, self.n_max, self.names.__getitem__)
 
     def as_complex(self) -> GradedChainComplex:
         basis = self.lie_basis()
         d = GradedMap(basis, basis, -1, self.ring)
         for n in basis.degrees():
-            if n - 1 < 0:
-                continue
-            rows = basis.names(n - 1)
-            cols = basis.names(n)
-            m = Matrix.zeros(self.ring, len(rows), len(cols))
-            for jj, name in enumerate(cols):
-                for k, c in self.d_gen.get(self.index[name], {}).items():
-                    m.a[rows.index(self.names[k])][jj] = c
-            d.set_block(n, m)
+            d.set_columns(n, [self.d_gen.get(i, {}) for i in basis.keys(n)])
         return GradedChainComplex(basis, d, self.ring)
 
 
@@ -266,20 +275,17 @@ class PbwAlgebra:
         self._coproduct_cache = {}
         self._d_images = {g: {(k,): c for k, c in tgt.items()}
                           for g, tgt in L.d_gen.items()}
-        self._monos = ordered_monomials(L.degrees, self.n_max)
-        self._index = {n: {m: j for j, m in enumerate(monos)}
-                       for n, monos in self._monos.items()}
-        names = {n: [self.monomial_name(m) for m in monos]
-                 for n, monos in self._monos.items()}
-        self.basis = GradedBasis(names, self.n_max)
+        self._d = None              # UL's differential, once built
+        self.basis = GradedBasis(ordered_monomials(L.degrees, self.n_max),
+                                 self.n_max, self.monomial_name)
 
     # -- basis -------------------------------------------------------------
 
     def monomials(self, n: int) -> list:
-        return self._monos.get(n, [])
+        return self.basis.keys(n)
 
     def dim(self, n: int) -> int:
-        return len(self._monos.get(n, []))
+        return self.basis.dim(n)
 
     def monomial_degree(self, mono) -> int:
         return sum(self.L.degrees[i] for i in mono)
@@ -290,22 +296,6 @@ class PbwAlgebra:
         names = self.L.names
         return "*".join(names[i] if k == 1 else f"{names[i]}^{k}"
                         for i, k in run_length(mono))
-
-    def to_vector(self, elem: dict, n: int):
-        ring = self.ring
-        vec = [ring.zero] * self.dim(n)
-        for mono, c in elem.items():
-            if ring.is_zero(c):
-                continue
-            if self.monomial_degree(mono) != n:
-                raise LieError("element not homogeneous of the stated degree")
-            vec[self._index[n][mono]] = c
-        return vec
-
-    def from_vector(self, n: int, vec) -> dict:
-        ring = self.ring
-        return {m: c for m, c in zip(self._monos.get(n, []), vec)
-                if not ring.is_zero(c)}
 
     # -- product ------------------------------------------------------------
 
@@ -330,8 +320,8 @@ class PbwAlgebra:
                     result = accumulate(ring, result, sub, ring.mul(half, c))
             else:
                 s = ring.of(-1 if (L.degrees[a] * L.degrees[b]) % 2 else 1)
-                result = _scale_dict(
-                    ring, self._straighten(word[:i] + (b, a) + word[i + 2:]), s)
+                result = accumulate(ring, {}, self._straighten(
+                    word[:i] + (b, a) + word[i + 2:]), s)
                 for k, c in L.bracket_gens(a, b).items():
                     sub = self._straighten(word[:i] + (k,) + word[i + 2:])
                     result = accumulate(ring, result, sub, c)
@@ -368,25 +358,31 @@ class PbwAlgebra:
     # -- differential as a derivation ----------------------------------------
 
     def d_elem(self, elem: dict) -> dict:
+        """d of an element, read off the stored differential's columns."""
+        d = self._d or self.differential()
         out = {}
         for mono, c in elem.items():
-            accumulate(self.ring, out, self._derive(mono, -1, self._d_images),
-                       c)
+            accumulate(self.ring, out, d.image(self.monomial_degree(mono),
+                                               {mono: self.ring.one}), c)
         return out
 
     def differential(self) -> GradedMap:
-        return self.derivation(-1, self._d_images)
+        """UL's d, the derivation on ∂'s generator images; built on the
+        first call and stored."""
+        if self._d is None:
+            self._d = self.derivation(-1, self._d_images)
+        return self._d
 
     def as_complex(self) -> GradedChainComplex:
-        return GradedChainComplex(self.basis, self.differential(), self.ring)
+        return GradedChainComplex(self.basis, self._d or self.differential(),
+                                  self.ring)
 
     def derivation(self, degree: int, gen_images: dict) -> GradedMap:
         """Extend generator images (element dicts) to a derivation on UL."""
         theta = GradedMap(self.basis, self.basis, degree, self.ring)
         for n in range(max(0, -degree), self.n_max + 1 - max(0, degree)):
-            self._set_sparse_block(theta, n,
-                                   [self._derive(mono, degree, gen_images)
-                                    for mono in self.monomials(n)])
+            theta.set_columns(n, [self._derive(mono, degree, gen_images)
+                                  for mono in self.monomials(n)])
         return theta
 
     def _derive(self, mono, degree: int, gen_images: dict) -> dict:
@@ -424,24 +420,8 @@ class PbwAlgebra:
             return out
 
         for n in range(self.n_max + 1):
-            target._set_sparse_block(f, n,
-                                     [image(m) for m in self.monomials(n)])
+            f.set_columns(n, [image(m) for m in self.monomials(n)])
         return f
-
-    def _set_sparse_block(self, f: GradedMap, n: int, cols: list):
-        """Set f's block at degree n from its columns, elements of this
-        algebra (f's target) in degree n + deg f; zero blocks stay unset."""
-        index = self._index.get(n + f.degree, {})
-        block = Matrix.zeros(self.ring, len(index), len(cols))
-        for j, elem in enumerate(cols):
-            for mono, c in elem.items():
-                i = index.get(mono)
-                if i is None:
-                    raise LieError("element not homogeneous of the stated "
-                                   "degree")
-                block.a[i][j] = c
-        if any(cols):
-            f.set_block(n, block)
 
     # -- coproduct ---------------------------------------------------------
 
@@ -498,14 +478,9 @@ class PbwAlgebra:
 
     def inclusion_of_lie(self) -> GradedMap:
         """ι: (L, ∂) -> (UL, ∂) as a degree-0 chain map."""
-        L = self.L
-        lie_basis = L.lie_basis()
+        lie_basis = self.L.lie_basis()
         f = GradedMap(lie_basis, self.basis, 0, self.ring)
         for n in lie_basis.degrees():
-            self._set_sparse_block(f, n, [{(L.index[name],): self.ring.one}
-                                          for name in lie_basis.names(n)])
+            f.set_columns(n, [{(i,): self.ring.one}
+                              for i in lie_basis.keys(n)])
         return f
-
-
-def _scale_dict(ring, d: dict, coeff) -> dict:
-    return {k: ring.mul(coeff, c) for k, c in d.items()}

@@ -132,9 +132,6 @@ class ZpLocal:
     def residue_field(self) -> "PrimeField":
         return PrimeField(self.p)
 
-    def coerce_vector(self, entries):
-        return [self.of(x) for x in entries]
-
 
 @dataclass(frozen=True)
 class PrimeField:
@@ -201,9 +198,6 @@ class PrimeField:
 
     def unit_part(self, a):
         return a
-
-    def coerce_vector(self, entries):
-        return [self.of(x) for x in entries]
 
 
 class Matrix:

@@ -43,22 +43,9 @@ class StructureError(ValueError):
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _map_elem(f: GradedMap, src: PbwAlgebra, tgt: PbwAlgebra,
-              elem: dict, n: int) -> dict:
-    m = n + f.degree
-    if not elem or not (0 <= m <= tgt.n_max):
-        return {}
-    return tgt.from_vector(m, f.apply(n, src.to_vector(elem, n)))
-
-
-def _gen_images(alg: PbwAlgebra, f: GradedMap,
-                tgt: PbwAlgebra | None = None) -> dict:
-    tgt = tgt or alg
-    out = {}
-    for i, deg in enumerate(alg.L.degrees):
-        if deg <= alg.n_max:
-            out[i] = _map_elem(f, alg, tgt, {(i,): alg.ring.one}, deg)
-    return out
+def _gen_images(alg: PbwAlgebra, f: GradedMap) -> dict:
+    return {i: f.image(deg, alg.gen(i))
+            for i, deg in enumerate(alg.L.degrees) if deg <= alg.n_max}
 
 
 def _is_primitive(alg: PbwAlgebra, elem: dict) -> bool:
@@ -170,8 +157,7 @@ def hopf_morphism(source: PbwAlgebra, target: PbwAlgebra,
                 continue
             if i == j and source.L.degrees[i] % 2 == 0:
                 continue    # x·x is already an ordered monomial, no relation
-            lhs = _map_elem(f, source, target,
-                            source.mul(source.gen(j), source.gen(i)), nd)
+            lhs = f.image(nd, source.mul(source.gen(j), source.gen(i)))
             rhs = target.mul(imgs.get(j, {}), imgs.get(i, {}))
             if lhs != rhs:
                 raise StructureError(
@@ -225,36 +211,18 @@ class TensorSquareBss:
     def __init__(self, alg: PbwAlgebra, r_max: int):
         self.alg = alg
         ring = alg.ring
-        n_max = alg.n_max
-        self.pairs = {}
-        names = {}
-        for n in range(n_max + 1):
-            prs = [(m1, m2)
-                   for a in range(n + 1)
-                   for m1 in alg.monomials(a)
-                   for m2 in alg.monomials(n - a)]
-            self.pairs[n] = prs
-            names[n] = [f"{alg.monomial_name(m1)}|{alg.monomial_name(m2)}"
-                        for m1, m2 in prs]
-        self.index = {n: {pr: i for i, pr in enumerate(prs)}
-                      for n, prs in self.pairs.items()}
-        basis = GradedBasis(names, n_max)
+        pairs = {n: [(m1, m2) for a in range(n + 1)
+                     for m1 in alg.monomials(a)
+                     for m2 in alg.monomials(n - a)]
+                 for n in range(alg.n_max + 1)}
+        basis = GradedBasis(pairs, alg.n_max, lambda pr: (
+            f"{alg.monomial_name(pr[0])}|{alg.monomial_name(pr[1])}"))
         d = GradedMap(basis, basis, -1, ring)
-        for n in range(1, n_max + 1):
-            cols = [self.to_vector(alg.tensor_d({pr: ring.one}), n - 1)
-                    for pr in self.pairs[n]]
-            if cols:
-                d.set_block(n, Matrix.from_columns(
-                    ring, len(self.pairs[n - 1]), cols))
+        for n in range(1, alg.n_max + 1):
+            d.set_columns(n, [alg.tensor_d({pr: ring.one})
+                              for pr in pairs[n]])
         self.complex = GradedChainComplex(basis, d, ring)
         self.bss = bockstein_pages(self.complex, r_max)
-
-    def to_vector(self, tensor_elem: dict, n: int):
-        ring = self.alg.ring
-        vec = [ring.zero] * len(self.pairs[n])
-        for key, c in tensor_elem.items():
-            vec[self.index[n][key]] = c
-        return vec
 
 
 class PageAlgebra:
@@ -280,10 +248,11 @@ class PageAlgebra:
         self.fp = alg.ring.residue_field()
         self.window = self.page.n_max
         self._coords = {}       # monomial -> page coordinates mod p
+        dec = result.decomposition
         for n, cls in self.page.classes.items():
             for i, cl in enumerate(cls):
                 unit = [int(j == i) for j in range(len(cls))]
-                if self._read(n, cl.rep) != unit:
+                if self._read(n, dec.coordinates(n, cl.rep)) != unit:
                     raise StructureError(
                         f"Künneth comparison is not the identity: {cl.name} "
                         f"at degree {n} does not read back as itself")
@@ -294,17 +263,19 @@ class PageAlgebra:
                 for i in range(self.page.dim(a))
                 for j in range(self.page.dim(n - a))]
 
-    def _read(self, n: int, vec) -> list:
-        """Page-r coordinates mod p of a UL chain (survival not checked)."""
-        w = self.result.decomposition.coordinates(n, vec)
+    def _read(self, n: int, w) -> list:
+        """Page-r coordinates mod p of a UL chain with coordinates w in the
+        decomposed basis (survival not checked)."""
         return [self.alg.ring.reduce_mod_p(w[cl.new_index])
                 for cl in self.page.classes.get(n, [])]
 
     def _mono_coords(self, mono) -> list:
+        """Page coordinates of a monomial, read off its column of P^-1."""
         if mono not in self._coords:
             n = self.alg.monomial_degree(mono)
+            pinv = self.result.decomposition.Pinv[n]
             self._coords[mono] = self._read(
-                n, self.alg.to_vector({mono: self.alg.ring.one}, n))
+                n, pinv.column(self.alg.basis.index(n, mono)))
         return self._coords[mono]
 
     def _pair_coords(self, n: int, t: dict) -> list:
@@ -333,14 +304,16 @@ class PageAlgebra:
         ring = self.alg.ring
         out = {}
         for c, cl in zip(vec, self.page.classes.get(n, [])):
-            accumulate(ring, out, self.alg.from_vector(n, cl.rep), ring.of(c))
+            accumulate(ring, out, self.alg.basis.from_vector(n, cl.rep, ring),
+                       ring.of(c))
         return out
 
     def product(self, n1: int, vec1, n2: int, vec2):
         """Page coordinates of the product of two page classes."""
-        prod = self.alg.mul(self._rep_elem(n1, vec1), self._rep_elem(n2, vec2))
+        alg = self.alg
+        prod = alg.mul(self._rep_elem(n1, vec1), self._rep_elem(n2, vec2))
         return self.result.class_of_chain(
-            self.r, n1 + n2, self.alg.to_vector(prod, n1 + n2))
+            self.r, n1 + n2, alg.basis.to_vector(n1 + n2, prod, alg.ring))
 
     def coproduct(self, n: int, vec):
         """Coproduct of a page class, as coordinates over class_pairs(n)."""
@@ -370,7 +343,7 @@ class PageAlgebra:
             return []
         cols = []
         for cl in self.page.classes.get(n, []):
-            elem = self.alg.from_vector(n, cl.rep)
+            elem = self.alg.basis.from_vector(n, cl.rep, self.alg.ring)
             red = {k: v for k, v in self.alg.coproduct_elem(elem).items()
                    if k[0] and k[1]}
             cols.append(self._pair_coords(n, red))

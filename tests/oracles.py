@@ -9,8 +9,9 @@ exact-couple subquotient lattices
 computed on the raw differential only (no basis change of the complex is
 ever performed here) with `smith`, a dense Smith form of this module's own
 that shares no code with the library's `eliminate`.  UL's coproduct is
-multiplied out in UL ⊗ UL, and products and divided powers in Γ(V) are
-computed in the tensor coalgebra by shuffles.
+multiplied out in UL ⊗ UL, UL's differential is applied by Leibniz through
+products, and products and divided powers in Γ(V) are computed in the
+tensor coalgebra by shuffles.
 """
 
 from fractions import Fraction
@@ -228,13 +229,15 @@ def page_pairs_by_snf(pa, tensor, n, t):
         u = pa.page.classes[a][i].rep
         v = pa.page.classes[n - a][j].rep
         prod = {(m1, m2): ring.mul(cu, cv)
-                for m1, cu in alg.from_vector(a, u).items()
-                for m2, cv in alg.from_vector(n - a, v).items()}
-        cols.append(tensor.bss.class_of_chain(r, n, tensor.to_vector(prod, n)))
+                for m1, cu in alg.basis.from_vector(a, u, ring).items()
+                for m2, cv in alg.basis.from_vector(n - a, v, ring).items()}
+        cols.append(tensor.bss.class_of_chain(
+            r, n, tensor.complex.basis.to_vector(n, prod, ring)))
     k = Matrix.from_columns(pa.fp, tensor.bss.page(r).dim(n), cols)
     assert k.rows == k.cols and k.rank() == k.rows, \
         f"Künneth matrix at degree {n} is not invertible"
-    out = k.solve(tensor.bss.class_of_chain(r, n, tensor.to_vector(t, n)))
+    out = k.solve(tensor.bss.class_of_chain(
+        r, n, tensor.complex.basis.to_vector(n, t, ring)))
     assert out is not None
     return out
 
@@ -303,8 +306,8 @@ def coalgebra_failure_by_monomials(source, target, f):
         n = source.monomial_degree(mono)
         if not 0 <= n <= target.n_max:
             return {}
-        return target.from_vector(
-            n, f.apply(n, source.to_vector({mono: ring.one}, n)))
+        return target.basis.from_vector(n, f.apply(
+            n, source.basis.to_vector(n, {mono: ring.one}, ring)), ring)
 
     for n in range(source.n_max + 1):
         for mono in source.monomials(n):
@@ -321,6 +324,41 @@ def coalgebra_failure_by_monomials(source, target, f):
                 return ("not a coalgebra morphism: coproduct of "
                         f"{source.monomial_name(mono)} not preserved")
     return None
+
+
+# ---------------------------------------------------------------------------
+# UL's differential by Leibniz through products
+# ---------------------------------------------------------------------------
+#
+# d(x_1···x_k) = Σ_i (-1)^{|x_1···x_{i-1}|} x_1···x_{i-1}·∂x_i·x_{i+1}···x_k,
+# each term multiplied out by `PbwAlgebra.mul`, never `_derive` or the
+# stored differential.
+
+def ul_d_by_leibniz(alg, elem):
+    """d of an element of UL, term by term from ∂ on generators."""
+    ring = alg.ring
+    out = {}
+    for mono, c in elem.items():
+        for pos, g in enumerate(mono):
+            prefix = {mono[:pos]: ring.one}
+            dg = {(k,): ck for k, ck in alg.L.d_gen.get(g, {}).items()}
+            term = alg.mul(alg.mul(prefix, dg), {mono[pos + 1:]: ring.one})
+            sign = -1 if alg.monomial_degree(mono[:pos]) % 2 else 1
+            accumulate(ring, out, term, ring.mul(ring.of(sign), c))
+    return out
+
+
+def ul_tensor_d_by_leibniz(alg, t):
+    """d⊗1 + (-1)^{|left|}·1⊗d on UL ⊗ UL through `ul_d_by_leibniz`."""
+    ring = alg.ring
+    out = {}
+    for (m1, m2), c in t.items():
+        sign = -1 if alg.monomial_degree(m1) % 2 else 1
+        for k1, c1 in ul_d_by_leibniz(alg, {m1: c}).items():
+            accumulate(ring, out, {(k1, m2): c1}, ring.one)
+        for k2, c2 in ul_d_by_leibniz(alg, {m2: c}).items():
+            accumulate(ring, out, {(m1, k2): c2}, ring.of(sign))
+    return out
 
 
 # ---------------------------------------------------------------------------

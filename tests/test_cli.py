@@ -142,6 +142,25 @@ class TestBss:
         assert "page/enveloping consistency: ok" in capsys.readouterr().out
 
 
+    def test_validated_once(self, ex1, capsys, monkeypatch):
+        calls = _count_axiom_checks(monkeypatch)
+        assert main(["bss", ex1, "--check-envelopes"]) == 0
+        assert calls == [1]
+
+
+def _count_axiom_checks(monkeypatch) -> list:
+    """Patch DgLie's axiom check to record one entry per computation."""
+    from bockstein.lie import DgLie
+    calls, check = [], DgLie._check_axioms
+
+    def counted(L):
+        calls.append(1)
+        return check(L)
+
+    monkeypatch.setattr(DgLie, "_check_axioms", counted)
+    return calls
+
+
 class TestHomology:
     def test_ul(self, ex1, capsys):
         assert main(["homology", ex1]) == 0
@@ -202,6 +221,15 @@ class TestCheckMorphism:
         assert main(["check-morphism", abc, str(other), str(m)]) == 2
         assert f"source and target differ in {values}" in \
             capsys.readouterr().err
+
+    def test_each_file_is_validated_once(self, abc, tmp_path, capsys,
+                                         monkeypatch):
+        # the F_p copies made for --mod-p keep the Z_(3) verdict
+        calls = _count_axiom_checks(monkeypatch)
+        m = tmp_path / "twist.map"
+        m.write_text(TWIST)
+        assert main(["check-morphism", abc, abc, str(m), "--mod-p"]) == 0
+        assert calls == [1, 1]
 
     def test_twist_not_hopf_over_zp(self, abc, tmp_path, capsys):
         # over Z_(3) the binomial middle terms survive, so the twisted

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bockstein.gamma import (GammaAlgebra, GammaError, adjoint, apply_map,
+from bockstein.gamma import (GammaAlgebra, GammaError, adjoint,
                              is_gamma_derivation, is_gamma_morphism,
                              pairing_matrix, pairing_signs,
                              tensor_pairing_sign)
@@ -149,7 +149,7 @@ class TestClosedFormAgainstShuffleRoute:
 
 def random_even_element(G, rng, n):
     vec = [G.ring.of(rng.randint(-3, 3)) for _ in range(G.dim(n))]
-    return G.from_vector(n, vec)
+    return G.basis.from_vector(n, vec, G.ring)
 
 
 class TestDividedPowerAxioms:
@@ -319,8 +319,8 @@ class TestGammaDerivation:
                 # derivation determined by sw ↦ sx, sx ↦ 0, extended by
                 # Leibniz and the γ-rule over the word factors
                 out = _gamma_word_derivative(G, w, 0, G.gen(1), 1)
-                cols.append(G.to_vector(out, n + 1) if n + 1 <= 13
-                            else [])
+                cols.append(G.basis.to_vector(n + 1, out, ring)
+                            if n + 1 <= 13 else [])
             if cols and n + 1 <= 13:
                 theta.set_block(n, Matrix.from_columns(
                     ring, G.dim(n + 1), cols))
@@ -366,7 +366,7 @@ def _extend_gamma_morphism(src, tgt, gen_images):
                 part = (tgt.divided_power(base, k) if k > 1
                         else dict(base))
                 img = tgt.mul(img, part)
-            cols.append(tgt.to_vector(img, n))
+            cols.append(tgt.basis.to_vector(n, img, ring))
         if cols:
             f.set_block(n, Matrix.from_columns(ring, tgt.dim(n), cols))
     return f

@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bockstein.gamma import GammaAlgebra
 from bockstein.graded import (ComplexError, FieldHomology, GradedBasis,
                               GradedChainComplex, GradedMap, WindowError,
                               decompose, dual_basis, dualize, homology,
                               induced_map)
+from bockstein.lie import DgLie, PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal
 from oracles import mod_p_homology_dims
 
@@ -126,6 +130,66 @@ class TestBasisAndMaps:
         for n, m in f.blocks.items():
             neg.set_block(n, m.scaled(F(-1)))
         assert fdd == neg
+
+
+@st.composite
+def keyed_algebras(draw):
+    """UL on 1-3 abelian generators of degree 1-4 or on x(1), y(2), z(3)
+    with [x,y] = z, or Γ on 1-3 generators, over Z_(3), F_3, Z_(5) or F_5
+    with nmax ≤ 9: bases keyed by PBW monomials or by Γ words."""
+    ring = draw(st.sampled_from([Z3, F3, ZpLocal(5), PrimeField(5)]))
+    n_max = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["abelian", "bracket", "gamma"]))
+    if kind == "bracket":
+        return PbwAlgebra(DgLie(ring, n_max, [("x", 1), ("y", 2), ("z", 3)],
+                                {(0, 1): {2: 1}}))
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    gens = [(f"g{i}", d) for i, d in enumerate(degrees)]
+    if kind == "gamma":
+        return GammaAlgebra(ring, n_max, gens)
+    return PbwAlgebra(abelian(ring, n_max, gens))
+
+
+class TestSparseConversion:
+    @settings(max_examples=200, deadline=None)
+    @given(keyed_algebras(), st.sampled_from([-1, 0, 1]), st.data())
+    def test_image_and_set_columns_match_dense_route(self, A, degree, data):
+        # set_columns against from_columns of to_vector; image against
+        # to_vector -> apply -> from_vector
+        ring, basis = A.ring, A.basis
+
+        def element(n):
+            cs = data.draw(st.lists(st.integers(-3, 3), min_size=A.dim(n),
+                                    max_size=A.dim(n)))
+            return basis.from_vector(n, [ring.of(c) for c in cs], ring)
+
+        sparse = GradedMap(basis, basis, degree, ring)
+        dense = GradedMap(basis, basis, degree, ring)
+        for n in range(max(0, -degree), basis.n_max + 1 - max(0, degree)):
+            cols = [element(n + degree) for _ in range(A.dim(n))]
+            sparse.set_columns(n, cols)
+            if cols:
+                dense.set_block(n, Matrix.from_columns(
+                    ring, A.dim(n + degree),
+                    [basis.to_vector(n + degree, c, ring) for c in cols]))
+        assert sparse.blocks.keys() == dense.blocks.keys()
+        assert sparse == dense
+        for n in range(basis.n_max + 1):
+            x = element(n)
+            want = basis.from_vector(
+                n + degree, dense.apply(n, basis.to_vector(n, x, ring)), ring)
+            assert sparse.image(n, x) == want
+
+    def test_key_outside_its_degree_raises(self):
+        A = PbwAlgebra(abelian(Z3, 6, [("x", 2)]))
+        f = GradedMap(A.basis, A.basis, 0, Z3)
+        x2 = {(0, 0): Z3.one}              # x^2 sits in degree 4
+        with pytest.raises(ComplexError):
+            A.basis.to_vector(2, x2, Z3)
+        with pytest.raises(ComplexError):
+            f.set_columns(2, [x2])
+        with pytest.raises(ComplexError):
+            f.image(2, x2)
 
 
 def z_to_z_times_p(k=1):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from bockstein.graded import homology
 from bockstein.lie import DgLie, LieError, PbwAlgebra, abelian
-from bockstein.scalars import Matrix, PrimeField, ZpLocal
-from oracles import coproduct_by_products, tensor_mul, ul_primitives
+from bockstein.scalars import Matrix, PrimeField, ZpLocal, accumulate
+from oracles import (coproduct_by_products, tensor_mul, ul_d_by_leibniz,
+                     ul_primitives, ul_tensor_d_by_leibniz)
 
 Z3 = ZpLocal(3)
 F3 = PrimeField(3)
@@ -42,6 +43,44 @@ def ul_presentations(draw):
         return (ring, n_max) + shape
     degrees = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
     return ring, n_max, [(f"g{i}", d) for i, d in enumerate(degrees)], {}
+
+
+@st.composite
+def dgl_presentations(draw):
+    """Valid DGLs with a nonzero ∂ over Z_(3), F_3, Z_(5) or F_5, nmax ≤ 10:
+    one or two torsion pairs e(m), f(m+1) with ∂f = c·e; x(1), y(2), z(3),
+    w(4) with [x,y] = z and ∂w = c·z; or x(1), z(2), u(3) with [x,x] = z
+    and ∂u = c·z."""
+    ring = draw(st.sampled_from([Z3, F3, ZpLocal(5), PrimeField(5)]))
+    n_max = draw(st.integers(1, 10))
+    c = draw(st.sampled_from([1, 2, 3, 9, -5]))
+    shape = draw(st.sampled_from(["pairs", "xyzw", "xzu"]))
+    if shape == "xyzw":
+        return DgLie(ring, n_max, [("x", 1), ("y", 2), ("z", 3), ("w", 4)],
+                     {(0, 1): {2: 1}}, {3: {2: c}})
+    if shape == "xzu":
+        return DgLie(ring, n_max, [("x", 1), ("z", 2), ("u", 3)],
+                     {(0, 0): {1: 1}}, {2: {1: c}})
+    gens, diff = [], {}
+    for m in draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)):
+        k = len(gens)
+        diff[k + 1] = {k: c}
+        gens += [(f"e{k}", m), (f"f{k}", m + 1)]
+    return DgLie(ring, n_max, gens, {}, diff)
+
+
+def random_element(data, A, n):
+    """A random element of degree n drawn through hypothesis."""
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=A.dim(n),
+                                max_size=A.dim(n)))
+    return A.basis.from_vector(n, [A.ring.of(c) for c in coeffs], A.ring)
+
+
+TRIANGLE = [("a", 1), ("b1", 2), ("b2", 2), ("c", 3)]
+
+
+def _no_recheck(self):
+    raise AssertionError("validate() recomputed a known verdict")
 
 
 class TestValidation:
@@ -90,6 +129,38 @@ class TestValidation:
         L = DgLie(Z3, 6, [("a", 1), ("b", 2), ("c", 3)], {},
                   {2: {1: 1}, 1: {0: 1}})
         assert any("∂∂" in v for v in L.validate())
+
+    def test_verdict_is_computed_once(self, monkeypatch):
+        L = example1()
+        assert L.validate() == []
+        monkeypatch.setattr(DgLie, "_check_axioms", _no_recheck)
+        assert L.validate() == []
+
+    def test_replace_passes_a_clean_verdict_on(self, monkeypatch):
+        # a Z_(p) verdict holds over F_p, at another p and in another window
+        L = example1()
+        assert L.validate() == []
+        monkeypatch.setattr(DgLie, "_check_axioms", _no_recheck)
+        for copy in (L.replace(ring=F3), L.replace(ring=ZpLocal(5)),
+                     L.replace(n_max=30)):
+            assert copy.validate() == []
+
+    def test_invalid_verdict_is_not_passed_on(self):
+        # ∂c = b1 + b2, ∂b1 = a, ∂b2 = 2a: ∂∂c = 3a, nonzero over Z_(3) in
+        # any window, zero over F_3
+        L = DgLie(Z3, 8, TRIANGLE, {}, {3: {1: 1, 2: 1}, 1: {0: 1}, 2: {0: 2}})
+        bad = L.validate()
+        assert any("∂∂c" in v for v in bad)
+        assert L.validate() == bad
+        assert L.replace(n_max=10).validate() == bad
+        assert L.replace(ring=F3).validate() == []
+
+    def test_fp_verdict_is_not_lifted(self):
+        # the same presentation is valid over F_3, but its residues taken
+        # back to Z_(3) are not
+        L = DgLie(F3, 8, TRIANGLE, {}, {3: {1: 1, 2: 1}, 1: {0: 1}, 2: {0: 2}})
+        assert L.validate() == []
+        assert any("∂∂c" in v for v in L.replace(ring=Z3).validate())
 
     def test_lie_complex_matches(self):
         C = example1(n_max=4).as_complex()
@@ -173,7 +244,7 @@ class TestProduct:
         for _ in range(4):
             n = rng.randint(1, 4)
             vec = [Fraction(rng.randint(-2, 2)) for _ in range(A.dim(n))]
-            elems.append(A.from_vector(n, vec))
+            elems.append(A.basis.from_vector(n, vec, A.ring))
         for a, b, c in itertools.permutations(elems, 3):
             assert A.mul(A.mul(a, b), c) == A.mul(a, A.mul(b, c))
 
@@ -184,6 +255,27 @@ class TestDifferential:
         f2 = A.element({(1, 1): 1})
         # ∂(f²) = (∂f)f + f(∂f) = 2·3·ef
         assert A.d_elem(f2) == {(0, 1): Fraction(6)}
+
+    def test_differential_is_built_once(self):
+        A = PbwAlgebra(example1(n_max=10))
+        assert A.differential() is A.differential()
+        assert A.as_complex().d is A.differential()
+
+    @settings(max_examples=150, deadline=None)
+    @given(dgl_presentations(), st.data())
+    def test_d_matches_leibniz_oracle(self, L, data):
+        A = PbwAlgebra(L)
+        n1, n2 = (data.draw(st.integers(0, A.n_max)) for _ in range(2))
+        a = random_element(data, A, n1)
+        assert A.d_elem(a) == ul_d_by_leibniz(A, a)
+        b = accumulate(A.ring, dict(a), random_element(data, A, n2),
+                       A.ring.one)
+        assert A.d_elem(b) == ul_d_by_leibniz(A, b)
+        t = {(m1, m2): c for m1, c in a.items()
+             for m2 in data.draw(st.lists(st.sampled_from(
+                 [m for n in range(A.n_max + 1) for m in A.monomials(n)]),
+                 max_size=3))}
+        assert A.tensor_d(t) == ul_tensor_d_by_leibniz(A, t)
 
     def test_complex_squares_to_zero(self):
         A = PbwAlgebra(example1(n_max=10))
@@ -250,10 +342,9 @@ class TestCoproduct:
         rng = random.Random(4)
         for _ in range(10):
             n1, n2 = rng.randint(1, 4), rng.randint(1, 4)
-            a = A.from_vector(n1, [Fraction(rng.randint(-2, 2))
-                                   for _ in range(A.dim(n1))])
-            b = A.from_vector(n2, [Fraction(rng.randint(-2, 2))
-                                   for _ in range(A.dim(n2))])
+            a, b = (A.basis.from_vector(n, [Fraction(rng.randint(-2, 2))
+                                            for _ in range(A.dim(n))], Z3)
+                    for n in (n1, n2))
             assert (A.coproduct_elem(A.mul(a, b))
                     == tensor_mul(A, A.coproduct_elem(a),
                                   A.coproduct_elem(b)))
@@ -280,7 +371,7 @@ class TestPrimitives:
         assert len(ul_primitives(A, 4)) == 0
         prim6 = ul_primitives(A, 6)
         assert len(prim6) == 1
-        assert A.from_vector(6, prim6[0]) == {(0, 0, 0): 1}
+        assert A.basis.from_vector(6, prim6[0], F3) == {(0, 0, 0): 1}
 
     def test_over_zp_no_power_primitives(self):
         A = PbwAlgebra(abelian(Z3, 12, [("f", 2)]))
@@ -292,7 +383,7 @@ class TestPrimitives:
         A = PbwAlgebra(L)
         for i in range(3):
             n = L.degrees[i]
-            vec = A.to_vector(A.gen(i), n)
+            vec = A.basis.to_vector(n, A.gen(i), Z3)
             prim = ul_primitives(A, n)
             M = Matrix.from_columns(Z3, A.dim(n), prim)
             assert M.solve(vec) is not None
@@ -326,6 +417,4 @@ class TestFunctoriality:
         A = PbwAlgebra(abelian(F3, 12, [("b", 6), ("c", 2)]))
         f = A.algebra_map(A, {0: A.element({"b": 1, (1, 1, 1): 1}),
                               1: A.gen(1)})
-        v = A.to_vector(A.gen(0), 6)
-        img = A.from_vector(6, f.apply(6, v))
-        assert img == A.element({"b": 1, (1, 1, 1): 1})
+        assert f.image(6, A.gen(0)) == A.element({"b": 1, (1, 1, 1): 1})
