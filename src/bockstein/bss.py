@@ -74,13 +74,9 @@ class BssResult:
                 for cl in page.classes.get(n, [])]
 
 
-def _class_name(basis: GradedBasis, n: int, rep, ring, used):
-    lead = None
-    for i, c in enumerate(rep):
-        if not ring.is_zero(c):
-            lead = basis.names(n)[i]
-            break
-    name = f"[{lead}]" if lead is not None else "[0]"
+def _class_name(basis: GradedBasis, n: int, column: dict, used):
+    """[first basis vector of a P column], made unique with ~k."""
+    name = f"[{basis.names(n)[min(column)]}]" if column else "[0]"
     if name in used:
         k = 2
         while f"{name}~{k}" in used:
@@ -137,7 +133,8 @@ def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
         for n in sorted(raw):
             cls = raw[n]
             for cl in cls:
-                cl.name = _class_name(C.basis, n, cl.rep, ring, used)
+                cl.name = _class_name(C.basis, n, dec.P[n][cl.new_index],
+                                      used)
             cls.sort(key=lambda cl: cl.name)
             classes[n] = cls
 
@@ -145,14 +142,15 @@ def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
         page_basis = GradedBasis(names, max(window, 0))
         beta = GradedMap(page_basis, page_basis, -1, fp)
         blocks = {}
+        index = {id(cl): i for cls in classes.values()
+                 for i, cl in enumerate(cls)}
         for top, bottom in pairs:
             n = top.degree
             m = blocks.get(n)
             if m is None:
                 m = Matrix.zeros(fp, page_basis.dim(n - 1), page_basis.dim(n))
                 blocks[n] = m
-            i = classes[n - 1].index(bottom)
-            j = classes[n].index(top)
+            i, j = index[id(bottom)], index[id(top)]
             m.a[i][j] = fp.one
         for n, m in blocks.items():
             beta.set_block(n, m)

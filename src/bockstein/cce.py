@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .gamma import GammaAlgebra, adjoint, pairing_signs
 from .graded import (ComplexError, FieldHomology, GradedChainComplex,
-                     GradedMap, induced_map)
+                     GradedMap, check_square_zero, induced_map)
 from .lie import DgLie, LieError, PbwAlgebra, abelian
 
 
@@ -60,19 +60,12 @@ def free_cochain_algebra(ring, n_max, generators,
         i = lam.L.index[key] if isinstance(key, str) else key
         images[i] = lam.element(elem) if not _is_elem(elem) else elem
     d = lam.derivation(1, images)
-    _check_square_zero(d)
+    check_square_zero(d)
     return CochainAlgebra(lam, d)
 
 
 def _is_elem(x) -> bool:
     return isinstance(x, dict) and all(isinstance(k, tuple) for k in x)
-
-
-def _check_square_zero(d: GradedMap):
-    dd = d.compose(d)
-    for n in sorted(dd.blocks):
-        if not dd.block(n).is_zero():
-            raise ComplexError(f"d∘d ≠ 0 at degree {n}")
 
 
 def cochains(L: DgLie) -> CceCochains:
@@ -129,7 +122,7 @@ def cochains(L: DgLie) -> CceCochains:
     # d0 images are linear and d1 images quadratic: their keys never meet
     d = lam.derivation(1, {x: {**d0_images.get(x, {}), **d1_images.get(x, {})}
                            for x in set(d0_images) | set(d1_images)})
-    _check_square_zero(d)
+    check_square_zero(d)
     return CceCochains(L, lam, d, d0, d1)
 
 

@@ -1,24 +1,30 @@
 """Finite-type free graded modules, graded maps, chain complexes, homology.
 
 Degrees live in a window [0, N_max].  Homology is computed by decomposing
-the complex into free and elementary pieces: one in-place elimination per
-degree, top degree down, each basis change applied wherever that basis is
-used (the differentials in and out, P and P^-1).  Over Z_(p) the same
+the complex into free and elementary pieces: one sparse in-place
+elimination (`scalars.eliminate`) per degree, top degree down, on the
+nonzeros of d, each basis change applied wherever that basis is used (the
+differentials in and out, P kept as column dicts, P^-1 as row dicts).  A
+sparse recomposition checks every decomposition.  Over Z_(p) the same
 decomposition later drives the Bockstein pages, so torsion bookkeeping
 happens exactly once; over F_p every piece has exponent 0, so the free
 pieces are a homology basis.
 
-Sparse elements meet dense blocks only here: a `GradedBasis` knows each
+Sparse elements meet matrix blocks only here: a `GradedBasis` knows each
 degree's keys (PBW monomials, Γ words, names) and their positions, and a
-`GradedMap` reads an element's image off its block columns (`image`) and
-is built from the images of basis keys (`set_columns`).
+`GradedMap` keeps each block dense (`blocks`) and as column dicts of its
+nonzeros (`sparse_columns`), reads an element's image off those columns
+(`image`) and is built from the images of basis keys (`set_columns`).
+`check_square_zero` multiplies block nonzeros and names the first entry of
+d∘d that is not zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import BasisChange, Matrix, RingError, accumulate, eliminate
+from .scalars import (BasisChange, Matrix, RingError, accumulate, eliminate,
+                      unit_vectors)
 
 
 class WindowError(ValueError):
@@ -98,7 +104,11 @@ class GradedMap:
     """Degree-d linear map between graded bases; per-degree matrix blocks.
 
     The block at degree n is a dim(target, n+d) x dim(source, n) matrix;
-    missing blocks are zero.
+    missing blocks are zero.  Blocks are set through `set_block` and
+    `set_columns` only: each block's nonzeros are also kept as column dicts
+    (`sparse_columns`), which `image` and the sparse kernels read; they come
+    with the block from `set_columns`, and from a scan of the block on the
+    first read otherwise.
     """
 
     def __init__(self, source: GradedBasis, target: GradedBasis, degree: int,
@@ -108,6 +118,7 @@ class GradedMap:
         self.degree = degree
         self.ring = ring
         self.blocks = {}
+        self._columns = {}      # n -> the block as column dicts, once read
         if blocks:
             for n, m in blocks.items():
                 self.set_block(n, m)
@@ -117,20 +128,26 @@ class GradedMap:
             raise ComplexError(
                 f"block at degree {n} has shape {m.rows}x{m.cols}, expected "
                 f"{self.target.dim(n + self.degree)}x{self.source.dim(n)}")
+        self._columns.pop(n, None)
         if not m.is_zero():
             self.blocks[n] = m
 
     def set_columns(self, n: int, elems: list):
         """Set the block at degree n from its columns, sparse elements of
-        the target in degree n + deg; an all-zero block stays unset."""
+        the target in degree n + deg; an all-zero block stays unset.  The
+        column dicts are kept, so `sparse_columns` need not scan the block."""
         if not any(elems):
             return
-        m = n + self.degree
-        blk = Matrix.zeros(self.ring, self.target.dim(m), len(elems))
-        for j, elem in enumerate(elems):
-            for key, c in elem.items():
-                blk.a[self.target.index(m, key)][j] = c
-        self.set_block(n, blk)
+        m, is_zero = n + self.degree, self.ring.is_zero
+        cols = []
+        for elem in elems:
+            col = {self.target.index(m, key): c for key, c in elem.items()}
+            cols.append({i: col[i] for i in sorted(col)
+                         if not is_zero(col[i])})
+        self.set_block(n, Matrix.from_sparse_columns(
+            self.ring, self.target.dim(m), cols))
+        if n in self.blocks:
+            self._columns[n] = cols
 
     def block(self, n: int) -> Matrix:
         if n in self.blocks:
@@ -138,19 +155,29 @@ class GradedMap:
         return Matrix.zeros(self.ring, self.target.dim(n + self.degree),
                             self.source.dim(n))
 
+    def sparse_columns(self, n: int) -> list:
+        """The block at degree n as column dicts (row -> nonzero entry, in
+        row order); kept after the first call, so do not mutate."""
+        cols = self._columns.get(n)
+        if cols is None:
+            cols = (self.blocks[n].sparse_columns() if n in self.blocks
+                    else [{} for _ in range(self.source.dim(n))])
+            self._columns[n] = cols
+        return cols
+
     def image(self, n: int, elem: dict) -> dict:
         """f of a sparse element of source degree n, as a sparse element of
         the target: the sum of the block columns of its keys."""
         ring, is_zero = self.ring, self.ring.is_zero
         cols = [(self.source.index(n, key), c) for key, c in elem.items()
                 if not is_zero(c)]
-        blk = self.blocks.get(n)
         out = {}
-        if blk is not None:
+        if n in self.blocks:
             keys = self.target.keys(n + self.degree)
+            block = self.sparse_columns(n)
             for j, c in cols:
-                accumulate(ring, out, {k: x for k, x in zip(
-                    keys, [row[j] for row in blk.a]) if not is_zero(x)}, c)
+                accumulate(ring, out, {keys[i]: x
+                                       for i, x in block[j].items()}, c)
         return out
 
     def compose(self, other: "GradedMap") -> "GradedMap":
@@ -221,6 +248,32 @@ def dualize(f: GradedMap, source_dual: GradedBasis,
     return out
 
 
+def _times(ring, A: list, col: dict) -> dict:
+    """A·col for A a list of column dicts and col a sparse column."""
+    out = {}
+    for k, x in col.items():
+        accumulate(ring, out, A[k], x)
+    return out
+
+
+def check_square_zero(d: GradedMap):
+    """Raise ComplexError unless d∘d = 0, naming the first entry that is not
+    zero: least source degree, then basis order of source and target.
+    Multiplies the nonzeros of the blocks' columns."""
+    for n in sorted(d.blocks):
+        if n + d.degree not in d.blocks:
+            continue
+        outer = d.sparse_columns(n + d.degree)
+        for j, col in enumerate(d.sparse_columns(n)):
+            dd = _times(d.ring, outer, col)
+            if dd:
+                i = min(dd)
+                raise ComplexError(
+                    f"d∘d ≠ 0 at degree {n}: d(d({d.source.names(n)[j]})) "
+                    f"has coefficient {dd[i]} on "
+                    f"{d.target.names(n + 2 * d.degree)[i]}")
+
+
 class GradedChainComplex:
     """Free chain complex: basis + degree -1 differential with d∘d = 0."""
 
@@ -231,10 +284,7 @@ class GradedChainComplex:
         self.d = d
         self.ring = ring
         self.n_max = basis.n_max
-        dd = d.compose(d)
-        if not dd.is_zero():
-            bad = next(n for n in dd.blocks if not dd.block(n).is_zero())
-            raise ComplexError(f"d∘d ≠ 0 starting at degree {bad}")
+        check_square_zero(d)
 
     def dim(self, n: int) -> int:
         return self.basis.dim(n)
@@ -263,46 +313,67 @@ class Piece:
 class Decomposition:
     complex: GradedChainComplex
     pieces: list
-    P: dict = field(default_factory=dict)       # n -> new basis in old coords
-    Pinv: dict = field(default_factory=dict)
+    P: dict = field(default_factory=dict)       # n -> columns (dicts) of the
+    Pinv: dict = field(default_factory=dict)    # new basis; n -> rows of P^-1
 
     def representative(self, n: int, index: int):
         """Chain in original coordinates for new-basis vector (n, index)."""
-        return self.P[n].column(index)
+        vec = [self.complex.ring.zero] * self.complex.dim(n)
+        for i, x in self.P[n][index].items():
+            vec[i] = x
+        return vec
 
     def coordinates(self, n: int, vec):
         """Coordinates of an original-basis chain in the new basis."""
-        return self.Pinv[n].apply(vec)
+        ring = self.complex.ring
+        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+        out = []
+        for row in self.Pinv[n]:
+            s = ring.zero
+            for k, x in row.items():
+                if not is_zero(vec[k]):
+                    s = add(s, mul(x, vec[k]))
+            out.append(s)
+        return out
+
+    def basis_coordinates(self, n: int, j: int):
+        """Coordinates in the new basis of original basis vector j of degree
+        n: column j of P^-1."""
+        zero = self.complex.ring.zero
+        return [row.get(j, zero) for row in self.Pinv[n]]
 
 
 def decompose(C: GradedChainComplex) -> Decomposition:
     """Split C into free and elementary pieces with recorded basis change.
 
     Differentials are brought to Smith form from the top degree down by one
-    in-place `eliminate` per degree n.  Its row operations change the basis
-    of C_{n-1}, so they act on P[n-1] and the columns of d_{n-1} as well as
-    on P^-1[n-1] and the rows of d_n; its column operations change the
-    basis of C_n and act on P[n], P^-1[n] and d_n.  Columns hit from above
-    are left out of the elimination: they are cycles, so their columns of
-    d_n vanish, and the pieces found so far stay intact.  The rows of d_{n+1}
-    are not updated, since d_{n+1} is not read again.  Over F_p every
-    nonzero entry is a unit, so every elementary piece has exponent 0.
+    in-place `eliminate` per degree n on the column dicts of d_n.  Its row
+    operations change the basis of C_{n-1}, so they act on P[n-1] and the
+    columns of d_{n-1} as well as on P^-1[n-1] and the rows of d_n; its
+    column operations change the basis of C_n and act on P[n], P^-1[n] and
+    d_n.  Columns hit from above are left out of the elimination: they are
+    cycles, so their columns of d_n vanish, and the pieces found so far stay
+    intact.  The rows of d_{n+1} are not updated, since d_{n+1} is not read
+    again.  Over F_p every nonzero entry is a unit, so every elementary
+    piece has exponent 0.
     """
     ring = C.ring
     n_max = C.n_max
-    cur = {n: C.d.block(n).copy() for n in range(n_max + 1)}  # d_0: no rows
-    P = {n: Matrix.identity(ring, C.dim(n)) for n in range(n_max + 1)}
-    Pinv = {n: Matrix.identity(ring, C.dim(n)) for n in range(n_max + 1)}
+    cur = {n: [dict(col) for col in C.d.sparse_columns(n)]  # d_0: no rows
+           for n in range(n_max + 1)}
+    P = {n: unit_vectors(ring, C.dim(n)) for n in range(n_max + 1)}
+    Pinv = {n: unit_vectors(ring, C.dim(n)) for n in range(n_max + 1)}
     pieces = []
     hit = 0          # basis vectors 0..hit-1 of degree n are hit from above
     for n in range(n_max, -1, -1):
         free_cols = list(range(hit, C.dim(n)))
         exponents = []
         if n > 0:
-            rows = BasisChange(out=[P[n - 1], cur[n - 1]],
-                               into=[Pinv[n - 1], cur[n]])
-            cols = BasisChange(out=[P[n], cur[n]], into=[Pinv[n]])
-            exponents = eliminate(cur[n], rows, cols, free_cols)
+            rows = BasisChange(ring, out=[P[n - 1], cur[n - 1]],
+                               into=[Pinv[n - 1]])
+            cols = BasisChange(ring, out=[P[n]], into=[Pinv[n]])
+            exponents = eliminate(ring, cur[n], C.dim(n - 1), rows, cols,
+                                  free_cols)
         for i, k in enumerate(exponents):
             pieces.append(Piece("elementary", n, free_cols[i], k, i))
         for j in free_cols[len(exponents):]:
@@ -315,18 +386,35 @@ def decompose(C: GradedChainComplex) -> Decomposition:
 
 
 def _verify_decomposition(dec: Decomposition):
-    """Recompose: Pinv[n-1] * d * P[n] must equal the canonical piece matrix."""
+    """Recompose: P^-1[n]·P[n] = 1 and d_n·P[n] = P[n-1]·D_n, D_n the
+    canonical piece matrix, so that P^-1·d·P = D in every degree.  Column
+    by column on nonzeros."""
     C = dec.complex
-    ring = C.ring
-    p = ring.p
-    for n in range(1, C.n_max + 1):
-        got = dec.Pinv[n - 1] * C.d.block(n) * dec.P[n]
-        want = Matrix.zeros(ring, C.dim(n - 1), C.dim(n))
-        for pc in dec.pieces:
-            if pc.kind == "elementary" and pc.top_degree == n:
-                want.a[pc.bottom_index][pc.top_index] = ring.of(p ** pc.exponent)
-        if got != want:
-            raise ComplexError(f"decomposition verification failed at degree {n}")
+    ring, one = C.ring, C.ring.one
+    want = {}            # (n, top index) -> d of the new basis vector
+    for pc in dec.pieces:
+        if pc.kind == "elementary":
+            n, pk = pc.top_degree, ring.of(ring.p ** pc.exponent)
+            want[n, pc.top_index] = {
+                i: ring.mul(pk, x)
+                for i, x in dec.P[n - 1][pc.bottom_index].items()}
+    for n in range(C.n_max + 1):
+        inv_cols = _transpose(dec.Pinv[n], C.dim(n))
+        d = C.d.sparse_columns(n)
+        for j, col in enumerate(dec.P[n]):
+            if (_times(ring, inv_cols, col) != {j: one}
+                    or _times(ring, d, col) != want.get((n, j), {})):
+                raise ComplexError(
+                    f"decomposition verification failed at degree {n}")
+
+
+def _transpose(lines: list, n: int) -> list:
+    """Row dicts as column dicts (or back) of a matrix with n of them."""
+    out = [{} for _ in range(n)]
+    for i, line in enumerate(lines):
+        for j, x in line.items():
+            out[j][i] = x
+    return out
 
 
 @dataclass

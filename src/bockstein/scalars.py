@@ -1,13 +1,16 @@
-"""Exact arithmetic in Z_(p) and F_p, and dense matrix algorithms over both.
+"""Exact arithmetic in Z_(p) and F_p, dense matrices, one sparse elimination.
 
 Z_(p) elements are `fractions.Fraction`s whose denominator is coprime to p;
 F_p elements are ints in [0, p).  A ring object supplies the arithmetic so
 matrix code is ring-agnostic.  Everything is exact: no floats anywhere.
 
-Smith forms come from one in-place elimination, `eliminate`, whose row and
-column operations are elementary basis changes (`BasisChange`), each applied
-to every matrix that uses the basis.  `Matrix.snf` tracks U, V and their
-inverses this way; `graded.decompose` tracks the complex's own basis.
+Smith forms come from one in-place elimination, `eliminate`, on a matrix
+kept as synced row and column dicts of its nonzeros.  Its row and column
+operations are elementary basis changes (`BasisChange`), each applied to
+every matrix that uses the basis: as column dicts where the basis indexes
+columns (P), as row dicts where it indexes rows (P^-1).  Each step costs the
+nonzeros it touches.  `Matrix.snf` converts a dense matrix in and U, V and
+their inverses out; `graded.decompose` tracks the complex's own basis.
 """
 
 from __future__ import annotations
@@ -87,10 +90,10 @@ class ZpLocal:
 
     def valuation(self, a) -> int:
         """p-adic valuation; raises on zero (v(0) = +inf)."""
-        if a == 0:
+        n = a.numerator
+        if n == 0:
             raise ZeroDivisionError("valuation of zero is undefined")
         v = 0
-        n = a.numerator
         while n % self.p == 0:
             n //= self.p
             v += 1
@@ -248,6 +251,24 @@ class Matrix:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
+    def sparse_columns(self) -> list:
+        """The columns as dicts row -> nonzero entry."""
+        is_zero = self.ring.is_zero
+        cols = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.a):
+            for j, x in enumerate(row):
+                if not is_zero(x):
+                    cols[j][i] = x
+        return cols
+
+    @classmethod
+    def from_sparse_columns(cls, ring, rows: int, columns) -> "Matrix":
+        m = cls(ring, rows, len(columns))
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                m.a[i][j] = x
+        return m
+
     # -- algebra ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -377,24 +398,29 @@ class Matrix:
     def snf(self) -> "SnfResult":
         """U*A*V = S diagonal with entries p^{k_1} | p^{k_2} | ... then zeros.
 
-        One run of `eliminate` on a copy of A: each row operation is a basis
-        change of the target, applied to U and S (rows) and to U^-1
-        (columns); each column operation one of the source, applied to V and
-        S (columns) and to V^-1 (rows).  Over F_p every nonzero entry is a
-        unit, so all exponents are 0 and S = diag(1, ..., 1, 0, ...): a rank
+        One run of `eliminate` on the columns of A: each row operation is a
+        basis change of the target, applied to U (rows) and U^-1 (columns);
+        each column operation one of the source, applied to V (columns) and
+        V^-1 (rows).  Over F_p every nonzero entry is a unit, so all
+        exponents are 0 and S = diag(1, ..., 1, 0, ...): a rank
         factorization.
         """
         ring = self.ring
-        S = self.copy()
-        U = Matrix.identity(ring, self.rows)
-        Uinv = Matrix.identity(ring, self.rows)
-        V = Matrix.identity(ring, self.cols)
-        Vinv = Matrix.identity(ring, self.cols)
-        exponents = eliminate(S, BasisChange(out=[Uinv], into=[U, S]),
-                              BasisChange(out=[V, S], into=[Vinv]),
+        S = self.sparse_columns()
+        U, Uinv = unit_vectors(ring, self.rows), unit_vectors(ring, self.rows)
+        V, Vinv = unit_vectors(ring, self.cols), unit_vectors(ring, self.cols)
+        exponents = eliminate(ring, S, self.rows,
+                              BasisChange(ring, out=[Uinv], into=[U]),
+                              BasisChange(ring, out=[V], into=[Vinv]),
                               range(self.cols))
-        return SnfResult(U=U, S=S, V=V, Uinv=Uinv, Vinv=Vinv,
-                         invariant_exponents=exponents)
+        # a list of row dicts is the column dicts of the transpose
+        return SnfResult(
+            U=Matrix.from_sparse_columns(ring, self.rows, U).transpose(),
+            S=Matrix.from_sparse_columns(ring, self.rows, S),
+            V=Matrix.from_sparse_columns(ring, self.cols, V),
+            Uinv=Matrix.from_sparse_columns(ring, self.rows, Uinv),
+            Vinv=Matrix.from_sparse_columns(ring, self.cols, Vinv).transpose(),
+            invariant_exponents=exponents)
 
     # -- kernels and solving -------------------------------------------------
 
@@ -461,6 +487,12 @@ class SnfResult:
     invariant_exponents: list = field(default_factory=list)
 
 
+def unit_vectors(ring, n: int) -> list:
+    """The identity as n unit vectors: its columns, or equally its rows."""
+    one = ring.one
+    return [{i: one} for i in range(n)]
+
+
 def accumulate(ring, acc: dict, terms: dict, coeff) -> dict:
     """acc += coeff · terms on sparse vectors (dicts key -> scalar).
 
@@ -484,91 +516,135 @@ class BasisChange:
     """Elementary changes of one basis, applied wherever that basis is used.
 
     `out` holds the matrices whose columns are indexed by the basis (maps out
-    of the space, such as P, the new basis in old coordinates); `into` those
-    whose rows are (maps into it, such as P^-1).  Each operation acts on the
-    columns of every `out` matrix and, inverted, on the rows of every `into`
-    matrix, so every product out·into of the basis is unchanged.
+    of the space, such as P, the new basis in old coordinates), each stored
+    as its list of column dicts; `into` those whose rows are (maps into it,
+    such as P^-1), each stored as its list of row dicts.  Each operation acts
+    on the columns of every `out` matrix and, inverted, on the rows of every
+    `into` matrix, so every product out·into of the basis is unchanged.  An
+    operation costs the nonzeros of the vectors it reads.
     """
 
-    def __init__(self, out=(), into=()):
+    def __init__(self, ring, out=(), into=()):
+        self.ring = ring
         self.out = list(out)
         self.into = list(into)
 
     def swap(self, i: int, j: int):
         """e_i <-> e_j."""
-        if i == j:
-            return
-        for M in self.out:
-            for row in M.a:
-                row[i], row[j] = row[j], row[i]
-        for M in self.into:
-            M.a[i], M.a[j] = M.a[j], M.a[i]
+        for M in self.out + self.into:
+            M[i], M[j] = M[j], M[i]
 
     def scale(self, i: int, c):
         """e_i -> c·e_i, c a unit."""
+        mul = self.ring.mul
         for M in self.out:
-            mul = M.ring.mul
-            for row in M.a:
-                row[i] = mul(row[i], c)
+            M[i] = {k: mul(x, c) for k, x in M[i].items()}
+        cinv = self.ring.inv(c)
         for M in self.into:
-            mul, cinv = M.ring.mul, M.ring.inv(c)
-            M.a[i] = [mul(cinv, x) for x in M.a[i]]
+            M[i] = {k: mul(cinv, x) for k, x in M[i].items()}
 
     def add(self, j: int, i: int, c):
         """e_j -> e_j + c·e_i, i ≠ j."""
+        ring = self.ring
         for M in self.out:
-            add, mul, is_zero = M.ring.add, M.ring.mul, M.ring.is_zero
-            for row in M.a:
-                if not is_zero(row[i]):
-                    row[j] = add(row[j], mul(c, row[i]))
+            accumulate(ring, M[j], M[i], c)
+        negc = ring.neg(c)
         for M in self.into:
-            sub, mul, is_zero = M.ring.sub, M.ring.mul, M.ring.is_zero
-            ri = M.a[i]
-            for k, y in enumerate(M.a[j]):
-                if not is_zero(y):
-                    ri[k] = sub(ri[k], mul(c, y))
+            accumulate(ring, M[i], M[j], negc)
 
 
-def eliminate(S: Matrix, rows: BasisChange, cols: BasisChange,
-              col_order) -> list:
+def _swap_lines(A: list, B: list, i: int, j: int):
+    """Swap lines i and j of a matrix kept both as lines A and as the
+    crossing lines B (rows and columns, either way round)."""
+    A[i], A[j] = A[j], A[i]
+    for k in A[i].keys() | A[j].keys():
+        b = B[k]
+        x, y = b.pop(i, None), b.pop(j, None)
+        if y is not None:
+            b[i] = y
+        if x is not None:
+            b[j] = x
+
+
+def eliminate(ring, S: list, n_rows: int, rows: BasisChange,
+              cols: BasisChange, col_order) -> list:
     """Bring S to Smith form in place; returns the exponents of its pivots.
 
-    Step t pivots on an entry of minimal valuation (the first in row-major
-    order over rows t.. and columns col_order[t..]), moves it to (t,
-    col_order[t]), scales it to a pure power of p and clears its column,
-    then its row.  Row operations are changes of the target basis (`rows`,
-    whose `into` holds S) and column operations changes of the source
-    basis (`cols`, whose `out` holds S).  Columns outside col_order take no
-    pivot and are not cleared, so the result is a Smith form only when they
-    are zero.
+    S is a list of column dicts (row -> nonzero entry) with n_rows rows; a
+    synced list of row dicts is kept beside it, so every step costs the
+    nonzeros it touches.  Step t pivots on an entry of least valuation, then
+    least row (from t on), then earliest position in col_order (from t on);
+    moves it to (t, col_order[t]), scales it to a pure power of p (skipped
+    when the factor is 1) and clears its column, then its row.  Row
+    operations are changes of the target basis (`rows`) and column
+    operations changes of the source basis (`cols`); S itself is updated
+    here, not through either.  Columns outside col_order must be zero.
     """
-    ring = S.ring
-    is_zero, div = ring.is_zero, ring.div
-    a = S.a
+    is_zero, sub, mul, div, neg = (ring.is_zero, ring.sub, ring.mul,
+                                   ring.div, ring.neg)
+    valuation = ring.valuation
+    C = S
+    R = [{} for _ in range(n_rows)]
+    for j, col in enumerate(C):
+        for i, x in col.items():
+            R[i][j] = x
     col_order = list(col_order)
-    exponents = []
-    for t in range(min(S.rows, len(col_order))):
+    pos = {j: k for k, j in enumerate(col_order)}
+    least = {}      # row -> its least (valuation, position), None if empty;
+    exponents = []  # dropped whenever the row changes
+    for t in range(min(n_rows, len(col_order))):
+        # rows t.. hold entries only in columns col_order[t:]
         best = None
-        for i in range(t, S.rows):
-            row = a[i]
-            for j in col_order[t:]:
-                if not is_zero(row[j]):
-                    v = ring.valuation(row[j])
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
+        for i in range(t, n_rows):
+            if i not in least:
+                least[i] = min(((valuation(x), pos[j])
+                                for j, x in R[i].items()), default=None)
+            m = least[i]
+            if m is not None and (best is None or m[0] < best[0]):
+                best = (m[0], i, m[1])
+                if m[0] == 0:
+                    break
         if best is None:
             break
-        v, pi, pj = best
+        v, pi, k = best
         ct = col_order[t]
-        rows.swap(t, pi)
-        cols.swap(ct, pj)
-        rows.scale(t, ring.unit_part(a[t][ct]))
-        piv = a[t][ct]
-        for i in range(S.rows):
-            if i != t and not is_zero(a[i][ct]):
-                rows.add(t, i, div(a[i][ct], piv))
-        for j in col_order:
-            if j != ct and not is_zero(a[t][j]):
-                cols.add(j, ct, ring.neg(div(a[t][j], piv)))
+        if pi != t:
+            rows.swap(t, pi)
+            _swap_lines(R, C, t, pi)
+            least.pop(pi, None)
+        if col_order[k] != ct:
+            cols.swap(ct, col_order[k])
+            _swap_lines(C, R, ct, col_order[k])
+            for i in C[ct].keys() | C[col_order[k]].keys():
+                least.pop(i, None)
+        u = ring.unit_part(R[t][ct])
+        if u != 1:
+            rows.scale(t, u)
+            uinv = ring.inv(u)
+            R[t] = {j: mul(uinv, x) for j, x in R[t].items()}
+            for j, x in R[t].items():
+                C[j][t] = x
+        Rt = R[t]
+        piv = Rt[ct]
+        for i in sorted(C[ct]):
+            if i == t:
+                continue
+            c = div(C[ct][i], piv)
+            rows.add(t, i, c)
+            least.pop(i, None)
+            Ri = R[i]
+            for j, y in Rt.items():       # row i -= c·row t
+                x = Ri.get(j)
+                x = neg(mul(c, y)) if x is None else sub(x, mul(c, y))
+                if is_zero(x):
+                    del Ri[j]
+                    del C[j][i]
+                else:
+                    Ri[j] = C[j][i] = x
+        for j in sorted((j for j in Rt if j != ct), key=pos.__getitem__):
+            # column ct is piv·e_t now, so column j += c·column ct only
+            # cancels the entry (t, j)
+            cols.add(j, ct, neg(div(Rt.pop(j), piv)))
+            del C[j][t]
         exponents.append(v)
     return exponents

@@ -273,9 +273,9 @@ class PageAlgebra:
         """Page coordinates of a monomial, read off its column of P^-1."""
         if mono not in self._coords:
             n = self.alg.monomial_degree(mono)
-            pinv = self.result.decomposition.Pinv[n]
             self._coords[mono] = self._read(
-                n, pinv.column(self.alg.basis.index(n, mono)))
+                n, self.result.decomposition.basis_coordinates(
+                    n, self.alg.basis.index(n, mono)))
         return self._coords[mono]
 
     def _pair_coords(self, n: int, t: dict) -> list:

@@ -12,14 +12,21 @@ that shares no code with the library's `eliminate`.  UL's coproduct is
 multiplied out in UL ⊗ UL, UL's differential is applied by Leibniz through
 products, and products and divided powers in Γ(V) are computed in the
 tensor coalgebra by shuffles.
+
+`dense_decompose` and `dense_snf` are the dense elimination that the
+library's sparse kernel replaced: the same pivot rule and the same basis
+changes on full matrices, the entry-for-entry reference for `decompose`
+and `Matrix.snf`.
 """
 
 from fractions import Fraction
 from math import factorial
 
 from bockstein.gamma import GammaError
+from bockstein.graded import Piece
 from bockstein.lie import run_length
-from bockstein.scalars import Matrix, PrimeField, ZpLocal, accumulate
+from bockstein.scalars import (Matrix, PrimeField, SnfResult, ZpLocal,
+                               accumulate)
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +73,122 @@ def fp_rank(grid, p):
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# Dense elimination: the reference for the sparse kernel
+# ---------------------------------------------------------------------------
+
+class DenseBasisChange:
+    """Elementary changes of one basis on dense matrices: columns of every
+    `out` matrix, inverted on the rows of every `into` matrix."""
+
+    def __init__(self, out=(), into=()):
+        self.out = list(out)
+        self.into = list(into)
+
+    def swap(self, i, j):
+        if i == j:
+            return
+        for M in self.out:
+            for row in M.a:
+                row[i], row[j] = row[j], row[i]
+        for M in self.into:
+            M.a[i], M.a[j] = M.a[j], M.a[i]
+
+    def scale(self, i, c):
+        for M in self.out:
+            for row in M.a:
+                row[i] = M.ring.mul(row[i], c)
+        for M in self.into:
+            cinv = M.ring.inv(c)
+            M.a[i] = [M.ring.mul(cinv, x) for x in M.a[i]]
+
+    def add(self, j, i, c):
+        """e_j -> e_j + c·e_i."""
+        for M in self.out:
+            for row in M.a:
+                if not M.ring.is_zero(row[i]):
+                    row[j] = M.ring.add(row[j], M.ring.mul(c, row[i]))
+        for M in self.into:
+            ri = M.a[i]
+            for k, y in enumerate(M.a[j]):
+                if not M.ring.is_zero(y):
+                    ri[k] = M.ring.sub(ri[k], M.ring.mul(c, y))
+
+
+def dense_eliminate(S, rows, cols, col_order):
+    """Smith form of the dense matrix S in place, by the library's pivot
+    rule: least valuation, then least row, then earliest in col_order, found
+    by a row-major scan of the whole remaining block."""
+    ring = S.ring
+    a = S.a
+    col_order = list(col_order)
+    exponents = []
+    for t in range(min(S.rows, len(col_order))):
+        best = None
+        for i in range(t, S.rows):
+            for j in col_order[t:]:
+                if not ring.is_zero(a[i][j]):
+                    v = ring.valuation(a[i][j])
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        if best is None:
+            break
+        v, pi, pj = best
+        ct = col_order[t]
+        rows.swap(t, pi)
+        cols.swap(ct, pj)
+        rows.scale(t, ring.unit_part(a[t][ct]))
+        piv = a[t][ct]
+        for i in range(S.rows):
+            if i != t and not ring.is_zero(a[i][ct]):
+                rows.add(t, i, ring.div(a[i][ct], piv))
+        for j in col_order:
+            if j != ct and not ring.is_zero(a[t][j]):
+                cols.add(j, ct, ring.neg(ring.div(a[t][j], piv)))
+        exponents.append(v)
+    return exponents
+
+
+def dense_snf(A):
+    """SnfResult of A by dense elimination on a copy."""
+    ring = A.ring
+    S = A.copy()
+    U, Uinv = Matrix.identity(ring, A.rows), Matrix.identity(ring, A.rows)
+    V, Vinv = Matrix.identity(ring, A.cols), Matrix.identity(ring, A.cols)
+    exps = dense_eliminate(S, DenseBasisChange(out=[Uinv], into=[U, S]),
+                           DenseBasisChange(out=[V, S], into=[Vinv]),
+                           range(A.cols))
+    return SnfResult(U=U, S=S, V=V, Uinv=Uinv, Vinv=Vinv,
+                     invariant_exponents=exps)
+
+
+def dense_decompose(C):
+    """(pieces, P, P^-1) of C by dense elimination, top degree down; P[n]
+    and P^-1[n] are dense matrices."""
+    ring = C.ring
+    cur = {n: C.d.block(n).copy() for n in range(C.n_max + 1)}
+    P = {n: Matrix.identity(ring, C.dim(n)) for n in range(C.n_max + 1)}
+    Pinv = {n: Matrix.identity(ring, C.dim(n)) for n in range(C.n_max + 1)}
+    pieces = []
+    hit = 0
+    for n in range(C.n_max, -1, -1):
+        free_cols = list(range(hit, C.dim(n)))
+        exponents = []
+        if n > 0:
+            exponents = dense_eliminate(
+                cur[n],
+                DenseBasisChange(out=[P[n - 1], cur[n - 1]],
+                                 into=[Pinv[n - 1], cur[n]]),
+                DenseBasisChange(out=[P[n], cur[n]], into=[Pinv[n]]),
+                free_cols)
+        for i, k in enumerate(exponents):
+            pieces.append(Piece("elementary", n, free_cols[i], k, i))
+        for j in free_cols[len(exponents):]:
+            pieces.append(Piece("free", n, j))
+        hit = len(exponents)
+    return pieces, P, Pinv
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,15 @@ def lambda_xy_model(n=1, n_max=10):
                                 {"x": {"y": 1}})
 
 
+def test_free_cochain_algebra_rejects_d_squared_nonzero():
+    # dx = y, dy = z: d∘d(x) = z, the first entry that breaks
+    with pytest.raises(ComplexError,
+                       match=r"^d∘d ≠ 0 at degree 2: d\(d\(x\)\) has "
+                             r"coefficient 1 on z$"):
+        free_cochain_algebra(F3, 8, [("x", 2), ("y", 3), ("z", 4)],
+                             {"x": {"y": 1}, "y": {"z": 1}})
+
+
 class TestVerifyQuasiIso:
     def test_identity(self):
         tgt = lambda_xy_model()

@@ -291,6 +291,16 @@ class TestExamples:
         assert (capsys.readouterr().out.encode()
                 == (golden / f"{name}.json").read_bytes())
 
+    def test_nonabelian16_report_matches_golden(self, capsys):
+        # tests/golden/nonabelian16.json is `bockstein --json bss
+        # nonabelian16.dgl --target ul --rmax 3` of the dense elimination:
+        # UL of total dim 1,416, torsion pairs and [x,y] = z with ∂w = 3z
+        golden = Path(__file__).parent / "golden"
+        assert main(["--json", "bss", str(golden / "nonabelian16.dgl"),
+                     "--target", "ul", "--rmax", "3"]) == 0
+        assert (capsys.readouterr().out.encode()
+                == (golden / "nonabelian16.json").read_bytes())
+
     def test_non_prime_exits_2(self, tmp_path, capsys):
         # 0 is a given prime, not a missing one: no fallback to p = 3
         for prime in ("4", "0"):

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from bockstein.gamma import GammaAlgebra
 from bockstein.graded import (ComplexError, FieldHomology, GradedBasis,
                               GradedChainComplex, GradedMap, WindowError,
-                              decompose, dual_basis, dualize, homology,
-                              induced_map)
+                              _verify_decomposition, decompose, dual_basis,
+                              dualize, homology, induced_map)
 from bockstein.lie import DgLie, PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal
-from oracles import mod_p_homology_dims
+from oracles import dense_decompose, mod_p_homology_dims
+from test_lie import dgl_presentations
 
 Z3 = ZpLocal(3)
 F3 = PrimeField(3)
@@ -192,6 +193,18 @@ class TestSparseConversion:
             f.image(2, x2)
 
 
+def test_complex_rejects_d_squared_nonzero():
+    # d∘d(c1) = 2·a0 + 5·a1 and d∘d(e) = b0 + b1: degree 2 is named first,
+    # then the first source and target basis vectors
+    with pytest.raises(ComplexError,
+                       match=r"^d∘d ≠ 0 at degree 2: d\(d\(c1\)\) has "
+                             r"coefficient 2 on a0$"):
+        complex_from_blocks(
+            Z3, {0: ["a0", "a1"], 1: ["b0", "b1"], 2: ["c0", "c1"], 3: ["e"]},
+            {1: [[0, 2], [3, 2]], 2: [[0, 1], [0, 1]], 3: [[0], [1]]},
+            n_max=3)
+
+
 def z_to_z_times_p(k=1):
     """0 -> Z --p^k--> Z -> 0 in degrees 1, 0."""
     return complex_from_blocks(Z3, {0: ["x"], 1: ["y"]},
@@ -250,6 +263,59 @@ class TestDecomposition:
                 coords = dec.coordinates(n, rep)
                 assert coords == [Z3.one if i == j else Z3.zero
                                   for i in range(C.dim(n))]
+
+
+RINGS = [Z3, ZpLocal(5), F3, PrimeField(5)]
+
+
+def assert_matches_dense(C):
+    """decompose(C) equals the dense reference entry for entry."""
+    dec = decompose(C)
+    pieces, P, Pinv = dense_decompose(C)
+    assert dec.pieces == pieces
+    for n in range(C.n_max + 1):
+        dim = C.dim(n)
+        assert Matrix.from_sparse_columns(C.ring, dim, dec.P[n]).a == P[n].a
+        assert Matrix.from_sparse_columns(
+            C.ring, dim, dec.Pinv[n]).transpose().a == Pinv[n].a
+
+
+class TestSparseKernel:
+    @pytest.mark.parametrize("n_max, max_dim, examples",
+                             [(4, 4, 150), (10, 60, 3)],
+                             ids=["small", "large"])
+    def test_random_complexes_match_dense_reference(self, n_max, max_dim,
+                                                    examples):
+        @settings(max_examples=examples, deadline=None)
+        @given(st.sampled_from(RINGS), st.integers(0, 2 ** 32))
+        def check(ring, seed):
+            assert_matches_dense(random_complex(
+                ring, random.Random(seed), n_max=n_max, max_dim=max_dim))
+        check()
+
+    @settings(max_examples=60, deadline=None)
+    @given(dgl_presentations())
+    def test_ul_complexes_match_dense_reference(self, L):
+        # sparse blocks with many ties in valuation: the pivot tie-break
+        # decides the basis, hence the class names
+        A = PbwAlgebra(L)
+        assert_matches_dense(A.as_complex())
+        if not L.ring.is_field:
+            d = A.differential().reduce_mod_p()
+            assert_matches_dense(GradedChainComplex(A.basis, d, d.ring))
+
+    @pytest.mark.parametrize("n, j", [(0, 0), (1, 0), (2, 0)])
+    def test_corrupted_P_fails_verification(self, n, j):
+        # degree 0 and cycles are caught by P^-1·P = 1, the rest by d·P
+        C = complex_from_blocks(Z3, {0: ["a"], 1: ["b", "c"], 2: ["e"]},
+                                {1: [[3, 1]], 2: [[1], [-3]]}, n_max=2)
+        dec = decompose(C)
+        _verify_decomposition(dec)
+        col = dec.P[n][j]
+        i = min(col)
+        col[i] = col[i] + 1
+        with pytest.raises(ComplexError, match=f"failed at degree {n}"):
+            _verify_decomposition(dec)
 
 
 class TestFieldHomology:

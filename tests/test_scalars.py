@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bockstein.scalars import (DimensionError, Matrix, PrimeField, RingError,
                                ZpLocal)
-from oracles import bareiss_rank, fp_rank
+from oracles import bareiss_rank, dense_snf, fp_rank
 
 Z3 = ZpLocal(3)
 Z5 = ZpLocal(5)
@@ -186,6 +186,24 @@ class TestSnf:
             assert len(exps) == fp_rank(m.a, 3)
         else:
             assert len(exps) == bareiss_rank(m.a)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([Z3, Z5, F3, PrimeField(5)]), st.integers(0, 7),
+           st.integers(0, 7), st.data())
+    def test_matches_dense_reference(self, ring, rows, cols, data):
+        # mostly zeros, and entries of every valuation, so that pivot ties
+        # are common
+        ents = data.draw(st.lists(
+            st.sampled_from([0, 0, 0, 1, -1, 2, 3, -9, 10, 25, 27]),
+            min_size=rows * cols, max_size=rows * cols))
+        m = Matrix(ring, rows, cols,
+                   [[ring.of(ents[i * cols + j]) for j in range(cols)]
+                    for i in range(rows)])
+        got, want = m.snf(), dense_snf(m)
+        assert got.invariant_exponents == want.invariant_exponents
+        for name in ("U", "S", "V", "Uinv", "Vinv"):
+            assert getattr(got, name) == getattr(want, name), name
 
 
 class TestKernelSolve:
