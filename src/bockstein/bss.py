@@ -141,19 +141,16 @@ def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
         names = {n: [cl.name for cl in cls] for n, cls in classes.items()}
         page_basis = GradedBasis(names, max(window, 0))
         beta = GradedMap(page_basis, page_basis, -1, fp)
-        blocks = {}
+        cols = {}    # degree n -> column dicts of the β block at n
         index = {id(cl): i for cls in classes.values()
                  for i, cl in enumerate(cls)}
         for top, bottom in pairs:
             n = top.degree
-            m = blocks.get(n)
-            if m is None:
-                m = Matrix.zeros(fp, page_basis.dim(n - 1), page_basis.dim(n))
-                blocks[n] = m
-            i, j = index[id(bottom)], index[id(top)]
-            m.a[i][j] = fp.one
-        for n, m in blocks.items():
-            beta.set_block(n, m)
+            if n not in cols:
+                cols[n] = [{} for _ in range(page_basis.dim(n))]
+            cols[n][index[id(top)]][bottom.name] = fp.one
+        for n, elems in cols.items():
+            beta.set_columns(n, elems)
         pages.append(SpectralPage(r, window, classes, beta, page_basis))
 
     # All piece exponents inside the window are known, so stabilization at

@@ -111,11 +111,9 @@ def _page_report(result, rmax):
             prep[str(n)] = names
         arrows = []
         for n in page.degrees():
-            blk = page.beta.block(n)
-            for j, cl in enumerate(page.classes[n]):
-                for i, low in enumerate(page.classes.get(n - 1, [])):
-                    if blk.a[i][j]:
-                        arrows.append(f"β^{r} {cl.name} -> {low.name}")
+            lows = page.classes.get(n - 1, [])
+            for cl, col in zip(page.classes[n], page.beta.sparse_columns(n)):
+                arrows += [f"β^{r} {cl.name} -> {lows[i].name}" for i in col]
         for a in arrows:
             lines.append("  " + a)
         rep[str(r)] = {"classes": prep, "beta": arrows}

@@ -1,8 +1,9 @@
 """Exact arithmetic in Z_(p) and F_p, dense matrices, one sparse elimination.
 
-Z_(p) elements are `fractions.Fraction`s whose denominator is coprime to p;
-F_p elements are ints in [0, p).  A ring object supplies the arithmetic so
-matrix code is ring-agnostic.  Everything is exact: no floats anywhere.
+Z_(p) elements are ints when integral and otherwise `fractions.Fraction`s
+whose denominator is coprime to p; F_p elements are ints in [0, p).  A ring
+object supplies the arithmetic so matrix code is ring-agnostic.  Everything
+is exact: no floats anywhere, and no `/` between two ints.
 
 Smith forms come from one in-place elimination, `eliminate`, on a matrix
 kept as synced row and column dicts of its nonzeros.  Its row and column
@@ -43,9 +44,23 @@ def _check_prime(p: int) -> None:
         raise RingError(f"{p} is not an odd prime")
 
 
+def _integral(r):
+    """r as an int when it is integral; r is an int or a Fraction."""
+    if r.__class__ is int or r.denominator != 1:
+        return r
+    return r.numerator
+
+
 @dataclass(frozen=True)
 class ZpLocal:
-    """The integers localized at the odd prime p: fractions a/b with p∤b."""
+    """The integers localized at the odd prime p: fractions a/b with p∤b.
+
+    An element is an `int` when it is integral and otherwise a `Fraction`
+    whose denominator is prime to p; every method returns that form.  On
+    the hot path nearly every entry is an integer, so sums and products stay
+    in int arithmetic, and a `Fraction` is made only for a true quotient.
+    `/` is never applied to two ints, since that would give a float.
+    """
 
     p: int
     is_field = False
@@ -54,39 +69,43 @@ class ZpLocal:
     def __post_init__(self):
         _check_prime(self.p)
 
-    def of(self, x) -> Fraction:
-        if isinstance(x, str):
-            x = Fraction(x)
+    def of(self, x):
+        if x.__class__ is int:
+            return x
         f = Fraction(x)
         if f.denominator % self.p == 0:
             raise RingError(
                 f"denominator of {f} is divisible by p={self.p}: not in Z_(p)")
-        return f
+        return _integral(f)
 
     @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
     @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if r.__class__ is int else _integral(r)
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        return r if r.__class__ is int else _integral(r)
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if r.__class__ is int else _integral(r)
 
     def neg(self, a):
-        return -a
+        r = -a
+        return r if r.__class__ is int else _integral(r)
 
     def is_zero(self, a) -> bool:
-        # ints and Fractions both carry .numerator; this skips the slow
+        # truth of an int is one C test; this skips the slow
         # Fraction.__eq__ dispatch on the hottest call in the library
-        return a.numerator == 0
+        return not a
 
     def valuation(self, a) -> int:
         """p-adic valuation; raises on zero (v(0) = +inf)."""
@@ -105,26 +124,27 @@ class ZpLocal:
     def inv(self, a):
         if not self.is_unit(a):
             raise RingError(f"{a} is not a unit in Z_({self.p})")
-        return 1 / a
+        return self.div(1, a)
 
     def div(self, a, b):
         """Exact quotient a/b; raises if the quotient leaves Z_(p)."""
         if b == 0:
             raise ZeroDivisionError
-        q = a / b
-        return self.of(q)
+        if a.__class__ is int and b.__class__ is int and a % b == 0:
+            return a // b
+        return self.of(Fraction(a) / b)
 
     def divides(self, b, a) -> bool:
-        """Whether b | a in Z_(p)."""
+        """Whether b | a in Z_(p): v(b) <= v(a)."""
         if a == 0:
             return True
         if b == 0:
             return False
-        return (a / b).denominator % self.p != 0
+        return self.valuation(b) <= self.valuation(a)
 
     def unit_part(self, a):
         """Write a = unit * p^v and return the unit."""
-        return a / Fraction(self.p) ** self.valuation(a)
+        return self.div(a, self.p ** self.valuation(a))
 
     def reduce_mod_p(self, a) -> int:
         """Image in F_p."""
@@ -468,7 +488,7 @@ class Matrix:
                 piv = res.S.a[i][i]
                 if not ring.divides(piv, ub[i]):
                     return None
-                y[i] = ub[i] / piv
+                y[i] = ring.div(ub[i], piv)
             elif not ring.is_zero(ub[i]):
                 return None
         return res.V.apply(y)

@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bockstein.cli import builtin_dgl
+from bockstein.dglfile import parse_dgl
 from bockstein.gamma import GammaAlgebra
 from bockstein.graded import (ComplexError, FieldHomology, GradedBasis,
                               GradedChainComplex, GradedMap, WindowError,
@@ -303,6 +306,31 @@ class TestSparseKernel:
         if not L.ring.is_field:
             d = A.differential().reduce_mod_p()
             assert_matches_dense(GradedChainComplex(A.basis, d, d.ring))
+
+    @pytest.mark.parametrize("name", ["example1", "example2",
+                                      "nonabelian16"])
+    def test_integral_entries_stay_ints(self, name):
+        # the fast path: an integral Z_(p) entry is an int, never a
+        # Fraction.  Results would stay correct without it, only slow.
+        if name == "nonabelian16":
+            golden = Path(__file__).parent / "golden" / "nonabelian16.dgl"
+            L = parse_dgl(golden.read_text())
+        else:
+            L = builtin_dgl(name)[0]
+        assert L.ring.p == 3
+        A = PbwAlgebra(L)
+        d = A.differential()
+        entries = [x for n in range(L.n_max + 1)
+                   for col in d.sparse_columns(n) for x in col.values()]
+        assert entries and all(type(x) is int for x in entries)
+        dec = decompose(A.as_complex())
+        # a pivot scaled by a unit u ≠ ±1 puts true quotients such as 1/2
+        # into P^-1 (and from there into P); those alone are Fractions
+        for lines in (dec.P, dec.Pinv):
+            entries = [x for n in lines for line in lines[n]
+                       for x in line.values()]
+            assert entries and all(type(x) is int or x.denominator != 1
+                                   for x in entries)
 
     @pytest.mark.parametrize("n, j", [(0, 0), (1, 0), (2, 0)])
     def test_corrupted_P_fails_verification(self, n, j):

@@ -16,6 +16,34 @@ Z5 = ZpLocal(5)
 F3 = PrimeField(3)
 
 
+def _in_zp(p):
+    """Ints and Fractions with a denominator prime to p, integral ones
+    (such as Fraction(6, 3)) included."""
+    den = st.integers(1, 40).filter(lambda d: d % p)
+    return st.one_of(st.integers(-10**6, 10**6),
+                     st.builds(Fraction, st.integers(-500, 500), den))
+
+
+def _assert_form(x, want):
+    """x equals the Fraction want, is an int exactly when integral, and is
+    never a float."""
+    assert isinstance(x, (int, Fraction)) and x == want
+    assert isinstance(x, int) == (want.denominator == 1)
+
+
+def _ref_valuation(p, q: Fraction) -> int:
+    n, v = abs(q.numerator), 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+@st.composite
+def zp_operands(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    return ZpLocal(p), draw(_in_zp(p)), draw(_in_zp(p))
+
+
 class TestZpLocal:
     def test_rejects_bad_primes(self):
         for bad in (2, 4, 6, 9, 1, 0, -3):
@@ -62,6 +90,67 @@ class TestZpLocal:
     def test_residue_field(self):
         fp = Z3.residue_field()
         assert isinstance(fp, PrimeField) and fp.p == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(zp_operands())
+    def test_ring_operations(self, args):
+        R, a, b = args
+        fa, fb = Fraction(a), Fraction(b)
+        _assert_form(R.of(a), fa)
+        _assert_form(R.add(a, b), fa + fb)
+        _assert_form(R.sub(a, b), fa - fb)
+        _assert_form(R.mul(a, b), fa * fb)
+        _assert_form(R.neg(a), -fa)
+        assert R.is_zero(a) == (fa == 0)
+        den = fa.denominator % R.p
+        assert R.reduce_mod_p(a) == fa.numerator * pow(den, -1, R.p) % R.p
+
+    @settings(max_examples=300, deadline=None)
+    @given(zp_operands())
+    def test_quotients(self, args):
+        R, a, b = args
+        fa, fb = Fraction(a), Fraction(b)
+        if fb == 0:
+            with pytest.raises(ZeroDivisionError):
+                R.div(a, b)
+        elif (fa / fb).denominator % R.p:
+            _assert_form(R.div(a, b), fa / fb)
+        else:
+            with pytest.raises(RingError):
+                R.div(a, b)
+        assert R.divides(b, a) == (
+            fa == 0 or (fb != 0 and (fa / fb).denominator % R.p != 0))
+        if fa == 0:
+            with pytest.raises(ZeroDivisionError):
+                R.valuation(a)
+            return
+        v = _ref_valuation(R.p, fa)
+        assert R.valuation(a) == v
+        _assert_form(R.unit_part(a), fa / R.p ** v)
+        if v == 0:
+            _assert_form(R.inv(a), 1 / fa)
+        else:
+            with pytest.raises(RingError):
+                R.inv(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([3, 5, 7]), st.integers(-500, 500),
+           st.integers(1, 40))
+    def test_p_in_denominator_raises(self, p, n, d):
+        R = ZpLocal(p)
+        x = Fraction(n * p + 1, d * p)     # numerator prime to p
+        with pytest.raises(RingError):
+            R.of(x)
+        with pytest.raises(RingError):
+            R.div(n * p + 1, d * p)
+
+    def test_solve_with_non_integral_solution(self):
+        m = Matrix(Z3, 2, 2, [[2, 0], [0, 3]])
+        sol = m.solve([1, 6])
+        _assert_form(sol[0], Fraction(1, 2))
+        _assert_form(sol[1], Fraction(2))
+        assert m.apply(sol) == [1, 6]
+        assert Matrix(Z3, 1, 1, [[6]]).solve([1]) is None
 
 
 class TestPrimeField:
