@@ -353,6 +353,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--prime", type=int, default=None)
         sp.add_argument("--nmax", type=_int_at_least(0), default=None)
+        # accepted after the subcommand too; with no default here, a
+        # --json given before the subcommand is not reset
+        sp.add_argument("--json", action="store_true",
+                        default=argparse.SUPPRESS,
+                        help="emit a JSON report instead of text")
 
     sp = sub.add_parser("validate", help="check a .dgl file")
     sp.add_argument("file")

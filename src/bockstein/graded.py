@@ -336,12 +336,6 @@ class Decomposition:
             out.append(s)
         return out
 
-    def basis_coordinates(self, n: int, j: int):
-        """Coordinates in the new basis of original basis vector j of degree
-        n: column j of P^-1."""
-        zero = self.complex.ring.zero
-        return [row.get(j, zero) for row in self.Pinv[n]]
-
 
 def decompose(C: GradedChainComplex) -> Decomposition:
     """Split C into free and elementary pieces with recorded basis change.

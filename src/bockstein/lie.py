@@ -9,8 +9,8 @@ with odd squares resolved as x^2 = (1/2)[x,x].
 
 UL's basis is a `GradedBasis` keyed by the monomials, so elements and
 coordinates convert in `graded`.  The differential d of UL is built once,
-as the derivation on ∂'s generator images, and stored: `d_elem` and
-`tensor_d` read monomial images off its columns.
+as the derivation on ∂'s generator images, and stored; `d_elem` and
+`tensor_d` read each monomial's image off its column once and keep it.
 """
 
 from __future__ import annotations
@@ -276,6 +276,7 @@ class PbwAlgebra:
         self._d_images = {g: {(k,): c for k, c in tgt.items()}
                           for g, tgt in L.d_gen.items()}
         self._d = None              # UL's differential, once built
+        self._d_monos = {}          # monomial -> (degree, d of it), once read
         self.basis = GradedBasis(ordered_monomials(L.degrees, self.n_max),
                                  self.n_max, self.monomial_name)
 
@@ -357,13 +358,21 @@ class PbwAlgebra:
 
     # -- differential as a derivation ----------------------------------------
 
+    def _d_of(self, mono) -> tuple:
+        """(degree, d) of a basis monomial; d is read once off the stored
+        differential's column and kept (do not mutate)."""
+        got = self._d_monos.get(mono)
+        if got is None:
+            n = self.monomial_degree(mono)
+            got = self._d_monos[mono] = (
+                n, self.differential().image(n, {mono: self.ring.one}))
+        return got
+
     def d_elem(self, elem: dict) -> dict:
-        """d of an element, read off the stored differential's columns."""
-        d = self._d or self.differential()
+        """d of an element, summed from its monomials' images."""
         out = {}
         for mono, c in elem.items():
-            accumulate(self.ring, out, d.image(self.monomial_degree(mono),
-                                               {mono: self.ring.one}), c)
+            accumulate(self.ring, out, self._d_of(mono)[1], c)
         return out
 
     def differential(self) -> GradedMap:
@@ -430,12 +439,12 @@ class PbwAlgebra:
         ring = self.ring
         out = {}
         for (m1, m2), c in t.items():
-            accumulate(ring, out, {(k1, m2): c1 for k1, c1
-                                   in self.d_elem({m1: ring.one}).items()}, c)
-            if self.monomial_degree(m1) % 2:
+            n1, d1 = self._d_of(m1)
+            accumulate(ring, out, {(k1, m2): c1 for k1, c1 in d1.items()}, c)
+            if n1 % 2:
                 c = ring.neg(c)
             accumulate(ring, out, {(m1, k2): c2 for k2, c2
-                                   in self.d_elem({m2: ring.one}).items()}, c)
+                                   in self._d_of(m2)[1].items()}, c)
         return out
 
     def coproduct(self, mono) -> dict:

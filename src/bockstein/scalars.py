@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 
 
 class RingError(ValueError):
@@ -530,6 +531,74 @@ def accumulate(ring, acc: dict, terms: dict, coeff) -> dict:
         else:
             acc[k] = v
     return acc
+
+
+class FpSpan:
+    """Span of sparse F_p columns (dicts row -> int), added one at a time.
+
+    An independent column is kept reduced and scaled to 1 at its least row,
+    its pivot, with its expression in the columns added so far.  Reduction
+    clears the least row while it is a pivot, so a step costs the nonzeros
+    it touches.
+    """
+
+    def __init__(self, p: int, columns=()):
+        self.p, self.added, self._pivots = p, 0, {}
+        for col in columns:
+            self.add(col)
+
+    def _reduce(self, vec: dict):
+        """(residue, c) with vec = residue + Σ c[k]·column k; the residue is
+        empty or its least row is no pivot."""
+        p, pivots = self.p, self._pivots
+        res = {i: x % p for i, x in vec.items() if x % p}
+        combo = {}
+        heap = sorted(res)
+        while heap:
+            i = heappop(heap)
+            if i not in res:
+                continue
+            if i not in pivots:
+                break
+            x, (col, comb) = res[i], pivots[i]
+            for k, y in col.items():
+                if k not in res:
+                    heappush(heap, k)
+                res[k] = (res.get(k, 0) - x * y) % p
+                if not res[k]:
+                    del res[k]
+            for k, y in comb.items():
+                combo[k] = (combo.get(k, 0) + x * y) % p
+        return res, combo
+
+    def add(self, col: dict):
+        """Add the next column j.  Returns None when it is independent of
+        the columns before it, else the kernel vector e_j - Σ c_k·e_k that
+        writes it in the earlier independent ones: being unique, these are
+        the vectors of the reduced-echelon kernel basis
+        (`Matrix.kernel_basis`) of the columns added."""
+        p, j = self.p, self.added
+        self.added += 1
+        res, combo = self._reduce(col)
+        rel = {k: -x % p for k, x in combo.items() if x}
+        rel[j] = 1
+        if not res:
+            return rel
+        piv = min(res)
+        s = pow(res[piv], p - 2, p)
+        self._pivots[piv] = ({k: x * s % p for k, x in res.items()},
+                             {k: x * s % p for k, x in rel.items()})
+        return None
+
+    def __contains__(self, vec: dict) -> bool:
+        return not self._reduce(vec)[0]
+
+
+def fp_kernel(p: int, columns) -> list:
+    """Kernel of the F_p matrix with these sparse columns, as dicts: the
+    basis `Matrix.kernel_basis` gives, one vector per dependent column."""
+    span = FpSpan(p)
+    return [v for v in map(span.add, columns) if v is not None]
 
 
 class BasisChange:

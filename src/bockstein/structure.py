@@ -13,6 +13,13 @@ second complex is decomposed.  Third, a page-by-page report that each
 page looks like the enveloping algebra of its primitives: β-closure, a
 dimension count, and primitivity of the image of the Lie inclusion.
 
+The page side works on nonzeros.  A class of UL ⊗ UL over pairs of page
+classes is a dict of its nonzero coordinates, the primitives are the
+kernel of those sparse columns over F_p, and the span checks reduce
+sparse vectors against them (`scalars.FpSpan`, whose kernel basis is the
+reduced-echelon one of `Matrix.kernel_basis`).  No dense F_p matrix is
+built on this path.
+
 The coalgebra structure constants of UL in the PBW basis do not involve
 the bracket: Δ of an ordered monomial is a signed sum of binomial
 multiples of its ordered sub-monomials (PbwAlgebra.coproduct), so the dual
@@ -32,7 +39,7 @@ from .gamma import (GammaAlgebra, adjoint, is_gamma_derivation,
 from .graded import (ComplexError, GradedBasis, GradedChainComplex,
                      GradedMap, WindowError)
 from .lie import PbwAlgebra
-from .scalars import Matrix, accumulate
+from .scalars import FpSpan, accumulate, fp_kernel
 
 
 class StructureError(ValueError):
@@ -63,9 +70,8 @@ def _dual_gamma(alg: PbwAlgebra) -> GammaAlgebra:
     return GammaAlgebra(alg.ring, alg.n_max, gens)
 
 
-def _in_span(ring, basis_vecs: list, vec) -> bool:
-    return Matrix.from_columns(ring, len(vec), basis_vecs).solve(vec) \
-        is not None
+def _sparse(vec) -> dict:
+    return {i: x for i, x in enumerate(vec) if x}
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +241,13 @@ class PageAlgebra:
     basis change that is the identity mod p (Browder, "Torsion in
     H-spaces", 1961).  So a tensor chain surviving to page r has the class
     Σ c·u_i·v_j mod p over pairs of live classes, where u, v are the
-    monomials' page coordinates; the comparison with the tensor-square
-    page is the identity, and the constructor checks what that rests on:
-    each class representative reads back as its own unit vector.
+    monomials' page coordinates: the class rows of P^-1, read once per page
+    into a sparse list per monomial.  A class over class_pairs(n) is a dict
+    position -> nonzero coefficient, and the primitives are the kernel of
+    those sparse columns over F_p (`FpSpan`).  The comparison with the
+    tensor-square page is the identity, and the constructor checks what
+    that rests on: each class representative reads back as its own unit
+    vector.
     """
 
     def __init__(self, alg: PbwAlgebra, result: BssResult, r: int):
@@ -247,57 +257,75 @@ class PageAlgebra:
         self.page = result.page(r)
         self.fp = alg.ring.residue_field()
         self.window = self.page.n_max
-        self._coords = {}       # monomial -> page coordinates mod p
-        dec = result.decomposition
+        self._pairs = {}        # n -> class_pairs(n)
+        self._pair_pos = {}     # n -> pair -> position in class_pairs(n)
+        self._coords = {}       # monomial -> (degree, [(class, coeff)])
+        ring, Pinv = alg.ring, result.decomposition.Pinv
+        for n in range(self.window + 1):
+            keys = alg.basis.keys(n)
+            coords = [[] for _ in keys]
+            for i, cl in enumerate(self.page.classes.get(n, [])):
+                for j, x in Pinv[n][cl.new_index].items():
+                    u = ring.reduce_mod_p(x)
+                    if u:
+                        coords[j].append((i, u))
+            self._coords.update((m, (n, c)) for m, c in zip(keys, coords))
         for n, cls in self.page.classes.items():
             for i, cl in enumerate(cls):
-                unit = [int(j == i) for j in range(len(cls))]
-                if self._read(n, dec.coordinates(n, cl.rep)) != unit:
+                if self._read(n, cl.rep) != {i: 1}:
                     raise StructureError(
                         f"Künneth comparison is not the identity: {cl.name} "
                         f"at degree {n} does not read back as itself")
 
     def class_pairs(self, n: int) -> list:
-        return [(a, i, j)
-                for a in range(n + 1)
-                for i in range(self.page.dim(a))
-                for j in range(self.page.dim(n - a))]
+        """(a, i, j): class i of degree a with class j of degree n - a;
+        built once per degree, so do not mutate."""
+        if n not in self._pairs:
+            pairs = [(a, i, j)
+                     for a in range(n + 1)
+                     for i in range(self.page.dim(a))
+                     for j in range(self.page.dim(n - a))]
+            self._pairs[n] = pairs
+            self._pair_pos[n] = {pr: k for k, pr in enumerate(pairs)}
+        return self._pairs[n]
 
-    def _read(self, n: int, w) -> list:
-        """Page-r coordinates mod p of a UL chain with coordinates w in the
-        decomposed basis (survival not checked)."""
-        return [self.alg.ring.reduce_mod_p(w[cl.new_index])
-                for cl in self.page.classes.get(n, [])]
+    def _read(self, n: int, vec) -> dict:
+        """Page-r coordinates mod p (class position -> nonzero) of a UL
+        chain of degree n in basis coordinates (survival not checked)."""
+        ring, p = self.alg.ring, self.fp.p
+        out = {}
+        for mono, x in zip(self.alg.basis.keys(n), vec):
+            if x:
+                x = ring.reduce_mod_p(x)
+                for i, u in self._coords[mono][1]:
+                    out[i] = out.get(i, 0) + x * u
+        return {i: x % p for i, x in out.items() if x % p}
 
-    def _mono_coords(self, mono) -> list:
-        """Page coordinates of a monomial, read off its column of P^-1."""
-        if mono not in self._coords:
-            n = self.alg.monomial_degree(mono)
-            self._coords[mono] = self._read(
-                n, self.result.decomposition.basis_coordinates(
-                    n, self.alg.basis.index(n, mono)))
-        return self._coords[mono]
-
-    def _pair_coords(self, n: int, t: dict) -> list:
-        """Page-r class of a chain of UL ⊗ UL, over class_pairs(n)."""
-        ring, fp, r = self.alg.ring, self.fp, self.r
+    def _pair_coords(self, n: int, t: dict) -> dict:
+        """Page-r class of a chain of UL ⊗ UL of degree n, as class_pairs(n)
+        position -> nonzero coefficient."""
+        ring, r, p = self.alg.ring, self.r, self.fp.p
         if n > self.window or n < 0:
             raise WindowError(f"degree {n} outside page trust window")
         for c in self.alg.tensor_d(t).values():
             if ring.valuation(c) < r:
                 raise ComplexError(
                     f"chain does not survive to page {r}: d(c) ∉ p^{r}·C")
-        pairs = self.class_pairs(n)
-        pos = {pr: k for k, pr in enumerate(pairs)}
-        out = [fp.zero] * len(pairs)
+        self.class_pairs(n)
+        pos, coords = self._pair_pos[n], self._coords
+        out = {}
         for (m1, m2), c in t.items():
-            a, c = self.alg.monomial_degree(m1), ring.reduce_mod_p(c)
-            for i, ui in enumerate(self._mono_coords(m1)):
-                for j, vj in enumerate(self._mono_coords(m2)):
-                    if ui and vj:
-                        k = pos[(a, i, j)]
-                        out[k] = fp.add(out[k], fp.mul(c, fp.mul(ui, vj)))
-        return out
+            a, u = coords[m1]
+            v = coords[m2][1]
+            c = ring.reduce_mod_p(c)
+            if not (u and v and c):
+                continue
+            for i, ui in u:
+                cu = c * ui
+                for j, vj in v:
+                    k = pos[a, i, j]
+                    out[k] = out.get(k, 0) + cu * vj
+        return {k: x % p for k, x in out.items() if x % p}
 
     def _rep_elem(self, n: int, vec) -> dict:
         """Chain representative (as a UL element) of page coordinates."""
@@ -317,8 +345,9 @@ class PageAlgebra:
 
     def coproduct(self, n: int, vec):
         """Coproduct of a page class, as coordinates over class_pairs(n)."""
-        return self._pair_coords(
+        coords = self._pair_coords(
             n, self.alg.coproduct_elem(self._rep_elem(n, vec)))
+        return [coords.get(k, 0) for k in range(len(self.class_pairs(n)))]
 
     def beta(self, n: int, vec):
         return self.page.beta.block(n).apply(vec)
@@ -338,7 +367,8 @@ class PageAlgebra:
         return lhs == rhs
 
     def primitives(self, n: int) -> list:
-        """Basis of the kernel of the reduced coproduct, in page coords."""
+        """Basis of the kernel of the reduced coproduct, in page coords:
+        the reduced-echelon one, from the sparse columns over F_p."""
         if n < 1 or n > self.window:
             return []
         cols = []
@@ -347,9 +377,8 @@ class PageAlgebra:
             red = {k: v for k, v in self.alg.coproduct_elem(elem).items()
                    if k[0] and k[1]}
             cols.append(self._pair_coords(n, red))
-        if not cols:
-            return []
-        return Matrix.from_columns(self.fp, len(cols[0]), cols).kernel_basis()
+        return [[v.get(i, 0) for i in range(len(cols))]
+                for v in fp_kernel(self.fp.p, cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +444,11 @@ def verify_envelope_pages(alg: PbwAlgebra, result: BssResult,
         prim_dims[r] = {n: len(v) for n, v in prim.items() if v}
         page_dims[r] = {n: page.dim(n) for n in range(window + 1)
                         if page.dim(n)}
+        span = {n: FpSpan(fp.p, map(_sparse, prim.get(n, [])))
+                for n in range(window + 1)}
         for n in range(1, window + 1):
             for v in prim[n]:
-                img = page.beta.block(n).apply(v)
-                if not _in_span(fp, prim.get(n - 1, []), img):
+                if _sparse(page.beta.block(n).apply(v)) not in span[n - 1]:
                     failures.append(
                         f"page {r}: β of a primitive at degree {n} "
                         "is not primitive")
@@ -432,8 +462,8 @@ def verify_envelope_pages(alg: PbwAlgebra, result: BssResult,
                     f"from the enveloping count {env[n]}")
         gm = page_maps[r - 1]
         for n in range(1, window + 1):
-            for col in gm.block(n).columns():
-                if not _in_span(fp, prim.get(n, []), col):
+            for col in gm.sparse_columns(n):
+                if col not in span[n]:
                     failures.append(
                         f"page {r}: a Lie class at degree {n} maps to a "
                         "non-primitive page class")

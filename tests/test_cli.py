@@ -328,3 +328,37 @@ class TestExamples:
               "--rmax", "1"])
         capsys.readouterr()
         assert main(["validate", str(out / "example1.dgl")]) == 0
+
+
+class TestJsonFlagPosition:
+    """`--json` before or after the subcommand gives the same run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{ex1}"],
+        ["validate", "{bad}"],
+        ["homology", "{ex1}", "--target", "lie"],
+        ["bss", "{ex1}", "--rmax", "2"],
+        ["bss", "{abc}", "--rmax", "1", "--check-envelopes"],
+        ["cochains", "{ex1}"],
+        ["examples", "example1", "--out", "{out}"],
+        ["check-morphism", "{abc}", "{abc}", "{twist}", "--mod-p"],
+        ["check-morphism", "{abc}", "{abc}", "{twist}"],
+        ["bss", "{missing}"],
+    ], ids=["validate", "validate-invalid", "homology", "bss",
+            "bss-envelopes", "cochains", "examples", "check-morphism",
+            "check-morphism-fails", "missing-file"])
+    def test_both_orders_agree(self, argv, ex1, abc, tmp_path, capsys):
+        (tmp_path / "bad.dgl").write_text(BAD_ALGEBRA)
+        (tmp_path / "twist.map").write_text(TWIST)
+        paths = {"ex1": ex1, "abc": abc, "bad": str(tmp_path / "bad.dgl"),
+                 "twist": str(tmp_path / "twist.map"),
+                 "out": str(tmp_path / "out"),
+                 "missing": str(tmp_path / "missing.dgl")}
+        argv = [a.format(**paths) for a in argv]
+        runs = []
+        for order in (["--json"] + argv, argv + ["--json"]):
+            code = exit_code(order)
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        if runs[0][0] == 0:
+            json.loads(runs[0][1])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bockstein.scalars import (DimensionError, Matrix, PrimeField, RingError,
-                               ZpLocal)
+from bockstein.scalars import (DimensionError, FpSpan, Matrix, PrimeField,
+                               RingError, ZpLocal, accumulate, fp_kernel)
 from oracles import bareiss_rank, dense_snf, fp_rank
 
 Z3 = ZpLocal(3)
@@ -342,3 +342,59 @@ class TestKernelSolve:
             assert len(ker) == 5 - m.rank()
             for v in ker:
                 assert all(Z3.is_zero(x) for x in m.apply(v))
+
+
+@st.composite
+def sparse_fp_columns(draw):
+    """(p, rows, columns): sparse int columns over F_3 or F_5, with zero
+    columns, repeated columns and entries outside [0, p) among them."""
+    p = draw(st.sampled_from([3, 5]))
+    rows = draw(st.integers(0, 6))
+    entry = st.integers(-2 * p, 2 * p)
+    column = st.dictionaries(st.integers(0, rows - 1), entry,
+                             max_size=min(rows, 3)) if rows else st.just({})
+    base = draw(st.lists(column, max_size=5))
+    picks = draw(st.lists(st.integers(-1, len(base) - 1), max_size=8))
+    cols = [dict(base[k]) if k >= 0 else {} for k in picks] \
+        if base else draw(st.lists(st.just({}), max_size=3))
+    return p, rows, cols
+
+
+def _dense(col: dict, rows: int) -> list:
+    return [col.get(i, 0) for i in range(rows)]
+
+
+class TestFpSpan:
+    """The sparse F_p reducer against dense rref: the kernel basis is the
+    same list of vectors, and span membership agrees with solve."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_fp_columns(), st.data())
+    def test_matches_dense_rref(self, case, data):
+        p, rows, cols = case
+        fp = PrimeField(p)
+        m = Matrix.from_columns(fp, rows, [_dense(c, rows) for c in cols])
+        assert [_dense(v, len(cols)) for v in fp_kernel(p, cols)] \
+            == m.kernel_basis()
+        span = FpSpan(p, cols)
+        coeffs = data.draw(st.lists(st.integers(0, p - 1),
+                                    min_size=len(cols), max_size=len(cols)))
+        inside = {}
+        for c, col in zip(coeffs, cols):
+            accumulate(fp, inside, {i: fp.of(x) for i, x in col.items()}, c)
+        other = data.draw(st.dictionaries(
+            st.integers(0, rows - 1), st.integers(-p, p),
+            max_size=rows) if rows else st.just({}))
+        for vec in (inside, other, {}):
+            assert (vec in span) == (m.solve(_dense(vec, rows)) is not None)
+
+    def test_kernel_of_no_columns_is_empty(self):
+        assert fp_kernel(3, []) == []
+        assert {} in FpSpan(3) and {0: 3} in FpSpan(3)
+        assert {0: 1} not in FpSpan(3)
+
+    def test_repeated_and_zero_columns(self):
+        # columns a, {}, a, 2a: kernel e2, e3 - e1, e4 - 2e1 (mod 3)
+        a = {0: 1, 2: 2}
+        assert fp_kernel(3, [a, {}, a, {0: 2, 2: 1}]) == [
+            {1: 1}, {0: 2, 2: 1}, {0: 1, 3: 1}]

@@ -330,6 +330,22 @@ def envelope_report(L, r_max, window=None):
 
 
 class TestVerifyEnvelopePages:
+    @pytest.mark.parametrize("L", [
+        DgLie(Z3, 16, [("a", 1), ("b", 2), ("c", 1), ("d", 2)], {},
+              {1: {0: 3}, 3: {2: 9}}),
+        DgLie(Z3, 10, XYZW, {(0, 1): {2: 1}}, {3: {2: 3}}),
+    ], ids=["four4", "xyzw"])
+    def test_no_dense_field_elimination(self, L, monkeypatch):
+        # primitives and the span checks run on sparse F_p columns; the
+        # dense rref and solve are not reached
+        def dense(*args, **kwargs):
+            raise AssertionError("dense F_p elimination on the check path")
+        monkeypatch.setattr(Matrix, "rref", dense)
+        monkeypatch.setattr(Matrix, "solve", dense)
+        rep = envelope_report(L, 3)
+        assert rep.ok, rep.failures
+        assert rep.primitive_dims[1]
+
     def test_example1(self):
         L = DgLie(Z3, 20, [("e", 1), ("f", 2)], {}, {1: {0: 3}})
         rep = envelope_report(L, 3)
