@@ -5,7 +5,9 @@ contributes the pair ([y], [x]) to every page r ≤ k, with β^r[y] = [x] exactl
 when r = k, and both classes die entering page k+1; free pieces contribute
 permanent classes.  Chain-level representatives are the decomposed basis
 vectors, so d(rep) ∈ p^r·C holds by construction for every class alive at
-page r.
+page r; each is its column of P, a column dict shared with the
+decomposition.  Chains and page coordinates are column dicts throughout,
+and β^r is stored as the column dicts of its arrows.
 """
 
 from __future__ import annotations
@@ -14,14 +16,16 @@ from dataclasses import dataclass, field
 
 from .graded import (ComplexError, Decomposition, GradedBasis,
                      GradedChainComplex, GradedMap, WindowError, decompose)
-from .scalars import Matrix, RingError
+from .scalars import RingError
 
 
 @dataclass
 class PageClass:
     degree: int
     name: str
-    rep: list                    # chain in original coordinates over Z_(p)
+    # the class's column of P, shared rather than copied: its chain in
+    # original coordinates over Z_(p), position -> nonzero
+    rep: dict
     kind: str                    # "free" | "top" | "bottom"
     exponent: int                # piece exponent (0 for free classes)
     new_index: int               # column in the decomposed basis
@@ -55,23 +59,28 @@ class BssResult:
             raise WindowError(f"page {r} not computed (r_max={len(self.pages)})")
         return self.pages[r - 1]
 
-    def class_of_chain(self, r: int, n: int, vec):
-        """F_p coordinates, in the page-r basis at degree n, of a chain.
+    def class_of_chain(self, r: int, n: int, col: dict) -> dict:
+        """F_p coordinates, in the page-r basis at degree n, of a chain;
+        column dicts both.
 
-        The chain must survive to page r: d(vec) ∈ p^r·C.  Raises otherwise.
+        The chain must survive to page r: d(col) ∈ p^r·C.  Raises otherwise.
         """
         ring = self.complex.ring
         page = self.page(r)
         if n > page.n_max or n < 0:
             raise WindowError(f"degree {n} outside page trust window")
-        img = self.complex.d.block(n).apply(vec)
-        for x in img:
-            if not ring.is_zero(x) and ring.valuation(x) < r:
+        for x in self.complex.d.apply(n, col).values():
+            if ring.valuation(x) < r:
                 raise ComplexError(
                     f"chain does not survive to page {r}: d(c) ∉ p^{r}·C")
-        w = self.decomposition.coordinates(n, vec)
-        return [ring.reduce_mod_p(w[cl.new_index])
-                for cl in page.classes.get(n, [])]
+        w = self.decomposition.coordinates(n, col)
+        out = {}
+        for i, cl in enumerate(page.classes.get(n, [])):
+            if cl.new_index in w:
+                x = ring.reduce_mod_p(w[cl.new_index])
+                if x:
+                    out[i] = x
+        return out
 
 
 def _class_name(basis: GradedBasis, n: int, column: dict, used):
@@ -160,12 +169,7 @@ def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
 
 def is_chain_map(f: GradedMap, C: GradedChainComplex, D: GradedChainComplex):
     """None if f commutes with the differentials, else the offending degree."""
-    lhs = D.d.compose(f)
-    rhs = f.compose(C.d)
-    for n in set(lhs.blocks) | set(rhs.blocks):
-        if lhs.block(n).a != rhs.block(n).a:
-            return n
-    return None
+    return D.d.compose(f).differs_at(f.compose(C.d))
 
 
 def bss_of_morphism(f: GradedMap, bss_src: BssResult, bss_tgt: BssResult,
@@ -186,9 +190,8 @@ def bss_of_morphism(f: GradedMap, bss_src: BssResult, bss_tgt: BssResult,
         ps, pt = bss_src.page(r), bss_tgt.page(r)
         gm = GradedMap(ps.basis, pt.basis, 0, fp)
         for n in ps.degrees():
-            cols = [bss_tgt.class_of_chain(r, n, f.apply(n, cl.rep))
-                    for cl in ps.classes[n]]
-            if cols:
-                gm.set_block(n, Matrix.from_columns(fp, pt.dim(n), cols))
+            gm.set_sparse_columns(n, [
+                bss_tgt.class_of_chain(r, n, f.apply(n, cl.rep))
+                for cl in ps.classes[n]])
         out.append(gm)
     return out

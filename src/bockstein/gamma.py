@@ -361,9 +361,10 @@ def adjoint(f: GradedMap, G_src: GammaAlgebra,
     """
     ring = f.ring
     out = dualize(f, G_src.basis, G_tgt.basis)
-    for m, blk in out.blocks.items():
+    for m in out.degrees():
         rows = pairing_signs(G_src, m + out.degree)
         cols = pairing_signs(G_tgt, m)
-        blk.a = [[x if r * c > 0 else ring.neg(x) for x, c in zip(row, cols)]
-                 for row, r in zip(blk.a, rows)]
+        out.set_sparse_columns(m, [
+            {i: x if rows[i] * c > 0 else ring.neg(x) for i, x in col.items()}
+            for col, c in zip(out.sparse_columns(m), cols)])
     return out

@@ -10,11 +10,13 @@ decomposition later drives the Bockstein pages, so torsion bookkeeping
 happens exactly once; over F_p every piece has exponent 0, so the free
 pieces are a homology basis.
 
-Sparse elements meet matrix blocks only here: a `GradedBasis` knows each
-degree's keys (PBW monomials, Γ words, names) and their positions, and a
-`GradedMap` keeps each block dense (`blocks`) and as column dicts of its
-nonzeros (`sparse_columns`), reads an element's image off those columns
-(`image`) and is built from the images of basis keys (`set_columns`).
+Everything here is sparse.  A chain, or coordinates in any basis, is a
+column dict: position -> nonzero entry.  A `GradedBasis` knows each
+degree's keys (PBW monomials, Γ words, names) and their positions, and
+converts between an element (key -> scalar) and its column dict.  A
+`GradedMap` stores each block only as the column dicts of its nonzeros and
+does all its arithmetic on them; `block(n)` builds a dense `Matrix` on
+demand, for the small page-level maps and for tests.
 `check_square_zero` multiplies block nonzeros and names the first entry of
 d∘d that is not zero.
 """
@@ -41,8 +43,8 @@ class GradedBasis:
     A key is whatever names a basis vector to its owner: a PBW monomial, a
     Γ word, a generator index or a plain name.  `name` prints a key (keys
     are their own names by default).  Each degree keeps a key -> position
-    dict, so elements (sparse dicts key -> scalar) and coordinate vectors
-    convert here and nowhere else.
+    dict, so elements (sparse dicts key -> scalar) and column dicts
+    (position -> scalar) convert here and nowhere else.
     """
 
     def __init__(self, keys_by_degree: dict, n_max: int, name=None):
@@ -81,16 +83,17 @@ class GradedBasis:
             raise ComplexError(f"{key!r} is not a basis element of degree {n}")
         return j
 
-    def to_vector(self, n: int, elem: dict, ring) -> list:
-        """Coordinates in degree n of a sparse element; zero terms skipped."""
-        vec = [ring.zero] * self.dim(n)
-        for key, c in elem.items():
-            if not ring.is_zero(c):
-                vec[self.index(n, key)] = c
-        return vec
+    def to_column(self, n: int, elem: dict, ring) -> dict:
+        """The column dict in degree n of a sparse element, in basis order;
+        zero terms skipped."""
+        col = {self.index(n, key): c for key, c in elem.items()
+               if not ring.is_zero(c)}
+        return {i: col[i] for i in sorted(col)}
 
-    def from_vector(self, n: int, vec, ring) -> dict:
-        return {k: c for k, c in zip(self.keys(n), vec) if not ring.is_zero(c)}
+    def from_column(self, n: int, col: dict) -> dict:
+        """The sparse element of a column dict of nonzeros in degree n."""
+        keys = self.keys(n)
+        return {keys[i]: c for i, c in col.items()}
 
     def __eq__(self, other):
         return (isinstance(other, GradedBasis) and self.n_max == other.n_max
@@ -101,84 +104,94 @@ class GradedBasis:
 
 
 class GradedMap:
-    """Degree-d linear map between graded bases; per-degree matrix blocks.
+    """Degree-d linear map between graded bases, stored as column dicts.
 
-    The block at degree n is a dim(target, n+d) x dim(source, n) matrix;
-    missing blocks are zero.  Blocks are set through `set_block` and
-    `set_columns` only: each block's nonzeros are also kept as column dicts
-    (`sparse_columns`), which `image` and the sparse kernels read; they come
-    with the block from `set_columns`, and from a scan of the block on the
-    first read otherwise.
+    The block at degree n maps source degree n to target degree n + d.  It
+    is stored only as one column dict per source basis vector, target
+    position -> nonzero entry in row order (`sparse_columns`), and a zero
+    block is not stored at all; setting a degree replaces its block.
+    `image` and `apply`, composition, sums, comparison, reduction mod p and
+    duals all work on the columns.  `block(n)` and `blocks` build dense
+    `Matrix` copies on each read, for small maps and tests.
     """
 
     def __init__(self, source: GradedBasis, target: GradedBasis, degree: int,
-                 ring, blocks: dict | None = None):
+                 ring):
         self.source = source
         self.target = target
         self.degree = degree
         self.ring = ring
-        self.blocks = {}
-        self._columns = {}      # n -> the block as column dicts, once read
-        if blocks:
-            for n, m in blocks.items():
-                self.set_block(n, m)
+        self._cols = {}         # n -> column dicts of the nonzero block at n
+
+    def set_sparse_columns(self, n: int, cols: list):
+        """Set the block at degree n from column dicts (row position ->
+        entry), one per source basis vector; zero entries are dropped, and
+        an all-zero block clears the degree."""
+        rows, is_zero = self.target.dim(n + self.degree), self.ring.is_zero
+        if len(cols) != self.source.dim(n):
+            raise ComplexError(
+                f"block at degree {n} has {len(cols)} columns, expected "
+                f"{self.source.dim(n)}")
+        clean = []
+        for col in cols:
+            keys = sorted(i for i, x in col.items() if not is_zero(x))
+            if keys and (keys[0] < 0 or keys[-1] >= rows):
+                raise ComplexError(
+                    f"block at degree {n} has a row outside 0..{rows - 1}")
+            clean.append({i: col[i] for i in keys})
+        if any(clean):
+            self._cols[n] = clean
+        else:
+            self._cols.pop(n, None)
+
+    def set_columns(self, n: int, elems: list):
+        """Set the block at degree n from its columns, sparse elements of
+        the target in degree n + deg."""
+        m = n + self.degree
+        self.set_sparse_columns(
+            n, [self.target.to_column(m, elem, self.ring) for elem in elems])
 
     def set_block(self, n: int, m: Matrix):
         if m.rows != self.target.dim(n + self.degree) or m.cols != self.source.dim(n):
             raise ComplexError(
                 f"block at degree {n} has shape {m.rows}x{m.cols}, expected "
                 f"{self.target.dim(n + self.degree)}x{self.source.dim(n)}")
-        self._columns.pop(n, None)
-        if not m.is_zero():
-            self.blocks[n] = m
-
-    def set_columns(self, n: int, elems: list):
-        """Set the block at degree n from its columns, sparse elements of
-        the target in degree n + deg; an all-zero block stays unset.  The
-        column dicts are kept, so `sparse_columns` need not scan the block."""
-        if not any(elems):
-            return
-        m, is_zero = n + self.degree, self.ring.is_zero
-        cols = []
-        for elem in elems:
-            col = {self.target.index(m, key): c for key, c in elem.items()}
-            cols.append({i: col[i] for i in sorted(col)
-                         if not is_zero(col[i])})
-        self.set_block(n, Matrix.from_sparse_columns(
-            self.ring, self.target.dim(m), cols))
-        if n in self.blocks:
-            self._columns[n] = cols
-
-    def block(self, n: int) -> Matrix:
-        if n in self.blocks:
-            return self.blocks[n]
-        return Matrix.zeros(self.ring, self.target.dim(n + self.degree),
-                            self.source.dim(n))
+        self.set_sparse_columns(n, m.sparse_columns())
 
     def sparse_columns(self, n: int) -> list:
         """The block at degree n as column dicts (row -> nonzero entry, in
-        row order); kept after the first call, so do not mutate."""
-        cols = self._columns.get(n)
-        if cols is None:
-            cols = (self.blocks[n].sparse_columns() if n in self.blocks
-                    else [{} for _ in range(self.source.dim(n))])
-            self._columns[n] = cols
-        return cols
+        row order); stored, so do not mutate."""
+        cols = self._cols.get(n)
+        return cols if cols is not None else [
+            {} for _ in range(self.source.dim(n))]
+
+    def degrees(self) -> list:
+        """The degrees whose block is not zero."""
+        return sorted(self._cols)
+
+    def block(self, n: int) -> Matrix:
+        """The block at degree n as a dense Matrix, built on each call."""
+        return Matrix.from_sparse_columns(self.ring,
+                                          self.target.dim(n + self.degree),
+                                          self.sparse_columns(n))
+
+    @property
+    def blocks(self) -> dict:
+        """Degree -> dense Matrix of each nonzero block, built on each read
+        (a new dict, so writing to it changes nothing)."""
+        return {n: self.block(n) for n in self.degrees()}
+
+    def apply(self, n: int, col: dict) -> dict:
+        """f of a column dict of source degree n, as a column dict of the
+        target degree n + deg."""
+        cols = self._cols.get(n)
+        return _times(self.ring, cols, col) if cols else {}
 
     def image(self, n: int, elem: dict) -> dict:
         """f of a sparse element of source degree n, as a sparse element of
-        the target: the sum of the block columns of its keys."""
-        ring, is_zero = self.ring, self.ring.is_zero
-        cols = [(self.source.index(n, key), c) for key, c in elem.items()
-                if not is_zero(c)]
-        out = {}
-        if n in self.blocks:
-            keys = self.target.keys(n + self.degree)
-            block = self.sparse_columns(n)
-            for j, c in cols:
-                accumulate(ring, out, {keys[i]: x
-                                       for i, x in block[j].items()}, c)
-        return out
+        the target."""
+        return self.target.from_column(n + self.degree, self.apply(
+            n, self.source.to_column(n, elem, self.ring)))
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self ∘ other."""
@@ -186,42 +199,42 @@ class GradedMap:
             raise ComplexError("composition source/target mismatch")
         out = GradedMap(other.source, self.target, self.degree + other.degree,
                         self.ring)
-        for n in range(other.source.n_max + 1):
+        for n, cols in other._cols.items():
             mid = n + other.degree
-            if mid < 0 or mid + self.degree < 0:
-                continue
-            if mid > self.source.n_max or n + out.degree > self.target.n_max:
-                continue
-            out.set_block(n, self.block(mid) * other.block(n))
+            if mid in self._cols:
+                out.set_sparse_columns(n, [self.apply(mid, c) for c in cols])
         return out
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         if self.degree != other.degree:
             raise ComplexError("cannot add maps of different degrees")
-        out = GradedMap(self.source, self.target, self.degree, self.ring)
-        for n in set(self.blocks) | set(other.blocks):
-            out.set_block(n, self.block(n) + other.block(n))
+        ring = self.ring
+        out = GradedMap(self.source, self.target, self.degree, ring)
+        for n in set(self._cols) | set(other._cols):
+            out.set_sparse_columns(n, [
+                accumulate(ring, dict(a), b, ring.one) for a, b in
+                zip(self.sparse_columns(n), other.sparse_columns(n))])
         return out
 
+    def differs_at(self, other: "GradedMap") -> int | None:
+        """The least degree where the blocks of two maps differ, or None."""
+        return min((n for n in set(self._cols) | set(other._cols)
+                    if self._cols.get(n) != other._cols.get(n)), default=None)
+
     def __eq__(self, other):
-        if not isinstance(other, GradedMap) or self.degree != other.degree:
-            return False
-        for n in set(self.blocks) | set(other.blocks):
-            if self.block(n).a != other.block(n).a:
-                return False
-        return True
+        return (isinstance(other, GradedMap) and self.degree == other.degree
+                and self.differs_at(other) is None)
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.blocks.values())
-
-    def apply(self, n: int, vec):
-        return self.block(n).apply(vec)
+        return not self._cols
 
     def reduce_mod_p(self) -> "GradedMap":
-        fp = self.ring.residue_field()
-        out = GradedMap(self.source, self.target, self.degree, fp)
-        for n, m in self.blocks.items():
-            out.set_block(n, m.reduce_mod_p())
+        red = self.ring.reduce_mod_p
+        out = GradedMap(self.source, self.target, self.degree,
+                        self.ring.residue_field())
+        for n, cols in self._cols.items():
+            out.set_sparse_columns(
+                n, [{i: red(x) for i, x in col.items()} for col in cols])
         return out
 
 
@@ -240,11 +253,12 @@ def dualize(f: GradedMap, source_dual: GradedBasis,
     """
     ring = f.ring
     out = GradedMap(target_dual, source_dual, -f.degree, ring)
-    for n, m in f.blocks.items():
-        mt = m.transpose()
+    for n, cols in f._cols.items():
+        m = n + f.degree
+        rows = _transpose(cols, target_dual.dim(m))
         if (f.degree * n) % 2 == 1:
-            mt = mt.scaled(ring.neg(ring.one))
-        out.set_block(n + f.degree, mt)
+            rows = [{j: ring.neg(x) for j, x in row.items()} for row in rows]
+        out.set_sparse_columns(m, rows)
     return out
 
 
@@ -258,20 +272,16 @@ def _times(ring, A: list, col: dict) -> dict:
 
 def check_square_zero(d: GradedMap):
     """Raise ComplexError unless d∘d = 0, naming the first entry that is not
-    zero: least source degree, then basis order of source and target.
-    Multiplies the nonzeros of the blocks' columns."""
-    for n in sorted(d.blocks):
-        if n + d.degree not in d.blocks:
-            continue
-        outer = d.sparse_columns(n + d.degree)
-        for j, col in enumerate(d.sparse_columns(n)):
-            dd = _times(d.ring, outer, col)
-            if dd:
-                i = min(dd)
-                raise ComplexError(
-                    f"d∘d ≠ 0 at degree {n}: d(d({d.source.names(n)[j]})) "
-                    f"has coefficient {dd[i]} on "
-                    f"{d.target.names(n + 2 * d.degree)[i]}")
+    zero: least source degree, then basis order of source and target."""
+    dd = d.compose(d)
+    if not dd.is_zero():
+        n = dd.degrees()[0]
+        j, col = next((j, c) for j, c in enumerate(dd.sparse_columns(n)) if c)
+        i = min(col)
+        raise ComplexError(
+            f"d∘d ≠ 0 at degree {n}: d(d({d.source.names(n)[j]})) "
+            f"has coefficient {col[i]} on "
+            f"{d.target.names(n + 2 * d.degree)[i]}")
 
 
 class GradedChainComplex:
@@ -316,25 +326,16 @@ class Decomposition:
     P: dict = field(default_factory=dict)       # n -> columns (dicts) of the
     Pinv: dict = field(default_factory=dict)    # new basis; n -> rows of P^-1
 
-    def representative(self, n: int, index: int):
-        """Chain in original coordinates for new-basis vector (n, index)."""
-        vec = [self.complex.ring.zero] * self.complex.dim(n)
-        for i, x in self.P[n][index].items():
-            vec[i] = x
-        return vec
+    def representative(self, n: int, index: int) -> dict:
+        """Chain in original coordinates of new-basis vector (n, index): the
+        column of P itself, so do not mutate."""
+        return self.P[n][index]
 
-    def coordinates(self, n: int, vec):
-        """Coordinates of an original-basis chain in the new basis."""
-        ring = self.complex.ring
-        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-        out = []
-        for row in self.Pinv[n]:
-            s = ring.zero
-            for k, x in row.items():
-                if not is_zero(vec[k]):
-                    s = add(s, mul(x, vec[k]))
-            out.append(s)
-        return out
+    def coordinates(self, n: int, col: dict) -> dict:
+        """New-basis coordinates P^-1·col of an original-basis chain, as
+        column dicts both."""
+        C = self.complex
+        return _times(C.ring, _transpose(self.Pinv[n], C.dim(n)), col)
 
 
 def decompose(C: GradedChainComplex) -> Decomposition:
@@ -476,8 +477,9 @@ class FieldHomology:
             N = basis.n_max
             basis = GradedBasis({N - n: basis.names(n)
                                  for n in basis.degrees()}, N)
-            d = GradedMap(basis, basis, -1, self.ring,
-                          {N - n: m for n, m in d.blocks.items() if n < N})
+            d = GradedMap(basis, basis, -1, self.ring)
+            for n in self.d.degrees():
+                d.set_sparse_columns(N - n, self.d.sparse_columns(n))
         self._dec = decompose(GradedChainComplex(basis, d, self.ring))
         self._free = {}        # chain degree -> free piece indices, in order
         for pc in self._dec.pieces:
@@ -491,16 +493,17 @@ class FieldHomology:
     def dim(self, n: int) -> int:
         return len(self._free.get(self._m(n), []))
 
-    def class_of(self, n: int, vec):
-        """Homology coordinates of a cycle; raises if not a cycle."""
-        ring = self.ring
-        if any(not ring.is_zero(x) for x in self.d.block(n).apply(vec)):
+    def class_of(self, n: int, col: dict) -> dict:
+        """Homology coordinates of a cycle, as column dicts both; raises if
+        not a cycle."""
+        if self.d.apply(n, col):
             raise ComplexError("not a cycle")
         m = self._m(n)
-        w = self._dec.coordinates(m, vec)
-        return [w[j] for j in self._free.get(m, [])]
+        w = self._dec.coordinates(m, col)
+        return {h: w[j] for h, j in enumerate(self._free.get(m, []))
+                if j in w}
 
-    def representative(self, n: int, h_index: int):
+    def representative(self, n: int, h_index: int) -> dict:
         m = self._m(n)
         return self._dec.representative(m, self._free[m][h_index])
 
@@ -509,16 +512,13 @@ def induced_map(f: GradedMap, H_src: FieldHomology, H_tgt: FieldHomology,
                 window: int) -> dict:
     """Per-degree matrices of H(f) in degrees ≤ window; f must be a (co)chain
     map there."""
-    ring = f.ring
     out = {}
     for n in range(window + 1):
         if not (0 <= n + f.degree <= H_tgt.basis.n_max):
             continue
-        cols = []
-        for j in range(H_src.dim(n)):
-            rep = H_src.representative(n, j)
-            img = f.apply(n, rep)
-            cols.append(H_tgt.class_of(n + f.degree, img))
-        out[n] = Matrix.from_columns(ring, H_tgt.dim(n + f.degree), cols) \
-            if cols else Matrix.zeros(ring, H_tgt.dim(n + f.degree), 0)
+        cols = [H_tgt.class_of(n + f.degree,
+                               f.apply(n, H_src.representative(n, j)))
+                for j in range(H_src.dim(n))]
+        out[n] = Matrix.from_sparse_columns(f.ring, H_tgt.dim(n + f.degree),
+                                            cols)
     return out

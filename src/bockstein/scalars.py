@@ -269,9 +269,6 @@ class Matrix:
     def column(self, j: int):
         return [self.a[i][j] for i in range(self.rows)]
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def sparse_columns(self) -> list:
         """The columns as dicts row -> nonzero entry."""
         is_zero = self.ring.is_zero
@@ -324,9 +321,6 @@ class Matrix:
             for j in range(self.cols):
                 r.a[i][j] = self.ring.add(r.a[i][j], other.a[i][j])
         return r
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scaled(self.ring.neg(self.ring.one))
 
     def scaled(self, c) -> "Matrix":
         r = self.copy()

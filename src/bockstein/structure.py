@@ -13,12 +13,14 @@ second complex is decomposed.  Third, a page-by-page report that each
 page looks like the enveloping algebra of its primitives: β-closure, a
 dimension count, and primitivity of the image of the Lie inclusion.
 
-The page side works on nonzeros.  A class of UL ⊗ UL over pairs of page
-classes is a dict of its nonzero coordinates, the primitives are the
-kernel of those sparse columns over F_p, and the span checks reduce
-sparse vectors against them (`scalars.FpSpan`, whose kernel basis is the
-reduced-echelon one of `Matrix.kernel_basis`).  No dense F_p matrix is
-built on this path.
+The page side works on nonzeros.  Page coordinates, in and out, are
+column dicts (class position -> nonzero), a class's representative is its
+column of P, and β is applied through its stored columns.  A class of
+UL ⊗ UL over pairs of page classes is a dict of its nonzero coordinates,
+the primitives are the kernel of those sparse columns over F_p, and the
+span checks reduce sparse vectors against them (`scalars.FpSpan`, whose
+kernel basis is the reduced-echelon one of `Matrix.kernel_basis`).  No
+dense matrix or vector is built on this path.
 
 The coalgebra structure constants of UL in the PBW basis do not involve
 the bracket: Δ of an ordered monomial is a signed sum of binomial
@@ -68,10 +70,6 @@ def _dual_gamma(alg: PbwAlgebra) -> GammaAlgebra:
     gens = [(name + "#", deg)
             for name, deg in zip(alg.L.names, alg.L.degrees)]
     return GammaAlgebra(alg.ring, alg.n_max, gens)
-
-
-def _sparse(vec) -> dict:
-    return {i: x for i, x in enumerate(vec) if x}
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +287,15 @@ class PageAlgebra:
             self._pair_pos[n] = {pr: k for k, pr in enumerate(pairs)}
         return self._pairs[n]
 
-    def _read(self, n: int, vec) -> dict:
+    def _read(self, n: int, col: dict) -> dict:
         """Page-r coordinates mod p (class position -> nonzero) of a UL
-        chain of degree n in basis coordinates (survival not checked)."""
-        ring, p = self.alg.ring, self.fp.p
+        chain of degree n, a column dict (survival not checked)."""
+        ring, p, keys = self.alg.ring, self.fp.p, self.alg.basis.keys(n)
         out = {}
-        for mono, x in zip(self.alg.basis.keys(n), vec):
-            if x:
-                x = ring.reduce_mod_p(x)
-                for i, u in self._coords[mono][1]:
-                    out[i] = out.get(i, 0) + x * u
+        for j, x in col.items():
+            x = ring.reduce_mod_p(x)
+            for i, u in self._coords[keys[j]][1]:
+                out[i] = out.get(i, 0) + x * u
         return {i: x % p for i, x in out.items() if x % p}
 
     def _pair_coords(self, n: int, t: dict) -> dict:
@@ -327,58 +324,58 @@ class PageAlgebra:
                     out[k] = out.get(k, 0) + cu * vj
         return {k: x % p for k, x in out.items() if x % p}
 
-    def _rep_elem(self, n: int, vec) -> dict:
-        """Chain representative (as a UL element) of page coordinates."""
-        ring = self.alg.ring
-        out = {}
-        for c, cl in zip(vec, self.page.classes.get(n, [])):
-            accumulate(ring, out, self.alg.basis.from_vector(n, cl.rep, ring),
-                       ring.of(c))
-        return out
+    def _rep_elem(self, n: int, vec: dict) -> dict:
+        """Chain representative, as a UL element, of page coordinates (a
+        column dict)."""
+        ring, classes = self.alg.ring, self.page.classes.get(n, [])
+        col = {}
+        for i, c in vec.items():
+            accumulate(ring, col, classes[i].rep, ring.of(c))
+        return self.alg.basis.from_column(n, col)
 
-    def product(self, n1: int, vec1, n2: int, vec2):
+    def product(self, n1: int, vec1: dict, n2: int, vec2: dict) -> dict:
         """Page coordinates of the product of two page classes."""
         alg = self.alg
         prod = alg.mul(self._rep_elem(n1, vec1), self._rep_elem(n2, vec2))
         return self.result.class_of_chain(
-            self.r, n1 + n2, alg.basis.to_vector(n1 + n2, prod, alg.ring))
+            self.r, n1 + n2, alg.basis.to_column(n1 + n2, prod, alg.ring))
 
-    def coproduct(self, n: int, vec):
-        """Coproduct of a page class, as coordinates over class_pairs(n)."""
-        coords = self._pair_coords(
+    def coproduct(self, n: int, vec: dict) -> dict:
+        """Coproduct of a page class, as class_pairs(n) position ->
+        nonzero coefficient."""
+        return self._pair_coords(
             n, self.alg.coproduct_elem(self._rep_elem(n, vec)))
-        return [coords.get(k, 0) for k in range(len(self.class_pairs(n)))]
 
-    def beta(self, n: int, vec):
-        return self.page.beta.block(n).apply(vec)
+    def beta(self, n: int, vec: dict) -> dict:
+        return self.page.beta.apply(n, vec)
 
-    def beta_leibniz(self, n1: int, vec1, n2: int, vec2) -> bool:
+    def beta_leibniz(self, n1: int, vec1: dict, n2: int, vec2: dict) -> bool:
         """β(uv) = β(u)v + (-1)^{|u|} u β(v) on the page."""
         fp = self.fp
         lhs = self.beta(n1 + n2, self.product(n1, vec1, n2, vec2))
-        rhs = [fp.zero] * len(lhs)
+        rhs = {}
         if n1 >= 1:
-            t = self.product(n1 - 1, self.beta(n1, vec1), n2, vec2)
-            rhs = [fp.add(a, b) for a, b in zip(rhs, t)]
+            accumulate(fp, rhs, self.product(n1 - 1, self.beta(n1, vec1),
+                                             n2, vec2), fp.one)
         if n2 >= 1:
-            s = fp.of(-1 if n1 % 2 else 1)
-            t = self.product(n1, vec1, n2 - 1, self.beta(n2, vec2))
-            rhs = [fp.add(a, fp.mul(s, b)) for a, b in zip(rhs, t)]
+            accumulate(fp, rhs, self.product(n1, vec1, n2 - 1,
+                                             self.beta(n2, vec2)),
+                       fp.of(-1 if n1 % 2 else 1))
         return lhs == rhs
 
     def primitives(self, n: int) -> list:
-        """Basis of the kernel of the reduced coproduct, in page coords:
-        the reduced-echelon one, from the sparse columns over F_p."""
+        """Basis of the kernel of the reduced coproduct, as column dicts of
+        page coordinates: the reduced-echelon one, from the sparse columns
+        over F_p."""
         if n < 1 or n > self.window:
             return []
         cols = []
         for cl in self.page.classes.get(n, []):
-            elem = self.alg.basis.from_vector(n, cl.rep, self.alg.ring)
+            elem = self.alg.basis.from_column(n, cl.rep)
             red = {k: v for k, v in self.alg.coproduct_elem(elem).items()
                    if k[0] and k[1]}
             cols.append(self._pair_coords(n, red))
-        return [[v.get(i, 0) for i in range(len(cols))]
-                for v in fp_kernel(self.fp.p, cols)]
+        return fp_kernel(self.fp.p, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +441,10 @@ def verify_envelope_pages(alg: PbwAlgebra, result: BssResult,
         prim_dims[r] = {n: len(v) for n, v in prim.items() if v}
         page_dims[r] = {n: page.dim(n) for n in range(window + 1)
                         if page.dim(n)}
-        span = {n: FpSpan(fp.p, map(_sparse, prim.get(n, [])))
-                for n in range(window + 1)}
+        span = {n: FpSpan(fp.p, prim.get(n, [])) for n in range(window + 1)}
         for n in range(1, window + 1):
             for v in prim[n]:
-                if _sparse(page.beta.block(n).apply(v)) not in span[n - 1]:
+                if page.beta.apply(n, v) not in span[n - 1]:
                     failures.append(
                         f"page {r}: β of a primitive at degree {n} "
                         "is not primitive")

@@ -16,7 +16,9 @@ tensor coalgebra by shuffles.
 `dense_decompose` and `dense_snf` are the dense elimination that the
 library's sparse kernel replaced: the same pivot rule and the same basis
 changes on full matrices, the entry-for-entry reference for `decompose`
-and `Matrix.snf`.
+and `Matrix.snf`.  `to_vector`, `from_vector`, `dense` and `sparse` convert
+between the library's column dicts and the dense coordinate vectors these
+references work on.
 """
 
 from fractions import Fraction
@@ -27,6 +29,31 @@ from bockstein.graded import Piece
 from bockstein.lie import run_length
 from bockstein.scalars import (Matrix, PrimeField, SnfResult, ZpLocal,
                                accumulate)
+
+
+# ---------------------------------------------------------------------------
+# Dense coordinates
+# ---------------------------------------------------------------------------
+
+def dense(col, dim):
+    """The dense vector of length dim of a column dict."""
+    return [col.get(i, 0) for i in range(dim)]
+
+
+def sparse(vec):
+    """The column dict of the nonzeros of a dense vector."""
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def to_vector(basis, n, elem, ring):
+    """Dense coordinates in degree n of a sparse element."""
+    return dense(basis.to_column(n, elem, ring), basis.dim(n))
+
+
+def from_vector(basis, n, vec, ring):
+    """The sparse element of dense coordinates in degree n."""
+    return basis.from_column(
+        n, {i: x for i, x in enumerate(vec) if not ring.is_zero(x)})
 
 
 # ---------------------------------------------------------------------------
@@ -347,22 +374,23 @@ def page_pairs_by_snf(pa, tensor, n, t):
     are the tensor-square classes of the products u_i ⊗ v_j of class
     representatives."""
     alg, ring, r = pa.alg, pa.alg.ring, pa.r
+    basis, dim = tensor.complex.basis, tensor.bss.page(r).dim(n)
     cols = []
     for a, i, j in pa.class_pairs(n):
         u = pa.page.classes[a][i].rep
         v = pa.page.classes[n - a][j].rep
         prod = {(m1, m2): ring.mul(cu, cv)
-                for m1, cu in alg.basis.from_vector(a, u, ring).items()
-                for m2, cv in alg.basis.from_vector(n - a, v, ring).items()}
-        cols.append(tensor.bss.class_of_chain(
-            r, n, tensor.complex.basis.to_vector(n, prod, ring)))
-    k = Matrix.from_columns(pa.fp, tensor.bss.page(r).dim(n), cols)
+                for m1, cu in alg.basis.from_column(a, u).items()
+                for m2, cv in alg.basis.from_column(n - a, v).items()}
+        cols.append(dense(tensor.bss.class_of_chain(
+            r, n, basis.to_column(n, prod, ring)), dim))
+    k = Matrix.from_columns(pa.fp, dim, cols)
     assert k.rows == k.cols and k.rank() == k.rows, \
         f"Künneth matrix at degree {n} is not invertible"
-    out = k.solve(tensor.bss.class_of_chain(
-        r, n, tensor.complex.basis.to_vector(n, t, ring)))
+    out = k.solve(dense(tensor.bss.class_of_chain(
+        r, n, basis.to_column(n, t, ring)), dim))
     assert out is not None
-    return out
+    return sparse(out)
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +452,14 @@ def coalgebra_failure_by_monomials(source, target, f):
     degree and then order, whose coproduct the algebra map f: source ->
     target does not preserve; None when Δ∘f = (f⊗f)∘Δ on every monomial."""
     ring = source.ring
+    blocks = {n: f.block(n) for n in range(target.n_max + 1)}
 
     def image(mono):
         n = source.monomial_degree(mono)
-        if not 0 <= n <= target.n_max:
+        if n not in blocks:
             return {}
-        return target.basis.from_vector(n, f.apply(
-            n, source.basis.to_vector(n, {mono: ring.one}, ring)), ring)
+        return from_vector(target.basis, n, blocks[n].apply(
+            to_vector(source.basis, n, {mono: ring.one}, ring)), ring)
 
     for n in range(source.n_max + 1):
         for mono in source.monomials(n):

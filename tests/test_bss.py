@@ -100,23 +100,24 @@ class TestClassOfChain:
         C = complex_from_blocks(Z3, {0: ["x"], 1: ["y"], 2: []},
                                 {1: [[9]]}, n_max=2)
         bss = bockstein_pages(C, 2)
-        assert bss.class_of_chain(1, 0, [Fraction(2)]) == [2]
-        assert bss.class_of_chain(2, 1, [Fraction(1)]) == [1]
+        assert bss.class_of_chain(1, 0, {0: Fraction(2)}) == {0: 2}
+        assert bss.class_of_chain(2, 1, {0: Fraction(1)}) == {0: 1}
 
     def test_rejects_non_survivor(self):
         C = complex_from_blocks(Z3, {0: ["x"], 1: ["y"], 2: []},
                                 {1: [[3]]}, n_max=2)
         bss = bockstein_pages(C, 2)
         with pytest.raises(ComplexError):
-            bss.class_of_chain(2, 1, [Fraction(1)])   # d(y) = 3x ∉ 9·C
+            bss.class_of_chain(2, 1, {0: Fraction(1)})   # d(y) = 3x ∉ 9·C
 
     def test_boundary_maps_to_zero(self):
         C = complex_from_blocks(Z3, {0: ["x", "z"], 1: ["y"], 2: []},
                                 {1: [[1], [0]]}, n_max=2)
         bss = bockstein_pages(C, 1)
         # x = d(y) is a boundary: its class on page 1 vanishes
-        assert bss.class_of_chain(1, 0, [Fraction(1), Fraction(0)]) == [0]
-        assert bss.class_of_chain(1, 0, [Fraction(1), Fraction(1)]) == [1]
+        assert bss.class_of_chain(1, 0, {0: Fraction(1)}) == {}
+        assert bss.class_of_chain(
+            1, 0, {0: Fraction(1), 1: Fraction(1)}) == {0: 1}
 
 
 class TestMorphisms:

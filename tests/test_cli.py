@@ -147,6 +147,42 @@ class TestBss:
         assert main(["bss", ex1, "--check-envelopes"]) == 0
         assert calls == [1]
 
+    @pytest.mark.parametrize("envelopes", [False, True],
+                             ids=["pages", "envelopes"])
+    def test_dense_cells_do_not_grow_with_nmax(self, envelopes, capsys,
+                                               monkeypatch):
+        # graded maps, chains and page classes are column dicts; a dense
+        # Matrix is built only for small page-level maps, whose size does
+        # not grow with nmax
+        from bockstein import cli, scalars
+        cells, results = [0], []
+        init, pages = scalars.Matrix.__init__, cli.bockstein_pages
+
+        def counted(m, ring, rows, cols, entries=None):
+            cells[0] += rows * cols
+            init(m, ring, rows, cols, entries)
+
+        def recorded(C, r_max):
+            results.append(pages(C, r_max))
+            return results[-1]
+
+        monkeypatch.setattr(scalars.Matrix, "__init__", counted)
+        monkeypatch.setattr(cli, "bockstein_pages", recorded)
+        golden = Path(__file__).parent / "golden" / "nonabelian16.dgl"
+        counts = []
+        for nmax in ("16", "24"):
+            cells[0] = 0
+            assert main(["--json", "bss", str(golden), "--nmax", nmax,
+                         "--target", "ul", "--rmax", "3"]
+                        + ["--check-envelopes"] * envelopes) == 0
+            counts.append(cells[0])
+        capsys.readouterr()
+        assert counts[0] == counts[1], counts
+        assert len(results) == 2
+        assert all(isinstance(cl.rep, dict) for res in results
+                   for page in res.pages for cls in page.classes.values()
+                   for cl in cls)
+
 
 def _count_axiom_checks(monkeypatch) -> list:
     """Patch DgLie's axiom check to record one entry per computation."""

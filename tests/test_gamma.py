@@ -16,7 +16,7 @@ from bockstein.gamma import (GammaAlgebra, GammaError, adjoint,
 from bockstein.graded import GradedMap
 from bockstein.lie import PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal
-from oracles import gamma_divided_power, gamma_mul
+from oracles import from_vector, gamma_divided_power, gamma_mul, to_vector
 
 Z3 = ZpLocal(3)
 F3 = PrimeField(3)
@@ -149,7 +149,7 @@ class TestClosedFormAgainstShuffleRoute:
 
 def random_even_element(G, rng, n):
     vec = [G.ring.of(rng.randint(-3, 3)) for _ in range(G.dim(n))]
-    return G.basis.from_vector(n, vec, G.ring)
+    return from_vector(G.basis, n, vec, G.ring)
 
 
 class TestDividedPowerAxioms:
@@ -319,7 +319,7 @@ class TestGammaDerivation:
                 # derivation determined by sw ↦ sx, sx ↦ 0, extended by
                 # Leibniz and the γ-rule over the word factors
                 out = _gamma_word_derivative(G, w, 0, G.gen(1), 1)
-                cols.append(G.basis.to_vector(n + 1, out, ring)
+                cols.append(to_vector(G.basis, n + 1, out, ring)
                             if n + 1 <= 13 else [])
             if cols and n + 1 <= 13:
                 theta.set_block(n, Matrix.from_columns(
@@ -366,7 +366,7 @@ def _extend_gamma_morphism(src, tgt, gen_images):
                 part = (tgt.divided_power(base, k) if k > 1
                         else dict(base))
                 img = tgt.mul(img, part)
-            cols.append(tgt.basis.to_vector(n, img, ring))
+            cols.append(to_vector(tgt.basis, n, img, ring))
         if cols:
             f.set_block(n, Matrix.from_columns(ring, tgt.dim(n), cols))
     return f

@@ -17,7 +17,8 @@ from bockstein.graded import (ComplexError, FieldHomology, GradedBasis,
                               dualize, homology, induced_map)
 from bockstein.lie import DgLie, PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal
-from oracles import dense_decompose, mod_p_homology_dims
+from oracles import (dense, dense_decompose, from_vector, mod_p_homology_dims,
+                     sparse, to_vector)
 from test_lie import dgl_presentations
 
 Z3 = ZpLocal(3)
@@ -135,6 +136,25 @@ class TestBasisAndMaps:
             neg.set_block(n, m.scaled(F(-1)))
         assert fdd == neg
 
+    def test_setting_a_degree_replaces_its_block(self):
+        # through either setter, a new block replaces the old one, and an
+        # all-zero block leaves nothing behind
+        b = GradedBasis({0: ["x"], 1: ["y"]}, 1)
+        f = GradedMap(b, b, -1, Z3)
+        f.set_block(1, Matrix(Z3, 1, 1, [[2]]))
+        f.set_block(1, Matrix.zeros(Z3, 1, 1))
+        g = GradedMap(b, b, -1, Z3)
+        g.set_columns(1, [{"x": 2}])
+        g.set_columns(1, [{}])
+        for m in (f, g):
+            assert m.block(1).a == [[0]]
+            assert m.image(1, {"y": 1}) == {}
+            assert m.is_zero()
+            assert m == GradedMap(b, b, -1, Z3)
+        g.set_columns(1, [{"x": 2}])
+        g.set_columns(1, [{"x": 1}])
+        assert g.image(1, {"y": 1}) == {"x": 1}
+
 
 @st.composite
 def keyed_algebras(draw):
@@ -159,37 +179,79 @@ class TestSparseConversion:
     @given(keyed_algebras(), st.sampled_from([-1, 0, 1]), st.data())
     def test_image_and_set_columns_match_dense_route(self, A, degree, data):
         # set_columns against from_columns of to_vector; image against
-        # to_vector -> apply -> from_vector
-        ring, basis = A.ring, A.basis
+        # to_vector -> Matrix.apply -> from_vector.  Then the column
+        # arithmetic of GradedMap (apply, compose, +, ==, differs_at,
+        # is_zero, reduce_mod_p, dualize) against dense Matrix arithmetic
+        # on the blocks, the reference
+        ring, basis, n_max = A.ring, A.basis, A.basis.n_max
+        window = range(n_max + 1)
 
         def element(n):
             cs = data.draw(st.lists(st.integers(-3, 3), min_size=A.dim(n),
                                     max_size=A.dim(n)))
-            return basis.from_vector(n, [ring.of(c) for c in cs], ring)
+            return from_vector(basis, n, [ring.of(c) for c in cs], ring)
 
-        sparse = GradedMap(basis, basis, degree, ring)
-        dense = GradedMap(basis, basis, degree, ring)
-        for n in range(max(0, -degree), basis.n_max + 1 - max(0, degree)):
-            cols = [element(n + degree) for _ in range(A.dim(n))]
-            sparse.set_columns(n, cols)
-            if cols:
-                dense.set_block(n, Matrix.from_columns(
-                    ring, A.dim(n + degree),
-                    [basis.to_vector(n + degree, c, ring) for c in cols]))
-        assert sparse.blocks.keys() == dense.blocks.keys()
-        assert sparse == dense
-        for n in range(basis.n_max + 1):
+        def random_maps(deg):
+            """The same random map, set by columns and by dense blocks."""
+            by_cols = GradedMap(basis, basis, deg, ring)
+            by_blocks = GradedMap(basis, basis, deg, ring)
+            for n in range(max(0, -deg), n_max + 1 - max(0, deg)):
+                cols = [element(n + deg) for _ in range(A.dim(n))]
+                by_cols.set_columns(n, cols)
+                if cols:
+                    by_blocks.set_block(n, Matrix.from_columns(
+                        ring, A.dim(n + deg),
+                        [to_vector(basis, n + deg, c, ring) for c in cols]))
+            return by_cols, by_blocks
+
+        f, dense_f = random_maps(degree)
+        assert f.blocks.keys() == dense_f.blocks.keys()
+        assert f == dense_f
+        for n in window:
             x = element(n)
-            want = basis.from_vector(
-                n + degree, dense.apply(n, basis.to_vector(n, x, ring)), ring)
-            assert sparse.image(n, x) == want
+            v = to_vector(basis, n, x, ring)
+            want = dense_f.block(n).apply(v)
+            assert f.image(n, x) == from_vector(basis, n + degree, want, ring)
+            assert dense(f.apply(n, sparse(v)), len(want)) == want
+
+        h = random_maps(degree)[0]
+        g = random_maps(data.draw(st.sampled_from([-1, 0, 1])))[0]
+        neg = GradedMap(basis, basis, degree, ring)
+        for n, m in f.blocks.items():
+            neg.set_block(n, m.scaled(ring.neg(ring.one)))
+        fg = f.compose(g)
+        for n in window:
+            mid = n + g.degree
+            if 0 <= mid <= n_max:
+                assert fg.block(n) == f.block(mid) * g.block(n)
+            else:
+                assert fg.block(n).is_zero()
+            assert (f + h).block(n) == f.block(n) + h.block(n)
+            if not ring.is_field:
+                assert (f.reduce_mod_p().block(n)
+                        == f.block(n).reduce_mod_p())
+        differ = [n for n in window if f.block(n) != h.block(n)]
+        assert f.differs_at(h) == min(differ, default=None)
+        assert (f == h) == (not differ)
+        assert f.is_zero() == all(f.block(n).is_zero() for n in window)
+        assert (f + neg).is_zero()
+        assert (f + neg) == GradedMap(basis, basis, degree, ring)
+
+        db = dual_basis(basis)
+        fd = dualize(f, db, db)
+        for n in window:
+            if 0 <= n + degree <= n_max:
+                want = f.block(n).transpose()
+                if (degree * n) % 2:
+                    want = want.scaled(ring.neg(ring.one))
+                assert fd.block(n + degree) == want
 
     def test_key_outside_its_degree_raises(self):
         A = PbwAlgebra(abelian(Z3, 6, [("x", 2)]))
         f = GradedMap(A.basis, A.basis, 0, Z3)
         x2 = {(0, 0): Z3.one}              # x^2 sits in degree 4
         with pytest.raises(ComplexError):
-            A.basis.to_vector(2, x2, Z3)
+            A.basis.to_column(2, x2, Z3)
         with pytest.raises(ComplexError):
             f.set_columns(2, [x2])
         with pytest.raises(ComplexError):
@@ -264,8 +326,7 @@ class TestDecomposition:
             for j in range(C.dim(n)):
                 rep = dec.representative(n, j)
                 coords = dec.coordinates(n, rep)
-                assert coords == [Z3.one if i == j else Z3.zero
-                                  for i in range(C.dim(n))]
+                assert coords == {j: Z3.one}
 
 
 RINGS = [Z3, ZpLocal(5), F3, PrimeField(5)]
@@ -354,7 +415,7 @@ class TestFieldHomology:
         d.set_block(1, Matrix(F3, 1, 1, [[0]]))
         H = FieldHomology(basis, d)
         assert H.dim(0) == 1 and H.dim(1) == 1
-        assert H.class_of(0, [2]) == [2]
+        assert H.class_of(0, {0: 2}) == {0: 2}
 
     def test_boundaries_vanish_in_homology(self):
         basis = GradedBasis({0: ["x", "y"], 1: ["u"]}, 1)
@@ -362,7 +423,7 @@ class TestFieldHomology:
         d.set_block(1, Matrix(F3, 2, 1, [[1], [2]]))
         H = FieldHomology(basis, d)
         assert H.dim(0) == 1 and H.dim(1) == 0
-        assert H.class_of(0, [1, 2]) == [0]
+        assert H.class_of(0, {0: 1, 1: 2}) == {}
 
     def test_not_a_cycle_raises(self):
         basis = GradedBasis({0: ["x"], 1: ["u"]}, 1)
@@ -370,7 +431,7 @@ class TestFieldHomology:
         d.set_block(1, Matrix(F3, 1, 1, [[1]]))
         H = FieldHomology(basis, d)
         with pytest.raises(ComplexError):
-            H.class_of(1, [1])
+            H.class_of(1, {0: 1})
 
     def test_induced_identity(self):
         basis = GradedBasis({0: ["x", "y"], 1: ["u"]}, 1)
@@ -399,10 +460,9 @@ class TestFieldHomology:
                 for n in range(C.n_max + 1):
                     for j in range(H.dim(n)):
                         assert H.class_of(n, H.representative(n, j)) == \
-                            [1 if i == j else 0 for i in range(H.dim(n))]
+                            {j: 1}
                     src = n - dmap.degree
                     if not 0 <= src <= C.n_max:
                         continue
                     x = [rng.randrange(3) for _ in range(basis.dim(src))]
-                    assert H.class_of(n, dmap.apply(src, x)) == \
-                        [0] * H.dim(n)
+                    assert H.class_of(n, dmap.apply(src, sparse(x))) == {}

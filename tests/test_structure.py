@@ -15,7 +15,7 @@ from bockstein.structure import (PageAlgebra, StructureError, TensorSquareBss,
                                  _envelope_dims, differential_restricts_to_lie,
                                  hopf_morphism, is_lie_type,
                                  verify_envelope_pages)
-from oracles import coalgebra_failure_by_monomials, page_pairs_by_snf
+from oracles import coalgebra_failure_by_monomials, dense, page_pairs_by_snf
 from test_lie import ul_presentations
 
 Z3 = ZpLocal(3)
@@ -205,8 +205,8 @@ class TestPageAlgebra:
         pa = PageAlgebra(alg, result, 1)
         # each degree is 1-dimensional with representative a PBW monomial;
         # products of classes are classes of products
-        prod = pa.product(1, [1], 2, [1])
-        target = alg.basis.to_vector(3, alg.mul(alg.gen(0), alg.gen(1)),
+        prod = pa.product(1, {0: 1}, 2, {0: 1})
+        target = alg.basis.to_column(3, alg.mul(alg.gen(0), alg.gen(1)),
                                      alg.ring)
         assert prod == result.class_of_chain(1, 3, target)
 
@@ -218,24 +218,23 @@ class TestPageAlgebra:
         # perturb a representative by 9·z and by a boundary d(3·x):
         # the page-2 class of the product must not move
         rep = result.page(2).classes[5][0].rep
-        base = pa.product(5, [1], 6, [1])
-        pert = list(rep)
-        pert[0] = ring.add(pert[0], ring.of(9))
-        bnd = result.complex.d.block(6).apply(
-            [ring.of(3)] * alg.dim(6))
-        pert = [ring.add(a, b) for a, b in zip(pert, bnd)]
-        e1 = alg.basis.from_vector(5, pert, ring)
-        e2 = pa._rep_elem(6, [1])
-        vec = alg.basis.to_vector(11, alg.mul(e1, e2), ring)
+        base = pa.product(5, {0: 1}, 6, {0: 1})
+        pert = accumulate(ring, dict(rep), {0: ring.of(9)}, ring.one)
+        bnd = result.complex.d.apply(
+            6, {i: ring.of(3) for i in range(alg.dim(6))})
+        accumulate(ring, pert, bnd, ring.one)
+        e1 = alg.basis.from_column(5, pert)
+        e2 = pa._rep_elem(6, {0: 1})
+        vec = alg.basis.to_column(11, alg.mul(e1, e2), ring)
         assert result.class_of_chain(2, 11, vec) == base
 
     def test_coproduct_of_primitive(self):
         alg = example1_ul()
         result = bockstein_pages(alg.as_complex(), 1)
         pa = PageAlgebra(alg, result, 1)
-        co = pa.coproduct(2, [1])
+        co = pa.coproduct(2, {0: 1})
         pairs = pa.class_pairs(2)
-        nonzero = {pairs[i] for i, c in enumerate(co) if c}
+        nonzero = {pairs[i] for i in co}
         # u ⊗ 1 + 1 ⊗ u only
         assert nonzero == {(0, 0, 0), (2, 0, 0)}
 
@@ -250,8 +249,8 @@ class TestPageAlgebra:
                 for n2 in degs:
                     if n1 + n2 > pa.window:
                         continue
-                    v1 = [1] * page.dim(n1)
-                    v2 = [1] * page.dim(n2)
+                    v1 = dict.fromkeys(range(page.dim(n1)), 1)
+                    v2 = dict.fromkeys(range(page.dim(n2)), 1)
                     assert pa.beta_leibniz(n1, v1, n2, v2)
 
 
@@ -261,12 +260,13 @@ def _snf_primitives(pa, tensor, n):
     cols = []
     for cl in pa.page.classes.get(n, []):
         red = {k: v for k, v in alg.coproduct_elem(
-            alg.basis.from_vector(n, cl.rep, alg.ring)).items()
+            alg.basis.from_column(n, cl.rep)).items()
             if k[0] and k[1]}
         cols.append(page_pairs_by_snf(pa, tensor, n, red))
     if not cols:
         return []
-    return Matrix.from_columns(pa.fp, len(cols[0]), cols).kernel_basis()
+    return Matrix.from_sparse_columns(pa.fp, len(pa.class_pairs(n)),
+                                      cols).kernel_basis()
 
 
 XYZW = [("x", 1), ("y", 1), ("z", 2), ("w", 3)]
@@ -294,11 +294,10 @@ class TestClosedFormCoproduct:
             for n in range(pa.window + 1):
                 dim = pa.page.dim(n)
                 for i in range(dim):
-                    unit = [int(j == i) for j in range(dim)]
-                    t = alg.coproduct_elem(pa._rep_elem(n, unit))
-                    assert pa.coproduct(n, unit) == \
+                    t = alg.coproduct_elem(pa._rep_elem(n, {i: 1}))
+                    assert pa.coproduct(n, {i: 1}) == \
                         page_pairs_by_snf(pa, tensor, n, t), (r, n, i)
-                assert pa.primitives(n) == (
+                assert [dense(v, dim) for v in pa.primitives(n)] == (
                     _snf_primitives(pa, tensor, n) if n >= 1 else []), (r, n)
 
     def test_non_surviving_chain_rejected(self):
@@ -312,13 +311,13 @@ class TestClosedFormCoproduct:
         alg = example1_ul()
         pa = PageAlgebra(alg, bockstein_pages(alg.as_complex(), 1), 1)
         with pytest.raises(WindowError):
-            pa.coproduct(pa.window + 1, [])
+            pa.coproduct(pa.window + 1, {})
 
     def test_corrupted_representative_rejected(self):
         alg = example1_ul()
         result = bockstein_pages(alg.as_complex(), 1)
         cl = result.page(1).classes[4][0]
-        cl.rep = [Z3.mul(Z3.of(3), c) for c in cl.rep]
+        cl.rep = {i: Z3.mul(Z3.of(3), c) for i, c in cl.rep.items()}
         with pytest.raises(StructureError):
             PageAlgebra(alg, result, 1)
 
