@@ -119,9 +119,7 @@ def cochains(L: DgLie) -> CceCochains:
 
     d0 = lam.derivation(1, d0_images)
     d1 = lam.derivation(1, d1_images)
-    # d0 images are linear and d1 images quadratic: their keys never meet
-    d = lam.derivation(1, {x: {**d0_images.get(x, {}), **d1_images.get(x, {})}
-                           for x in set(d0_images) | set(d1_images)})
+    d = d0 + d1        # a derivation is linear in its generator images
     check_square_zero(d)
     return CceCochains(L, lam, d, d0, d1)
 
@@ -133,9 +131,9 @@ def chains(L: DgLie, co: CceCochains | None = None) -> CceChains:
     sgamma = GammaAlgebra(L.ring, L.n_max,
                           [(f"s{name}", deg + 1)
                            for name, deg in zip(L.names, L.degrees)])
-    # ⟨a, ∂ω⟩ = (-1)^{|a|} ⟨d a, ω⟩
-    p0, p1, pd = (adjoint(dmap, sgamma, sgamma)
-                  for dmap in (co.d0, co.d1, co.d))
+    # ⟨a, ∂ω⟩ = (-1)^{|a|} ⟨d a, ω⟩, and the adjoint is linear
+    p0, p1 = (adjoint(dmap, sgamma, sgamma) for dmap in (co.d0, co.d1))
+    pd = p0 + p1
     GradedChainComplex(sgamma.basis, pd, L.ring)   # validates ∂∂ = 0
     return CceChains(L, sgamma, pd, p0, p1)
 

@@ -108,11 +108,15 @@ def parse_dgl(text: str) -> DgLie:
         toks = line.split(None, 1)
         key, body = toks[0], (toks[1] if len(toks) > 1 else "")
         if key == "prime":
+            if p is not None:
+                _fail(ln, "duplicate 'prime' line")
             try:
                 p = int(body)
             except ValueError:
                 _fail(ln, f"bad prime {body!r}")
         elif key == "nmax":
+            if n_max is not None:
+                _fail(ln, "duplicate 'nmax' line")
             try:
                 n_max = int(body)
             except ValueError:
@@ -164,6 +168,8 @@ def parse_dgl(text: str) -> DgLie:
             src = lhs.strip()
             if src not in names:
                 _fail(ln, f"unknown generator {src!r}")
+            if names[src] in differential:
+                _fail(ln, f"duplicate differential of {src!r}")
             differential[names[src]] = target_dict(rhs, ln)
         else:
             toks = lhs.split()
@@ -172,7 +178,10 @@ def parse_dgl(text: str) -> DgLie:
             for t in toks:
                 if t not in names:
                     _fail(ln, f"unknown generator {t!r}")
-            brackets[(names[toks[0]], names[toks[1]])] = target_dict(rhs, ln)
+            pair = (names[toks[0]], names[toks[1]])
+            if pair in brackets:
+                _fail(ln, f"duplicate bracket {toks[0]} {toks[1]}")
+            brackets[pair] = target_dict(rhs, ln)
     return DgLie(ring, n_max, gens, brackets, differential)
 
 

@@ -230,6 +230,24 @@ def _word_map(f: GradedMap):
     return fmap
 
 
+def _first_failure(A: GammaAlgebra, product_ok, gamma_ok):
+    """The first basis-word witness, or None: ("product", w1, w2) where
+    product_ok(|w1|, w1, w2) fails, over |w1| ≤ |w2| within the window, then
+    ("gamma", w, k) where gamma_ok(w, k) fails, over even w and k ≥ 2."""
+    for n1 in range(1, A.n_max + 1):
+        for w1 in A.words(n1):
+            for n2 in range(n1, A.n_max + 1 - n1):
+                for w2 in A.words(n2):
+                    if not product_ok(n1, w1, w2):
+                        return "product", w1, w2
+    for n in range(2, A.n_max + 1, 2):
+        for w in A.words(n):
+            for k in range(2, A.n_max // n + 1):
+                if not gamma_ok(w, k):
+                    return "gamma", w, k
+    return None
+
+
 def is_gamma_morphism(f: GradedMap, src: GammaAlgebra, tgt: GammaAlgebra):
     """(True, None) if f is an algebra map respecting all γ^k, else a witness.
 
@@ -243,22 +261,17 @@ def is_gamma_morphism(f: GradedMap, src: GammaAlgebra, tgt: GammaAlgebra):
     fm = _word_map(f)
     if fm({(): ring.one}) != {(): ring.one}:
         return False, ("unit", (), 0)
-    for n1 in range(1, src.n_max + 1):
-        for w1 in src.words(n1):
-            for n2 in range(n1, src.n_max + 1 - n1):
-                for w2 in src.words(n2):
-                    lhs = fm(src.word_product(w1, w2))
-                    rhs = tgt.mul(fm({w1: ring.one}), fm({w2: ring.one}))
-                    if lhs != rhs:
-                        return False, ("product", w1, w2)
-    for n in range(2, src.n_max + 1, 2):
-        for w in src.words(n):
-            for k in range(2, src.n_max // n + 1):
-                lhs = fm(src.divided_power({w: ring.one}, k))
-                rhs = tgt.divided_power(fm({w: ring.one}), k)
-                if lhs != rhs:
-                    return False, ("gamma", w, k)
-    return True, None
+
+    def product_ok(n1, w1, w2):
+        return (fm(src.word_product(w1, w2))
+                == tgt.mul(fm({w1: ring.one}), fm({w2: ring.one})))
+
+    def gamma_ok(w, k):
+        return (fm(src.divided_power({w: ring.one}, k))
+                == tgt.divided_power(fm({w: ring.one}), k))
+
+    witness = _first_failure(src, product_ok, gamma_ok)
+    return witness is None, witness
 
 
 def is_gamma_derivation(theta: GradedMap, A: GammaAlgebra):
@@ -267,26 +280,20 @@ def is_gamma_derivation(theta: GradedMap, A: GammaAlgebra):
     ring = theta.ring
     deg = theta.degree
     th = _word_map(theta)
-    for n1 in range(1, A.n_max + 1):
-        for w1 in A.words(n1):
-            for n2 in range(n1, A.n_max + 1 - n1):
-                for w2 in A.words(n2):
-                    a, b = {w1: ring.one}, {w2: ring.one}
-                    lhs = th(A.word_product(w1, w2))
-                    sign = ring.of(-1 if (deg * n1) % 2 else 1)
-                    rhs = accumulate(ring, A.mul(th(a), b),
-                                     A.mul(a, th(b)), sign)
-                    if lhs != rhs:
-                        return False, ("product", w1, w2)
-    for n in range(2, A.n_max + 1, 2):
-        for w in A.words(n):
-            a = {w: ring.one}
-            for k in range(2, A.n_max // n + 1):
-                lhs = th(A.divided_power(a, k))
-                rhs = A.mul(th(a), A.divided_power(a, k - 1))
-                if lhs != rhs:
-                    return False, ("gamma", w, k)
-    return True, None
+
+    def product_ok(n1, w1, w2):
+        a, b = {w1: ring.one}, {w2: ring.one}
+        sign = ring.of(-1 if (deg * n1) % 2 else 1)
+        return th(A.word_product(w1, w2)) == accumulate(
+            ring, A.mul(th(a), b), A.mul(a, th(b)), sign)
+
+    def gamma_ok(w, k):
+        a = {w: ring.one}
+        return th(A.divided_power(a, k)) == A.mul(th(a),
+                                                  A.divided_power(a, k - 1))
+
+    witness = _first_failure(A, product_ok, gamma_ok)
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------

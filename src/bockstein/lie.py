@@ -272,7 +272,6 @@ class PbwAlgebra:
         self.ring = L.ring
         self.n_max = L.n_max
         self._straight_cache = {}
-        self._coproduct_cache = {}
         self._d_images = {g: {(k,): c for k, c in tgt.items()}
                           for g, tgt in L.d_gen.items()}
         self._d = None              # UL's differential, once built
@@ -454,11 +453,9 @@ class PbwAlgebra:
         monomial is ordered, so the bracket never enters: a run g^m gives
         C(m, j)·g^j ⊗ g^(m-j), and an odd g sent left passes the odd
         letters already sent right (Milnor–Moore).  Coefficients that
-        vanish in the ring, C(p, j) over F_p, are dropped.
+        vanish in the ring, C(p, j) over F_p, are dropped.  Nothing is
+        kept, and the caller owns the returned dict.
         """
-        cached = self._coproduct_cache.get(mono)
-        if cached is not None:
-            return cached
         ring = self.ring
         terms = [((), (), ring.one, 0)]   # left, right, coeff, odd on right
         for g, m in run_length(mono):
@@ -474,9 +471,7 @@ class PbwAlgebra:
                                 ring.mul(coeff, s),
                                 parity ^ (odd and j < m)))
             terms = nxt
-        out = {(left, right): c for left, right, c, _ in terms}
-        self._coproduct_cache[mono] = out
-        return out
+        return {(left, right): c for left, right, c, _ in terms}
 
     def coproduct_elem(self, elem: dict) -> dict:
         ring = self.ring

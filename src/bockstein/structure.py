@@ -240,9 +240,10 @@ class PageAlgebra:
     H-spaces", 1961).  So a tensor chain surviving to page r has the class
     Σ c·u_i·v_j mod p over pairs of live classes, where u, v are the
     monomials' page coordinates: the class rows of P^-1, read once per page
-    into a sparse list per monomial.  A class over class_pairs(n) is a dict
-    position -> nonzero coefficient, and the primitives are the kernel of
-    those sparse columns over F_p (`FpSpan`).  The comparison with the
+    into a sparse list per monomial.  A class of degree n is a dict from
+    positions in the class_pairs(n) order, computed by arithmetic, to
+    nonzero coefficients, and the primitives are the kernel of those
+    sparse columns over F_p (`FpSpan`).  The comparison with the
     tensor-square page is the identity, and the constructor checks what
     that rests on: each class representative reads back as its own unit
     vector.
@@ -255,8 +256,6 @@ class PageAlgebra:
         self.page = result.page(r)
         self.fp = alg.ring.residue_field()
         self.window = self.page.n_max
-        self._pairs = {}        # n -> class_pairs(n)
-        self._pair_pos = {}     # n -> pair -> position in class_pairs(n)
         self._coords = {}       # monomial -> (degree, [(class, coeff)])
         ring, Pinv = alg.ring, result.decomposition.Pinv
         for n in range(self.window + 1):
@@ -276,16 +275,12 @@ class PageAlgebra:
                         f"at degree {n} does not read back as itself")
 
     def class_pairs(self, n: int) -> list:
-        """(a, i, j): class i of degree a with class j of degree n - a;
-        built once per degree, so do not mutate."""
-        if n not in self._pairs:
-            pairs = [(a, i, j)
-                     for a in range(n + 1)
-                     for i in range(self.page.dim(a))
-                     for j in range(self.page.dim(n - a))]
-            self._pairs[n] = pairs
-            self._pair_pos[n] = {pr: k for k, pr in enumerate(pairs)}
-        return self._pairs[n]
+        """(a, i, j): class i of degree a with class j of degree n - a, in
+        position order; a new list per call, off the `_pair_coords` path."""
+        return [(a, i, j)
+                for a in range(n + 1)
+                for i in range(self.page.dim(a))
+                for j in range(self.page.dim(n - a))]
 
     def _read(self, n: int, col: dict) -> dict:
         """Page-r coordinates mod p (class position -> nonzero) of a UL
@@ -300,7 +295,8 @@ class PageAlgebra:
 
     def _pair_coords(self, n: int, t: dict) -> dict:
         """Page-r class of a chain of UL ⊗ UL of degree n, as class_pairs(n)
-        position -> nonzero coefficient."""
+        position -> nonzero coefficient.  Pair (a, i, j) is at position
+        offset[a] + i·dim(n-a) + j, offset[a] counting the pairs below a."""
         ring, r, p = self.alg.ring, self.r, self.fp.p
         if n > self.window or n < 0:
             raise WindowError(f"degree {n} outside page trust window")
@@ -308,20 +304,21 @@ class PageAlgebra:
             if ring.valuation(c) < r:
                 raise ComplexError(
                     f"chain does not survive to page {r}: d(c) ∉ p^{r}·C")
-        self.class_pairs(n)
-        pos, coords = self._pair_pos[n], self._coords
-        out = {}
+        dim, offset = self.page.dim, [0]
+        for a in range(n):
+            offset.append(offset[-1] + dim(a) * dim(n - a))
+        coords, out = self._coords, {}
         for (m1, m2), c in t.items():
             a, u = coords[m1]
             v = coords[m2][1]
             c = ring.reduce_mod_p(c)
             if not (u and v and c):
                 continue
+            width = dim(n - a)
             for i, ui in u:
-                cu = c * ui
+                cu, row = c * ui, offset[a] + i * width
                 for j, vj in v:
-                    k = pos[a, i, j]
-                    out[k] = out.get(k, 0) + cu * vj
+                    out[row + j] = out.get(row + j, 0) + cu * vj
         return {k: x % p for k, x in out.items() if x % p}
 
     def _rep_elem(self, n: int, vec: dict) -> dict:
@@ -396,22 +393,11 @@ def _envelope_dims(p: int, gen_counts: dict, window: int) -> list:
     powers of primitives reappear as primitives of their own)."""
     series = [1] + [0] * window
     for d, count in sorted(gen_counts.items()):
-        if count == 0:
-            continue
         top = 1 if d % 2 else p - 1
-        factor = [0] * (window + 1)
-        for e in range(top + 1):
-            if e * d <= window:
-                factor[e * d] = 1
-        for _ in range(count):
-            out = [0] * (window + 1)
-            for a, ca in enumerate(series):
-                if ca == 0:
-                    continue
-                for b in range(0, window + 1 - a, d):
-                    if factor[b]:
-                        out[a + b] += ca
-            series = out
+        for _ in range(count):      # times 1 + t^d + ... + t^(top·d)
+            series = [sum(series[n - e * d]
+                          for e in range(min(top, n // d) + 1))
+                      for n in range(window + 1)]
     return series
 
 

@@ -63,6 +63,14 @@ class TestParse:
          "expected 'bracket"),
         ("prime 3\nnmax 4\ngenerator a 1\ndifferential a 1 a\n",
          "expected '='"),
+        ("prime 3\nprime 5\nnmax 4\n", "line 2: duplicate 'prime'"),
+        ("prime 3\nnmax 8\nnmax 6\n", "line 3: duplicate 'nmax'"),
+        ("prime 3\nnmax 4\ngenerator e 1\ngenerator f 2\n"
+         "differential f = 3 e\ndifferential f = 9 e\n",
+         "line 6: duplicate differential of 'f'"),
+        ("prime 3\nnmax 4\ngenerator x 1\ngenerator y 1\ngenerator z 2\n"
+         "bracket x y = 1 z\nbracket y x = 1 z\nbracket x y = 2 z\n",
+         "line 8: duplicate bracket x y"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(DglParseError) as exc:

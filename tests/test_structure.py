@@ -2,12 +2,15 @@
 enveloping-algebra shape of Bockstein pages."""
 
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bockstein.bss import bockstein_pages
+from bockstein.dglfile import parse_dgl
 from bockstein.graded import ComplexError, WindowError
 from bockstein.lie import DgLie, PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal, accumulate
@@ -344,6 +347,22 @@ class TestVerifyEnvelopePages:
         rep = envelope_report(L, 3)
         assert rep.ok, rep.failures
         assert rep.primitive_dims[1]
+
+    def test_peak_memory_follows_the_nonzeros(self):
+        # pair positions and coproducts are computed where they are read;
+        # a table of every class pair per degree or of every monomial's
+        # coproduct takes about 21 MB here, far above the bound
+        golden = Path(__file__).parent / "golden" / "nonabelian16.dgl"
+        alg = PbwAlgebra(parse_dgl(golden.read_text()))
+        result = bockstein_pages(alg.as_complex(), 3)
+        tracemalloc.start()
+        try:
+            rep = verify_envelope_pages(alg, result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok, rep.failures
+        assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_example1(self):
         L = DgLie(Z3, 20, [("e", 1), ("f", 2)], {}, {1: {0: 3}})
