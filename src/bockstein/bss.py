@@ -59,23 +59,25 @@ class BssResult:
             raise WindowError(f"page {r} not computed (r_max={len(self.pages)})")
         return self.pages[r - 1]
 
-    def class_of_chain(self, r: int, n: int, col: dict) -> dict:
-        """F_p coordinates, in the page-r basis at degree n, of a chain;
-        column dicts both.
-
-        The chain must survive to page r: d(col) ∈ p^r·C.  Raises otherwise.
-        """
+    def check_survival(self, r: int, n: int, col: dict):
+        """Raise unless a chain of degree n (a column dict) lies in the
+        page-r trust window and survives to page r: d(col) ∈ p^r·C."""
         ring = self.complex.ring
-        page = self.page(r)
-        if n > page.n_max or n < 0:
+        if n > self.page(r).n_max or n < 0:
             raise WindowError(f"degree {n} outside page trust window")
         for x in self.complex.d.apply(n, col).values():
             if ring.valuation(x) < r:
                 raise ComplexError(
                     f"chain does not survive to page {r}: d(c) ∉ p^{r}·C")
+
+    def class_of_chain(self, r: int, n: int, col: dict) -> dict:
+        """F_p coordinates, in the page-r basis at degree n, of a chain;
+        column dicts both.  The chain must survive (`check_survival`)."""
+        self.check_survival(r, n, col)
+        ring = self.complex.ring
         w = self.decomposition.coordinates(n, col)
         out = {}
-        for i, cl in enumerate(page.classes.get(n, [])):
+        for i, cl in enumerate(self.page(r).classes.get(n, [])):
             if cl.new_index in w:
                 x = ring.reduce_mod_p(w[cl.new_index])
                 if x:

@@ -8,9 +8,10 @@ identity and dualizing a map is a signed blockwise transpose
 (`pairing_signs`, `adjoint`).
 
 Products and divided powers are closed forms on words (`word_product`,
-`divided_power`).  Γ(V) also sits in the tensor coalgebra T_C(V) as the
-symmetric words under the shuffle product (`shuffle`, `expand`);
-`pairing_matrix` builds the pairing through that embedding.
+`divided_power`), and so is the pairing (`pairing_matrix`).  Γ(V) also
+sits in the tensor coalgebra T_C(V) as the symmetric words under the
+shuffle product (`shuffle`); the test oracles expand words there to check
+the closed forms.
 
 The basis is a `GradedBasis` keyed by the words, so elements and
 coordinates convert in `graded`; the detectors read each word's image
@@ -46,7 +47,6 @@ class GammaAlgebra:
         if any(d < 1 for d in self.degrees):
             raise GammaError("generator degrees must be >= 1")
         self._shuffle_cache = {}
-        self._expand_cache = {(): {(): 1}}
         self._product_cache = {}
         self.basis = GradedBasis(
             {n: [run_length(m) for m in monos]
@@ -93,22 +93,6 @@ class GammaAlgebra:
                 out[k] = out.get(k, 0) + sign * c
             out = {w: c for w, c in out.items() if c}
         self._shuffle_cache[key] = out
-        return out
-
-    def expand(self, gword) -> dict:
-        """Tensor-word expansion (integer coefficients) of a gamma word."""
-        cached = self._expand_cache.get(gword)
-        if cached is not None:
-            return cached
-        head = self.expand(gword[:-1])
-        i, k = gword[-1]
-        block = (i,) * k
-        out = {}
-        for w, c in head.items():
-            for w2, c2 in self.shuffle(w, block).items():
-                out[w2] = out.get(w2, 0) + c * c2
-        out = {w: c for w, c in out.items() if c}
-        self._expand_cache[gword] = out
         return out
 
     # -- algebra structure -----------------------------------------------------
@@ -313,33 +297,18 @@ def tensor_pairing_sign(degrees: list) -> int:
     return sign
 
 
-def lambda_gamma_pairing(ring, degrees, lam_word, gamma_expansion: dict):
-    """⟨v_1···v_k, ω⟩ for a Λ-monomial (tuple of generator indices, the
-    PBW order) against a tensor expansion of ω ∈ Γ(W), dual generators
-    matched index to index."""
-    coeff = gamma_expansion.get(lam_word)
-    if coeff is None:
-        return ring.zero
-    sign = tensor_pairing_sign([degrees[i] for i in lam_word])
-    return ring.mul(ring.of(sign), ring.of(coeff) if isinstance(coeff, int)
-                    else coeff)
-
-
 def pairing_matrix(ring, lam, G: GammaAlgebra, n: int) -> Matrix:
     """⟨ , ⟩ between ΛV_n (PBW basis of `lam`) and Γ(W)_n; rows = Λ basis.
 
     `lam` is a PbwAlgebra on an abelian Lie algebra with the same ordered
-    generator degrees as G.
+    generator degrees as G, so both bases list the same letters in the same
+    order and the pairing is the signed identity of `pairing_signs`.
     """
-    rows = lam.monomials(n)
-    cols = G.words(n)
-    m = Matrix.zeros(ring, len(rows), len(cols))
-    for j, gw in enumerate(cols):
-        exp = G.expand(gw)
-        exp_ring = {w: ring.of(c) for w, c in exp.items()}
-        for i, mono in enumerate(rows):
-            m.a[i][j] = lambda_gamma_pairing(ring, G.degrees, mono, exp_ring)
-    return m
+    if [run_length(m) for m in lam.monomials(n)] != G.words(n):
+        raise GammaError(f"Λ and Γ bases differ in degree {n}")
+    return Matrix.from_sparse_columns(
+        ring, G.dim(n),
+        [{i: ring.of(s)} for i, s in enumerate(pairing_signs(G, n))])
 
 
 def pairing_signs(G: GammaAlgebra, n: int) -> list:
@@ -347,8 +316,8 @@ def pairing_signs(G: GammaAlgebra, n: int) -> list:
 
     The Λ-monomial at position i has the same letters as G.words(n)[i] and
     pairs only with it, through the sorted tensor word that the gamma word
-    hits with coefficient 1; the entry is the tensor_pairing_sign of its
-    letter degrees.  pairing_matrix builds the same matrix by expansion.
+    hits with coefficient 1 in T_C(V); the entry is the tensor_pairing_sign
+    of its letter degrees.
     """
     return [tensor_pairing_sign([G.degrees[i] for i, k in gw
                                  for _ in range(k)])

@@ -9,8 +9,10 @@ with odd squares resolved as x^2 = (1/2)[x,x].
 
 UL's basis is a `GradedBasis` keyed by the monomials, so elements and
 coordinates convert in `graded`.  The differential d of UL is built once,
-as the derivation on ∂'s generator images, and stored; `d_elem` and
-`tensor_d` read each monomial's image off its column once and keep it.
+as the derivation on ∂'s generator images, and stored, and elements read
+it through `d_elem`.  Δ is a chain map, Δ∘d = (d⊗1 ± 1⊗d)∘Δ, so the
+Bockstein page checks apply d on UL only; d⊗1 ± 1⊗d on UL ⊗ UL serves the
+tensor-square reference (`structure.TensorSquareBss`).
 """
 
 from __future__ import annotations
@@ -275,7 +277,6 @@ class PbwAlgebra:
         self._d_images = {g: {(k,): c for k, c in tgt.items()}
                           for g, tgt in L.d_gen.items()}
         self._d = None              # UL's differential, once built
-        self._d_monos = {}          # monomial -> (degree, d of it), once read
         self.basis = GradedBasis(ordered_monomials(L.degrees, self.n_max),
                                  self.n_max, self.monomial_name)
 
@@ -357,21 +358,13 @@ class PbwAlgebra:
 
     # -- differential as a derivation ----------------------------------------
 
-    def _d_of(self, mono) -> tuple:
-        """(degree, d) of a basis monomial; d is read once off the stored
-        differential's column and kept (do not mutate)."""
-        got = self._d_monos.get(mono)
-        if got is None:
-            n = self.monomial_degree(mono)
-            got = self._d_monos[mono] = (
-                n, self.differential().image(n, {mono: self.ring.one}))
-        return got
-
     def d_elem(self, elem: dict) -> dict:
-        """d of an element, summed from its monomials' images."""
-        out = {}
+        """d of an element, summed from its monomials' images under the
+        stored d."""
+        ring, d, out = self.ring, self.differential(), {}
         for mono, c in elem.items():
-            accumulate(self.ring, out, self._d_of(mono)[1], c)
+            accumulate(ring, out, d.image(self.monomial_degree(mono),
+                                          {mono: ring.one}), c)
         return out
 
     def differential(self) -> GradedMap:
@@ -382,8 +375,7 @@ class PbwAlgebra:
         return self._d
 
     def as_complex(self) -> GradedChainComplex:
-        return GradedChainComplex(self.basis, self._d or self.differential(),
-                                  self.ring)
+        return GradedChainComplex(self.basis, self.differential(), self.ring)
 
     def derivation(self, degree: int, gen_images: dict) -> GradedMap:
         """Extend generator images (element dicts) to a derivation on UL."""
@@ -438,12 +430,12 @@ class PbwAlgebra:
         ring = self.ring
         out = {}
         for (m1, m2), c in t.items():
-            n1, d1 = self._d_of(m1)
-            accumulate(ring, out, {(k1, m2): c1 for k1, c1 in d1.items()}, c)
-            if n1 % 2:
+            accumulate(ring, out, {(k1, m2): c1 for k1, c1
+                                   in self.d_elem({m1: c}).items()}, ring.one)
+            if self.monomial_degree(m1) % 2:
                 c = ring.neg(c)
             accumulate(ring, out, {(m1, k2): c2 for k2, c2
-                                   in self._d_of(m2)[1].items()}, c)
+                                   in self.d_elem({m2: c}).items()}, ring.one)
         return out
 
     def coproduct(self, mono) -> dict:

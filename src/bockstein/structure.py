@@ -9,7 +9,11 @@ always agree; a mismatch is raised as an internal error, never reported as
 a result.  Second, the Hopf structure induced on a Bockstein page of UL:
 product and coproduct via chain representatives, the page of UL ⊗ UL
 being read off UL's own decomposition piece by piece (Künneth), so no
-second complex is decomposed.  Third, a page-by-page report that each
+second complex is decomposed, and no differential is applied on UL ⊗ UL:
+a class representative survives to its page by the verified
+decomposition (d·P = P·D), and Δ∘d = (d⊗1 ± 1⊗d)∘Δ with integral
+coefficients, so Δ of a surviving UL chain survives too.  Survival is
+checked once, on the UL chain.  Third, a page-by-page report that each
 page looks like the enveloping algebra of its primitives: β-closure, a
 dimension count, and primitivity of the image of the Lie inclusion.
 
@@ -38,8 +42,7 @@ from dataclasses import dataclass
 from .bss import BssResult, bockstein_pages, bss_of_morphism
 from .gamma import (GammaAlgebra, adjoint, is_gamma_derivation,
                     is_gamma_morphism)
-from .graded import (ComplexError, GradedBasis, GradedChainComplex,
-                     GradedMap, WindowError)
+from .graded import GradedBasis, GradedChainComplex, GradedMap
 from .lie import PbwAlgebra
 from .scalars import FpSpan, accumulate, fp_kernel
 
@@ -246,7 +249,10 @@ class PageAlgebra:
     sparse columns over F_p (`FpSpan`).  The comparison with the
     tensor-square page is the identity, and the constructor checks what
     that rests on: each class representative reads back as its own unit
-    vector.
+    vector.  The tensor chains read are Δ and Δ̄ of UL chains, which
+    survive to page r when the UL chain does (Δ is a chain map), so
+    `primitives` and `coproduct` check only the UL chain, with
+    `BssResult.check_survival`; d is never applied on UL ⊗ UL.
     """
 
     def __init__(self, alg: PbwAlgebra, result: BssResult, r: int):
@@ -294,16 +300,16 @@ class PageAlgebra:
         return {i: x % p for i, x in out.items() if x % p}
 
     def _pair_coords(self, n: int, t: dict) -> dict:
-        """Page-r class of a chain of UL ⊗ UL of degree n, as class_pairs(n)
-        position -> nonzero coefficient.  Pair (a, i, j) is at position
-        offset[a] + i·dim(n-a) + j, offset[a] counting the pairs below a."""
-        ring, r, p = self.alg.ring, self.r, self.fp.p
-        if n > self.window or n < 0:
-            raise WindowError(f"degree {n} outside page trust window")
-        for c in self.alg.tensor_d(t).values():
-            if ring.valuation(c) < r:
-                raise ComplexError(
-                    f"chain does not survive to page {r}: d(c) ∉ p^{r}·C")
+        """Page-r class of Δ or Δ̄ of a UL chain x of degree n that survives
+        to page r, as class_pairs(n) position -> nonzero coefficient.  Pair
+        (a, i, j) is at position offset[a] + i·dim(n-a) + j, offset[a]
+        counting the pairs below a.
+
+        The tensor chain t is not checked here: Δ is a chain map, so
+        d(Δx) = Δ(dx), and Δ has integral coefficients, so dx ∈ p^r·C puts
+        d(Δx) and d(Δ̄x) in p^r·(C ⊗ C).  Callers check x on the UL chain
+        (`BssResult.check_survival`)."""
+        ring, p = self.alg.ring, self.fp.p
         dim, offset = self.page.dim, [0]
         for a in range(n):
             offset.append(offset[-1] + dim(a) * dim(n - a))
@@ -340,8 +346,11 @@ class PageAlgebra:
     def coproduct(self, n: int, vec: dict) -> dict:
         """Coproduct of a page class, as class_pairs(n) position ->
         nonzero coefficient."""
-        return self._pair_coords(
-            n, self.alg.coproduct_elem(self._rep_elem(n, vec)))
+        alg = self.alg
+        elem = self._rep_elem(n, vec)
+        self.result.check_survival(self.r, n,
+                                   alg.basis.to_column(n, elem, alg.ring))
+        return self._pair_coords(n, alg.coproduct_elem(elem))
 
     def beta(self, n: int, vec: dict) -> dict:
         return self.page.beta.apply(n, vec)
@@ -366,12 +375,12 @@ class PageAlgebra:
         over F_p."""
         if n < 1 or n > self.window:
             return []
-        cols = []
+        alg, cols = self.alg, []
         for cl in self.page.classes.get(n, []):
-            elem = self.alg.basis.from_column(n, cl.rep)
-            red = {k: v for k, v in self.alg.coproduct_elem(elem).items()
-                   if k[0] and k[1]}
-            cols.append(self._pair_coords(n, red))
+            self.result.check_survival(self.r, n, cl.rep)
+            delta = alg.coproduct_elem(alg.basis.from_column(n, cl.rep))
+            cols.append(self._pair_coords(
+                n, {k: v for k, v in delta.items() if k[0] and k[1]}))
         return fp_kernel(self.fp.p, cols)
 
 

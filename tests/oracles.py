@@ -11,7 +11,7 @@ ever performed here) with `smith`, a dense Smith form of this module's own
 that shares no code with the library's `eliminate`.  UL's coproduct is
 multiplied out in UL ⊗ UL, UL's differential is applied by Leibniz through
 products, and products and divided powers in Γ(V) are computed in the
-tensor coalgebra by shuffles.
+tensor coalgebra by shuffles, and so is the Λ/Γ pairing.
 
 `dense_decompose` and `dense_snf` are the dense elimination that the
 library's sparse kernel replaced: the same pivot rule and the same basis
@@ -24,7 +24,7 @@ references work on.
 from fractions import Fraction
 from math import factorial
 
-from bockstein.gamma import GammaError
+from bockstein.gamma import GammaError, tensor_pairing_sign
 from bockstein.graded import Piece
 from bockstein.lie import run_length
 from bockstein.scalars import (Matrix, PrimeField, SnfResult, ZpLocal,
@@ -519,14 +519,51 @@ def ul_tensor_d_by_leibniz(alg, t):
 #
 # Γ(V) sits in T_C(V) as the symmetric words; its product is the shuffle
 # product and γ^k(x) = x^k/k! there.  These routes use only the library's
-# `GammaAlgebra.shuffle` and `expand`, never its closed-form product.
+# `GammaAlgebra.shuffle`, never its closed-form product or pairing.
+
+def gamma_expand(G, gword):
+    """Tensor-word expansion (integer coefficients) of a gamma word: the
+    shuffle product of its blocks (i,)*k, as γ^k(v) = v^k/k! = v⊗···⊗v."""
+    out = {(): 1}
+    for i, k in gword:
+        nxt = {}
+        for w, c in out.items():
+            for w2, c2 in G.shuffle(w, (i,) * k).items():
+                nxt[w2] = nxt.get(w2, 0) + c * c2
+        out = {w: c for w, c in nxt.items() if c}
+    return out
+
 
 def gamma_expand_elem(G, elem):
     """Element of Γ(V) -> tensor expansion over G's ring."""
     out = {}
     for gw, c in elem.items():
-        accumulate(G.ring, out, G.expand(gw), c)
+        accumulate(G.ring, out, gamma_expand(G, gw), c)
     return out
+
+
+def lambda_gamma_pairing(ring, degrees, lam_word, gamma_expansion: dict):
+    """⟨v_1···v_k, ω⟩ for a Λ-monomial (tuple of generator indices, the
+    PBW order) against a tensor expansion of ω ∈ Γ(W), dual generators
+    matched index to index."""
+    coeff = gamma_expansion.get(lam_word)
+    if coeff is None:
+        return ring.zero
+    sign = tensor_pairing_sign([degrees[i] for i in lam_word])
+    return ring.mul(ring.of(sign), ring.of(coeff))
+
+
+def pairing_matrix_by_expansion(ring, lam, G, n):
+    """The reference for `gamma.pairing_matrix`: each Λ-monomial of `lam`
+    paired against the tensor expansion of each gamma word of degree n;
+    rows = Λ basis."""
+    rows, cols = lam.monomials(n), G.words(n)
+    m = Matrix.zeros(ring, len(rows), len(cols))
+    for j, gw in enumerate(cols):
+        exp = {w: ring.of(c) for w, c in gamma_expand(G, gw).items()}
+        for i, mono in enumerate(rows):
+            m.a[i][j] = lambda_gamma_pairing(ring, G.degrees, mono, exp)
+    return m
 
 
 def gamma_from_tensor(G, tensor_elem, ring=None):
@@ -548,7 +585,7 @@ def gamma_from_tensor(G, tensor_elem, ring=None):
         if any(k > 1 and G.degrees[i] % 2 for i, k in gw):
             raise GammaError("tensor element does not lie in Γ(V)")
         out[gw] = c
-        accumulate(ring, residual, G.expand(gw), ring.neg(c))
+        accumulate(ring, residual, gamma_expand(G, gw), ring.neg(c))
     if residual:
         raise GammaError("tensor element does not lie in Γ(V)")
     return out
@@ -573,7 +610,7 @@ def gamma_divided_power(G, elem, k):
     lift = {gw: Fraction(c) for gw, c in elem.items()}
     tensor = {}
     for gw, c in lift.items():
-        for w, m in G.expand(gw).items():
+        for w, m in gamma_expand(G, gw).items():
             tensor[w] = tensor.get(w, Fraction(0)) + c * m
     power = {(): Fraction(1)}
     for _ in range(k):

@@ -16,7 +16,9 @@ from bockstein.gamma import (GammaAlgebra, GammaError, adjoint,
 from bockstein.graded import GradedMap
 from bockstein.lie import PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal
-from oracles import from_vector, gamma_divided_power, gamma_mul, to_vector
+from oracles import (from_vector, gamma_divided_power, gamma_expand,
+                     gamma_mul, lambda_gamma_pairing,
+                     pairing_matrix_by_expansion, to_vector)
 
 Z3 = ZpLocal(3)
 F3 = PrimeField(3)
@@ -409,10 +411,20 @@ class TestPairing:
         # a Λ-monomial of length j only hits tensor words of length j
         gens = [("v", 2)]
         G = GammaAlgebra(Z3, 8, gens)
-        lam = PbwAlgebra(abelian(Z3, 8, gens))
-        from bockstein.gamma import lambda_gamma_pairing
-        exp = {w: Fraction(c) for w, c in G.expand(((0, 2),)).items()}
+        exp = {w: Fraction(c) for w, c in gamma_expand(G, ((0, 2),)).items()}
         assert lambda_gamma_pairing(Z3, G.degrees, (0,), exp) == 0
+
+    @pytest.mark.parametrize("ring", [Z3, F3])
+    def test_closed_form_matches_expansion(self, ring):
+        gens = [("u", 1), ("v", 2), ("w", 3), ("x", 4)]
+        G = GammaAlgebra(ring, 9, gens)
+        lam = PbwAlgebra(abelian(ring, 9, gens))
+        for n in range(10):
+            assert pairing_matrix(ring, lam, G, n) == \
+                pairing_matrix_by_expansion(ring, lam, G, n), n
+        other = PbwAlgebra(abelian(ring, 9, [("u", 1), ("v", 2)]))
+        with pytest.raises(GammaError):
+            pairing_matrix(ring, other, G, 3)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
@@ -426,7 +438,7 @@ class TestPairing:
             diag = Matrix.zeros(ring, len(signs), len(signs))
             for i, s in enumerate(signs):
                 diag.a[i][i] = ring.of(s)
-            assert pairing_matrix(ring, lam, G, n) == diag
+            assert pairing_matrix_by_expansion(ring, lam, G, n) == diag
 
     @pytest.mark.parametrize("ring", [Z3, F3])
     @pytest.mark.parametrize("degree", [-1, 0, 1])

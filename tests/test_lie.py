@@ -360,6 +360,16 @@ class TestCoproduct:
                 assert A.coproduct(mono) == coproduct_by_products(A, mono), \
                     mono
 
+    @settings(max_examples=150, deadline=None)
+    @given(dgl_presentations(), st.data())
+    def test_coproduct_is_a_chain_map(self, L, data):
+        # (d⊗1 ± 1⊗d)∘Δ = Δ∘d, which lets the page coproduct check
+        # survival on the UL chain instead of on UL ⊗ UL
+        A = PbwAlgebra(L)
+        x = random_element(data, A, data.draw(st.integers(0, A.n_max)))
+        assert A.tensor_d(A.coproduct_elem(x)) == \
+            A.coproduct_elem(A.d_elem(x))
+
 
 class TestPrimitives:
     def test_lowest_degree_all_primitive(self):

@@ -304,11 +304,25 @@ class TestClosedFormCoproduct:
                     _snf_primitives(pa, tensor, n) if n >= 1 else []), (r, n)
 
     def test_non_surviving_chain_rejected(self):
+        # the one survival check of the page coproduct, on the UL chain:
+        # d f = 3·e is not divisible by 9
         alg = example1_ul()
-        pa = PageAlgebra(alg, bockstein_pages(alg.as_complex(), 2), 2)
-        # d(f ⊗ 1) = 3·e ⊗ 1 is not divisible by 9
+        result = bockstein_pages(alg.as_complex(), 2)
+        f = alg.basis.to_column(2, {(1,): Z3.one}, Z3)
         with pytest.raises(ComplexError):
-            pa._pair_coords(2, {((1,), ()): Z3.one})
+            result.check_survival(2, 2, f)
+        # primitives and coproduct run it on the class representative: with
+        # ∂f = 3e, [g] at page 2 represented by g + f does not survive
+        alg = PbwAlgebra(DgLie(Z3, 8, [("e", 1), ("f", 2), ("g", 2)], {},
+                               {1: {0: 3}}))
+        result = bockstein_pages(alg.as_complex(), 2)
+        pa = PageAlgebra(alg, result, 2)
+        [cl] = result.page(2).classes[2]
+        cl.rep = alg.basis.to_column(2, {(1,): Z3.one, (2,): Z3.one}, Z3)
+        with pytest.raises(ComplexError):
+            pa.primitives(2)
+        with pytest.raises(ComplexError):
+            pa.coproduct(2, {0: 1})
 
     def test_degree_above_window_rejected(self):
         alg = example1_ul()
