@@ -5,14 +5,20 @@ Elements of the enveloping algebra are dicts mapping PBW monomials (tuples
 of generator indices, nondecreasing, odd generators at most once) to
 scalars.  Products straighten by the commutator rule
     x_j x_i = (-1)^{|x_i||x_j|} x_i x_j + [x_j, x_i]   (j > i),
-with odd squares resolved as x^2 = (1/2)[x,x].
+with odd squares resolved as x^2 = (1/2)[x,x]; `mul` straightens each
+whole word by adjacent swaps, through a cache.
 
 UL's basis is a `GradedBasis` keyed by the monomials, so elements and
 coordinates convert in `graded`.  The differential d of UL is built once,
 as the derivation on ∂'s generator images, and stored, and elements read
-it through `d_elem`.  Δ is a chain map, Δ∘d = (d⊗1 ± 1⊗d)∘Δ, so the
-Bockstein page checks apply d on UL only; d⊗1 ± 1⊗d on UL ⊗ UL serves the
-tensor-square reference (`structure.TensorSquareBss`).
+it through `d_elem`.  A derivation replaces one letter of an ordered
+monomial at a time, so a one-letter image is inserted into the ordered
+rest by the same rule, passing only the letters it is out of order with;
+∂ sends generators to generators, so building d straightens no whole
+word and fills no cache.  Longer images (the quadratic part of cce's d)
+are straightened as in `mul`.  Δ is a chain map, Δ∘d = (d⊗1 ± 1⊗d)∘Δ, so
+the Bockstein page checks apply d on UL only; d⊗1 ± 1⊗d on UL ⊗ UL serves
+the tensor-square reference (`structure.TensorSquareBss`).
 """
 
 from __future__ import annotations
@@ -132,9 +138,12 @@ class DgLie:
             return " + ".join(f"{c}·{self.names[k]}"
                               for k, c in sorted(elem.items())) or "0"
 
+        nonzero = set()             # the pairs (i, j) with [x_i, x_j] ≠ 0
         for i in gens:
             for j in gens:
                 br = self.bracket_gens(i, j)
+                if br:
+                    nonzero.add((i, j))
                 want_deg = self.degrees[i] + self.degrees[j]
                 for k, c in br.items():
                     if self.degrees[k] != want_deg:
@@ -150,10 +159,14 @@ class DgLie:
                         f"anti-commutativity fails for ({self.names[i]},"
                         f"{self.names[j]}): [y,x] + (-1)^|x||y|[x,y] = "
                         f"{show(bad)}")
-        # graded Jacobi: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]
+        # graded Jacobi: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]];
+        # a triple whose three inner brackets vanish has every term 0
         for i in gens:
             for j in gens:
                 for k in gens:
+                    if ((j, k) not in nonzero and (i, j) not in nonzero
+                            and (i, k) not in nonzero):
+                        continue
                     x, y, z = {i: ring.one}, {j: ring.one}, {k: ring.one}
                     lhs = self.bracket(x, self.bracket(y, z))
                     r1 = self.bracket(self.bracket(x, y), z)
@@ -273,7 +286,11 @@ class PbwAlgebra:
         self.L = L
         self.ring = L.ring
         self.n_max = L.n_max
-        self._straight_cache = {}
+        self._straight_cache = {}       # whole words, by `_straighten`
+        self._odd = [n % 2 for n in L.degrees]
+        # [x_i, x_j] for the pairs that bracket to nonzero, both orders
+        pairs = {q for i, j in L.brackets for q in ((i, j), (j, i))}
+        self._brackets = {q: b for q in pairs if (b := L.bracket_gens(*q))}
         self._d_images = {g: {(k,): c for k, c in tgt.items()}
                           for g, tgt in L.d_gen.items()}
         self._d = None              # UL's differential, once built
@@ -378,7 +395,12 @@ class PbwAlgebra:
         return GradedChainComplex(self.basis, self.differential(), self.ring)
 
     def derivation(self, degree: int, gen_images: dict) -> GradedMap:
-        """Extend generator images (element dicts) to a derivation on UL."""
+        """Extend generator images (element dicts) to a derivation on UL.
+
+        Each column is `_derive` of a monomial: one-letter image monomials
+        (all of ∂'s, and cce's d0) are inserted, longer ones (cce's d1)
+        straightened whole by `_straighten`.
+        """
         theta = GradedMap(self.basis, self.basis, degree, self.ring)
         for n in range(max(0, -degree), self.n_max + 1 - max(0, degree)):
             theta.set_columns(n, [self._derive(mono, degree, gen_images)
@@ -387,18 +409,78 @@ class PbwAlgebra:
 
     def _derive(self, mono, degree: int, gen_images: dict) -> dict:
         """A derivation on a monomial: the sum over its letters of the word
-        with that letter replaced by its image, straightened once, with the
-        Koszul sign of an operator of the given degree passing the prefix."""
+        with that letter replaced by its image, with the Koszul sign of an
+        operator of the given degree passing the prefix.
+
+        A one-letter image h is inserted into the monomial without that
+        letter (`_insert`).  In a run g^m of an even letter with [g, h] = 0
+        all m positions give the same word, so the run costs one insertion
+        with coefficient m.  A longer image monomial (the quadratic part of
+        cce's d) is multiplied out by `_straighten`, as in `mul`.
+        """
         ring = self.ring
         out = {}
         sign = ring.one
-        for pos, g in enumerate(mono):
-            for m2, c2 in gen_images.get(g, {}).items():
-                accumulate(ring, out,
-                           self._straighten(mono[:pos] + m2 + mono[pos + 1:]),
-                           ring.mul(sign, c2))
-            if (degree * self.L.degrees[g]) % 2 == 1:
+        for g in dict.fromkeys(mono):       # each run g^m, in order
+            images = gen_images.get(g)
+            if images:
+                start, m = mono.index(g), mono.count(g)
+                rest = mono[:start] + mono[start + 1:]
+                for image, c in images.items():
+                    c = ring.mul(sign, c)
+                    if len(image) != 1:
+                        for pos in range(start, start + m):
+                            accumulate(ring, out, self._straighten(
+                                mono[:pos] + image + mono[pos + 1:]), c)
+                    elif m == 1 or (g, image[0]) not in self._brackets:
+                        c = ring.mul(ring.of(m), c)
+                        if not ring.is_zero(c):
+                            accumulate(ring, out,
+                                       self._insert(rest, start, image[0]), c)
+                    else:
+                        for pos in range(start, start + m):
+                            accumulate(ring, out,
+                                       self._insert(rest, pos, image[0]), c)
+            if self._odd[g] and degree % 2:  # an odd letter occurs once
                 sign = ring.neg(sign)
+        return out
+
+    def _insert(self, word, pos: int, h: int) -> dict:
+        """Straighten word[:pos] + (h,) + word[pos:] for a monomial `word`.
+
+        h moves left, or right, past the letters it is out of order with,
+        picking up the Koszul sign (-1)^{|a||h|} at each letter a.  Where
+        [a, h] ≠ 0 each bracket term is inserted the same way into the word
+        without a, and an odd h meeting its own letter gives ½[h, h].
+        """
+        ring, odd, brackets = self.ring, self._odd, self._brackets
+        out = {}
+        sign = ring.one
+        i = pos
+        while i > 0 and word[i - 1] > h:        # a·h = ±h·a + [a, h]
+            i -= 1
+            a = word[i]
+            for k, c in brackets.get((a, h), {}).items():
+                accumulate(ring, out, self._insert(word[:i] + word[i + 1:],
+                                                   i, k), ring.mul(sign, c))
+            if odd[a] and odd[h]:
+                sign = ring.neg(sign)
+        while i < len(word) and word[i] < h:    # h·b = ±b·h + [h, b]
+            b = word[i]
+            for k, c in brackets.get((h, b), {}).items():
+                accumulate(ring, out, self._insert(word[:i] + word[i + 1:],
+                                                   i, k), ring.mul(sign, c))
+            if odd[b] and odd[h]:
+                sign = ring.neg(sign)
+            i += 1
+        e = i - 1 if i and word[i - 1] == h else i
+        if odd[h] and word[e:e + 1] == (h,):    # h·h = ½[h, h]
+            rest = word[:e] + word[e + 1:]
+            for k, c in brackets.get((h, h), {}).items():
+                accumulate(ring, out, self._insert(rest, e, k),
+                           ring.mul(sign, ring.div(c, ring.of(2))))
+        else:
+            out[word[:i] + (h,) + word[i:]] = sign
         return out
 
     def algebra_map(self, target: "PbwAlgebra", gen_images: dict) -> GradedMap:

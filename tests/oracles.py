@@ -10,8 +10,10 @@ computed on the raw differential only (no basis change of the complex is
 ever performed here) with `smith`, a dense Smith form of this module's own
 that shares no code with the library's `eliminate`.  UL's coproduct is
 multiplied out in UL ⊗ UL, UL's differential is applied by Leibniz through
-products, and products and divided powers in Γ(V) are computed in the
-tensor coalgebra by shuffles, and so is the Λ/Γ pairing.
+products and derivations by straightening whole words, the Jacobi identity
+is checked on every generator triple, and products and divided powers in
+Γ(V) are computed in the tensor coalgebra by shuffles, and so is the Λ/Γ
+pairing.
 
 `dense_decompose` and `dense_snf` are the dense elimination that the
 library's sparse kernel replaced: the same pivot rule and the same basis
@@ -479,12 +481,44 @@ def coalgebra_failure_by_monomials(source, target, f):
 
 
 # ---------------------------------------------------------------------------
+# Graded Jacobi on every generator triple
+# ---------------------------------------------------------------------------
+
+def jacobi_violations(L):
+    """The "Jacobi fails" lines of `DgLie.validate`, from all n³ generator
+    triples, none skipped."""
+    ring = L.ring
+    out = []
+    gens = range(L.n_gens())
+
+    def show(elem):
+        return " + ".join(f"{c}·{L.names[k]}"
+                          for k, c in sorted(elem.items())) or "0"
+
+    for i in gens:
+        for j in gens:
+            for k in gens:
+                x, y, z = {i: ring.one}, {j: ring.one}, {k: ring.one}
+                lhs = L.bracket(x, L.bracket(y, z))
+                r1 = L.bracket(L.bracket(x, y), z)
+                r2 = L.bracket(y, L.bracket(x, z))
+                s = ring.of(-1 if L.degrees[i] * L.degrees[j] % 2 else 1)
+                diff = accumulate(ring, dict(lhs), r1, ring.neg(ring.one))
+                accumulate(ring, diff, r2, ring.neg(s))
+                if diff:
+                    out.append(f"Jacobi fails on ({L.names[i]},{L.names[j]},"
+                               f"{L.names[k]}): defect {show(diff)}")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # UL's differential by Leibniz through products
 # ---------------------------------------------------------------------------
 #
 # d(x_1···x_k) = Σ_i (-1)^{|x_1···x_{i-1}|} x_1···x_{i-1}·∂x_i·x_{i+1}···x_k,
 # each term multiplied out by `PbwAlgebra.mul`, never `_derive` or the
-# stored differential.
+# stored differential.  `derive_by_straightening` straightens each whole
+# substituted word instead of inserting one letter.
 
 def ul_d_by_leibniz(alg, elem):
     """d of an element of UL, term by term from ∂ on generators."""
@@ -497,6 +531,24 @@ def ul_d_by_leibniz(alg, elem):
             term = alg.mul(alg.mul(prefix, dg), {mono[pos + 1:]: ring.one})
             sign = -1 if alg.monomial_degree(mono[:pos]) % 2 else 1
             accumulate(ring, out, term, ring.mul(ring.of(sign), c))
+    return out
+
+
+def derive_by_straightening(alg, mono, degree, gen_images):
+    """A derivation of the given degree on a monomial of UL: each letter
+    replaced by its image monomials, the whole word straightened, with the
+    Koszul sign of the operator passing the prefix (the route `_derive`
+    took before one-letter insertion)."""
+    ring = alg.ring
+    out = {}
+    sign = 1
+    for pos, g in enumerate(mono):
+        for image, c in gen_images.get(g, {}).items():
+            word = mono[:pos] + image + mono[pos + 1:]
+            accumulate(ring, out, alg.element({word: 1}),
+                       ring.mul(ring.of(sign), c))
+        if degree * alg.L.degrees[g] % 2:
+            sign = -sign
     return out
 
 

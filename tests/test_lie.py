@@ -2,17 +2,21 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bockstein.dglfile import parse_dgl
 from bockstein.graded import homology
 from bockstein.lie import DgLie, LieError, PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal, accumulate
-from oracles import (coproduct_by_products, dense, from_vector, sparse,
-                     tensor_mul, to_vector, ul_d_by_leibniz, ul_primitives,
+from oracles import (coproduct_by_products, dense, derive_by_straightening,
+                     from_vector, jacobi_violations, sparse, tensor_mul,
+                     to_vector, ul_d_by_leibniz, ul_primitives,
                      ul_tensor_d_by_leibniz)
 
 Z3 = ZpLocal(3)
@@ -50,12 +54,18 @@ def ul_presentations(draw):
 def dgl_presentations(draw):
     """Valid DGLs with a nonzero ∂ over Z_(3), F_3, Z_(5) or F_5, nmax ≤ 10:
     one or two torsion pairs e(m), f(m+1) with ∂f = c·e; x(1), y(2), z(3),
-    w(4) with [x,y] = z and ∂w = c·z; or x(1), z(2), u(3) with [x,x] = z
-    and ∂u = c·z."""
+    w(4) with [x,y] = z and ∂w = c·z; x(1), z(2), u(3) with [x,x] = z and
+    ∂u = c·z; or h(2), a(1), k(3), g(3), m(4) with [a,h] = k, [a,g] = m,
+    ∂g = c·h and ∂m = -c·k, where the image h of g must pass a, which it
+    brackets with."""
     ring = draw(st.sampled_from([Z3, F3, ZpLocal(5), PrimeField(5)]))
     n_max = draw(st.integers(1, 10))
     c = draw(st.sampled_from([1, 2, 3, 9, -5]))
-    shape = draw(st.sampled_from(["pairs", "xyzw", "xzu"]))
+    shape = draw(st.sampled_from(["pairs", "xyzw", "xzu", "hakgm"]))
+    if shape == "hakgm":
+        return DgLie(ring, n_max,
+                     [("h", 2), ("a", 1), ("k", 3), ("g", 3), ("m", 4)],
+                     {(1, 0): {2: 1}, (1, 3): {4: 1}}, {3: {0: c}, 4: {2: -c}})
     if shape == "xyzw":
         return DgLie(ring, n_max, [("x", 1), ("y", 2), ("z", 3), ("w", 4)],
                      {(0, 1): {2: 1}}, {3: {2: c}})
@@ -77,7 +87,51 @@ def random_element(data, A, n):
     return from_vector(A.basis, n, [A.ring.of(c) for c in coeffs], A.ring)
 
 
+@st.composite
+def derivation_images(draw, A):
+    """A degree, -1 or +1, and generator images of that degree: sums of
+    monomials of at most two letters (the shapes of cce's d0 and d1), with
+    the empty monomial for a degree-1 generator at degree -1."""
+    degree = draw(st.sampled_from([-1, 1]))
+    images = {}
+    for g, n in enumerate(A.L.degrees):
+        monos = [m for m in A.monomials(n + degree) if len(m) <= 2] \
+            if 0 <= n + degree <= A.n_max else []
+        chosen = draw(st.lists(st.sampled_from(monos), max_size=3,
+                               unique=True)) if monos else []
+        images[g] = {m: A.ring.of(draw(st.sampled_from([1, 2, -1, 3, -5])))
+                     for m in chosen}
+    return degree, images
+
+
+@st.composite
+def random_presentations(draw):
+    """DgLie arguments with random brackets and ∂ over Z_(3), F_3 or Z_(5):
+    2-4 generators of degree 1-3, mostly invalid."""
+    ring = draw(st.sampled_from([Z3, F3, ZpLocal(5)]))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    gens = range(len(degrees))
+    targets = st.dictionaries(st.sampled_from(gens),
+                              st.sampled_from([1, 2, -1, 3]), max_size=2)
+    brackets = draw(st.dictionaries(st.tuples(st.sampled_from(gens),
+                                              st.sampled_from(gens)),
+                                    targets, max_size=5))
+    diff = draw(st.dictionaries(st.sampled_from(gens), targets, max_size=2))
+    return (ring, 8, [(f"g{i}", n) for i, n in enumerate(degrees)],
+            brackets, diff)
+
+
 TRIANGLE = [("a", 1), ("b1", 2), ("b2", 2), ("c", 3)]
+
+# The invalid presentations of TestValidation, as DgLie arguments.
+INVALID = [
+    (Z3, 8, [("x", 2), ("y", 2), ("z", 4)], {(0, 1): {2: 1}, (1, 0): {2: 1}}),
+    (Z3, 8, [("x", 2), ("y", 2), ("z", 3)], {(0, 1): {2: 1}}),
+    (Z3, 12, [("x", 1), ("y", 2), ("z", 3)], {(0, 0): {1: 1}, (0, 1): {2: 1}}),
+    (Z3, 12, [("x", 2), ("y", 3), ("z", 5), ("w", 4)], {(0, 1): {2: 1}},
+     {2: {3: 1}}),
+    (Z3, 8, TRIANGLE, {}, {3: {1: 1, 2: 1}, 1: {0: 1}, 2: {0: 2}}),
+]
 
 
 def _no_recheck(self):
@@ -162,6 +216,22 @@ class TestValidation:
         L = DgLie(F3, 8, TRIANGLE, {}, {3: {1: 1, 2: 1}, 1: {0: 1}, 2: {0: 2}})
         assert L.validate() == []
         assert any("∂∂c" in v for v in L.replace(ring=Z3).validate())
+
+    @pytest.mark.parametrize("presentation", INVALID)
+    def test_jacobi_skip_keeps_the_verdict_invalid(self, presentation):
+        L = DgLie(*presentation)
+        assert L.validate()
+        assert [v for v in L.validate() if v.startswith("Jacobi")] == \
+            jacobi_violations(L)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_presentations())
+    def test_jacobi_skip_keeps_the_verdict(self, presentation):
+        # skipping the triples whose inner brackets all vanish leaves the
+        # Jacobi lines, in content and order, as the full triple loop
+        L = DgLie(*presentation)
+        assert [v for v in L.validate() if v.startswith("Jacobi")] == \
+            jacobi_violations(L)
 
     def test_lie_complex_matches(self):
         C = example1(n_max=4).as_complex()
@@ -277,6 +347,34 @@ class TestDifferential:
                  [m for n in range(A.n_max + 1) for m in A.monomials(n)]),
                  max_size=3))}
         assert A.tensor_d(t) == ul_tensor_d_by_leibniz(A, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dgl_presentations(), st.data())
+    def test_derivation_matches_straightening(self, L, data):
+        # one-letter images are inserted, longer ones straightened; the
+        # oracle straightens every substituted word whole
+        A = PbwAlgebra(L)
+        degree, images = data.draw(derivation_images(A))
+        theta = A.derivation(degree, images)
+        for n in range(max(0, -degree), A.n_max + 1 - max(0, degree)):
+            assert theta.sparse_columns(n) == [
+                A.basis.to_column(n + degree, derive_by_straightening(
+                    A, mono, degree, images), A.ring)
+                for mono in A.monomials(n)], n
+
+    def test_peak_memory_of_d(self):
+        # building d by insertion keeps no table of straightened words;
+        # straightening each substituted word through the cache peaks at
+        # about 5 MB here
+        golden = Path(__file__).parent / "golden" / "nonabelian16.dgl"
+        A = PbwAlgebra(parse_dgl(golden.read_text()).replace(n_max=24))
+        tracemalloc.start()
+        try:
+            A.differential()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_complex_squares_to_zero(self):
         A = PbwAlgebra(example1(n_max=10))
