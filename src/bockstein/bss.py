@@ -87,7 +87,7 @@ class BssResult:
 
 def _class_name(basis: GradedBasis, n: int, column: dict, used):
     """[first basis vector of a P column], made unique with ~k."""
-    name = f"[{basis.names(n)[min(column)]}]" if column else "[0]"
+    name = f"[{basis.name(n, min(column))}]" if column else "[0]"
     if name in used:
         k = 2
         while f"{name}~{k}" in used:

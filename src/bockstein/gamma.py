@@ -15,11 +15,20 @@ the closed forms.
 
 The basis is a `GradedBasis` keyed by the words, so elements and
 coordinates convert in `graded`; the detectors read each word's image
-under a map as a block column (`GradedMap.image`).
+under a map from its stored block column.
+
+The detectors (`is_gamma_morphism`, `is_gamma_derivation`) decide on
+generators, in time linear in dim Γ: over Z_(p) or F_p, Γ(V) is generated
+as an algebra by the odd letters and the γ^{p^j} of the even letters
+(Lucas' theorem), and an algebra map of divided-power algebras that
+commutes with γ^k on the letters commutes with it everywhere (H. Cartan,
+"Puissances divisées", 1954-55); so does the derivation rule.  Every pair
+of words is scanned only to name the first witness (`_first_failure`).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb, factorial
 
 from .graded import GradedBasis, GradedMap, dualize
@@ -29,6 +38,14 @@ from .scalars import Matrix, accumulate
 
 class GammaError(ValueError):
     pass
+
+
+def word_name(names: list, gword) -> str:
+    """a*g2(b) for the word ((0, 1), (1, 2)) on generators named a, b."""
+    if not gword:
+        return "1"
+    return "*".join(names[i] if k == 1 else f"g{k}({names[i]})"
+                    for i, k in gword)
 
 
 class GammaAlgebra:
@@ -51,7 +68,7 @@ class GammaAlgebra:
         self.basis = GradedBasis(
             {n: [run_length(m) for m in monos]
              for n, monos in ordered_monomials(self.degrees, n_max).items()},
-            n_max, self.word_name)
+            n_max, partial(word_name, self.names))
 
     def words(self, n: int) -> list:
         return self.basis.keys(n)
@@ -61,12 +78,6 @@ class GammaAlgebra:
 
     def word_degree(self, gword) -> int:
         return sum(k * self.degrees[i] for i, k in gword)
-
-    def word_name(self, gword) -> str:
-        if not gword:
-            return "1"
-        return "*".join(self.names[i] if k == 1 else f"g{k}({self.names[i]})"
-                        for i, k in gword)
 
     # -- shuffle product in T_C(V), integer coefficients ----------------------
 
@@ -168,6 +179,9 @@ class GammaAlgebra:
             raise GammaError("divided powers only on nonzero even degrees")
         if n * k > self.n_max:
             raise GammaError(f"γ^{k} lands in degree {n * k} > window")
+        if len(elem) == 1:
+            (w, c), = elem.items()
+            return self._word_divided_power(w, k, c)
         powers = [{(): ring.one}] + [{}] * k    # γ^j of the terms so far
         for w, c in elem.items():
             own = [{(): ring.one}] + [self._word_divided_power(w, i, c)
@@ -200,10 +214,11 @@ class GammaAlgebra:
 # ---------------------------------------------------------------------------
 
 def _word_map(f: GradedMap):
-    """f as a function on elements of its source, each basis word's image
-    read once as a block column."""
-    images = {w: f.image(n, {w: f.ring.one})
-              for n in f.source.degrees() for w in f.source.keys(n)}
+    """(images, fmap): each basis word's image under f, read once from the
+    stored block columns, and f as a function on elements of its source."""
+    images = {w: f.target.from_column(n + f.degree, col)
+              for n in f.source.degrees()
+              for w, col in zip(f.source.keys(n), f.sparse_columns(n))}
 
     def fmap(elem: dict) -> dict:
         out = {}
@@ -211,48 +226,90 @@ def _word_map(f: GradedMap):
             accumulate(f.ring, out, images[w], c)
         return out
 
-    return fmap
+    return images, fmap
+
+
+def _algebra_generators(A: GammaAlgebra) -> list:
+    """The words that generate Γ(V) as an algebra over Z_(p) or F_p, within
+    the window: each odd letter, and γ^{p^j}(x) for each even letter x.
+
+    A word with an odd letter v is ±v times the word without it.  A word
+    whose even letter x has exponent k, with lowest nonzero base-p digit
+    k_j, is γ^{p^j}(x) times the word with exponent k - p^j, up to the
+    factor C(k, p^j) ≡ k_j mod p (Lucas), a unit.
+    """
+    gens = []
+    for i, d in enumerate(A.degrees):
+        q = 1
+        while q * d <= A.n_max:
+            gens.append(((i, q),))
+            if d % 2:
+                break
+            q *= A.ring.p
+    return gens
 
 
 def _first_failure(A: GammaAlgebra, product_ok, gamma_ok):
     """The first basis-word witness, or None: ("product", w1, w2) where
     product_ok(|w1|, w1, w2) fails, over |w1| ≤ |w2| within the window, then
-    ("gamma", w, k) where gamma_ok(w, k) fails, over even w and k ≥ 2."""
-    for n1 in range(1, A.n_max + 1):
-        for w1 in A.words(n1):
-            for n2 in range(n1, A.n_max + 1 - n1):
-                for w2 in A.words(n2):
-                    if not product_ok(n1, w1, w2):
-                        return "product", w1, w2
-    for n in range(2, A.n_max + 1, 2):
-        for w in A.words(n):
-            for k in range(2, A.n_max // n + 1):
-                if not gamma_ok(w, k):
-                    return "gamma", w, k
-    return None
+    ("gamma", w, k) where gamma_ok(w, k) fails, over even w and k ≥ 2.
+
+    The verdict is decided on generators, in time linear in dim Γ:
+    - products: g·w for each algebra generator g (`_algebra_generators`)
+      and each word w.  Every word is a unit times g times a shorter word,
+      so by induction on the first factor, associativity and graded
+      commutativity, the check then holds on every pair;
+    - divided powers, once products hold: γ^k on the even letters only.
+      γ^k(γ^m x) = c·γ^{km}(x), γ^k(u·v) = u^k·γ^k(v) for even u, and γ^k
+      of a product of two odd letters is 0 (k ≥ 2), in source and target
+      alike (H. Cartan, "Puissances divisées", 1954-55), so the check on
+      the letters gives it on every even word.  The derivation rule
+      θ(γ^k a) = θ(a)·γ^{k-1}(a) follows from its letters in the same way.
+    Only when a generator check fails are all the pairs, or all the even
+    words, scanned in order, to name the first witness.
+    """
+    N = A.n_max
+    pairs = (("product", w1, w2) for n1 in range(1, N + 1)
+             for w1 in A.words(n1) for n2 in range(n1, N + 1 - n1)
+             for w2 in A.words(n2) if not product_ok(n1, w1, w2))
+    powers = (("gamma", w, k) for n in range(2, N + 1, 2) for w in A.words(n)
+              for k in range(2, N // n + 1) if not gamma_ok(w, k))
+    if all(product_ok(A.word_degree(g), g, w) for g in _algebra_generators(A)
+           for n in range(1, N + 1 - A.word_degree(g)) for w in A.words(n)):
+        if all(gamma_ok(((i, 1),), k)
+               for i, d in enumerate(A.degrees) if d % 2 == 0
+               for k in range(2, N // d + 1)):
+            return None
+        witness = next(powers, None)
+    else:
+        witness = next(pairs, None) or next(powers, None)
+    if witness is None:
+        raise GammaError("internal error: a generator check failed but no "
+                         "pair of basis words or divided power does")
+    return witness
 
 
 def is_gamma_morphism(f: GradedMap, src: GammaAlgebra, tgt: GammaAlgebra):
     """(True, None) if f is an algebra map respecting all γ^k, else a witness.
 
-    Checked on basis words within the window: multiplicativity on pairs and
-    f(γ^k(w)) = γ^k(f(w)) for even-degree words w, k ≥ 2.  Witness is
-    ("product", w1, w2) or ("gamma", w, k).
+    Multiplicativity on pairs of basis words and f(γ^k(w)) = γ^k(f(w)) for
+    even-degree words w, k ≥ 2, within the window, decided on generators
+    (`_first_failure`).  Witness is ("product", w1, w2) or ("gamma", w, k).
     """
     ring = f.ring
     if f.degree != 0:
         raise GammaError("Γ-morphism must have degree 0")
-    fm = _word_map(f)
+    images, fm = _word_map(f)
     if fm({(): ring.one}) != {(): ring.one}:
         return False, ("unit", (), 0)
 
     def product_ok(n1, w1, w2):
         return (fm(src.word_product(w1, w2))
-                == tgt.mul(fm({w1: ring.one}), fm({w2: ring.one})))
+                == tgt.mul(images[w1], images[w2]))
 
     def gamma_ok(w, k):
         return (fm(src.divided_power({w: ring.one}, k))
-                == tgt.divided_power(fm({w: ring.one}), k))
+                == tgt.divided_power(images[w], k))
 
     witness = _first_failure(src, product_ok, gamma_ok)
     return witness is None, witness
@@ -263,17 +320,17 @@ def is_gamma_derivation(theta: GradedMap, A: GammaAlgebra):
     θ(γ^k(a)) = θ(a)·γ^{k-1}(a) on basis words; else (False, witness)."""
     ring = theta.ring
     deg = theta.degree
-    th = _word_map(theta)
+    images, th = _word_map(theta)
 
     def product_ok(n1, w1, w2):
-        a, b = {w1: ring.one}, {w2: ring.one}
         sign = ring.of(-1 if (deg * n1) % 2 else 1)
         return th(A.word_product(w1, w2)) == accumulate(
-            ring, A.mul(th(a), b), A.mul(a, th(b)), sign)
+            ring, A.mul(images[w1], {w2: ring.one}),
+            A.mul({w1: ring.one}, images[w2]), sign)
 
     def gamma_ok(w, k):
         a = {w: ring.one}
-        return th(A.divided_power(a, k)) == A.mul(th(a),
+        return th(A.divided_power(a, k)) == A.mul(images[w],
                                                   A.divided_power(a, k - 1))
 
     witness = _first_failure(A, product_ok, gamma_ok)

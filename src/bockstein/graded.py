@@ -42,13 +42,15 @@ class GradedBasis:
 
     A key is whatever names a basis vector to its owner: a PBW monomial, a
     Γ word, a generator index or a plain name.  `name` prints a key (keys
-    are their own names by default).  Each degree keeps a key -> position
-    dict, so elements (sparse dicts key -> scalar) and column dicts
-    (position -> scalar) convert here and nowhere else.
+    are their own names by default); a degree's names are made on first
+    use, since a report names few of them.  Each degree keeps a key ->
+    position dict, so elements (sparse dicts key -> scalar) and column
+    dicts (position -> scalar) convert here and nowhere else.
     """
 
     def __init__(self, keys_by_degree: dict, n_max: int, name=None):
         self.n_max = n_max
+        self._name = name
         self._keys, self._pos, self._names = {}, {}, {}
         for n, keys in keys_by_degree.items():
             if not keys:
@@ -59,13 +61,24 @@ class GradedBasis:
             self._pos[n] = {k: j for j, k in enumerate(keys)}
             if len(self._pos[n]) != len(keys):
                 raise ValueError(f"duplicate basis names in degree {n}")
-            self._names[n] = [k if name is None else name(k) for k in keys]
 
     def dim(self, n: int) -> int:
         return len(self._keys.get(n, []))
 
+    def _names_of(self, n: int) -> list:
+        names = self._names.get(n)
+        if names is None:
+            keys = self.keys(n)
+            names = self._names[n] = (
+                keys if self._name is None else list(map(self._name, keys)))
+        return names
+
     def names(self, n: int) -> list:
-        return list(self._names.get(n, []))
+        return list(self._names_of(n))
+
+    def name(self, n: int, j: int) -> str:
+        """The name of the basis vector at position j of degree n."""
+        return self._names_of(n)[j]
 
     def keys(self, n: int) -> list:
         """The keys of degree n in basis order (do not mutate)."""
@@ -86,9 +99,8 @@ class GradedBasis:
     def to_column(self, n: int, elem: dict, ring) -> dict:
         """The column dict in degree n of a sparse element, in basis order;
         zero terms skipped."""
-        col = {self.index(n, key): c for key, c in elem.items()
-               if not ring.is_zero(c)}
-        return {i: col[i] for i in sorted(col)}
+        return dict(sorted((self.index(n, key), c) for key, c in elem.items()
+                           if not ring.is_zero(c)))
 
     def from_column(self, n: int, col: dict) -> dict:
         """The sparse element of a column dict of nonzeros in degree n."""
@@ -97,10 +109,10 @@ class GradedBasis:
 
     def __eq__(self, other):
         return (isinstance(other, GradedBasis) and self.n_max == other.n_max
-                and self._names == other._names)
+                and self._keys == other._keys)
 
     def __repr__(self):
-        return f"GradedBasis({dict(self._names)}, n_max={self.n_max})"
+        return f"GradedBasis({self._keys}, n_max={self.n_max})"
 
 
 class GradedMap:
@@ -128,10 +140,6 @@ class GradedMap:
         entry), one per source basis vector; zero entries are dropped, and
         an all-zero block clears the degree."""
         rows, is_zero = self.target.dim(n + self.degree), self.ring.is_zero
-        if len(cols) != self.source.dim(n):
-            raise ComplexError(
-                f"block at degree {n} has {len(cols)} columns, expected "
-                f"{self.source.dim(n)}")
         clean = []
         for col in cols:
             keys = sorted(i for i, x in col.items() if not is_zero(x))
@@ -139,17 +147,26 @@ class GradedMap:
                 raise ComplexError(
                     f"block at degree {n} has a row outside 0..{rows - 1}")
             clean.append({i: col[i] for i in keys})
-        if any(clean):
-            self._cols[n] = clean
-        else:
-            self._cols.pop(n, None)
+        self._store(n, clean)
 
     def set_columns(self, n: int, elems: list):
         """Set the block at degree n from its columns, sparse elements of
         the target in degree n + deg."""
-        m = n + self.degree
-        self.set_sparse_columns(
-            n, [self.target.to_column(m, elem, self.ring) for elem in elems])
+        m, ring = n + self.degree, self.ring
+        self._store(n, [self.target.to_column(m, elem, ring)
+                        for elem in elems])
+
+    def _store(self, n: int, cols: list):
+        """Keep the clean column dicts of degree n, one per source basis
+        vector, or clear the degree if all are empty."""
+        if len(cols) != self.source.dim(n):
+            raise ComplexError(
+                f"block at degree {n} has {len(cols)} columns, expected "
+                f"{self.source.dim(n)}")
+        if any(cols):
+            self._cols[n] = cols
+        else:
+            self._cols.pop(n, None)
 
     def set_block(self, n: int, m: Matrix):
         if m.rows != self.target.dim(n + self.degree) or m.cols != self.source.dim(n):

@@ -23,6 +23,7 @@ the tensor-square reference (`structure.TensorSquareBss`).
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 
 from .graded import GradedBasis, GradedChainComplex, GradedMap
@@ -272,6 +273,14 @@ def run_length(mono) -> tuple:
     return tuple(out)
 
 
+def monomial_name(names: list, mono) -> str:
+    """a*b^2 for the monomial (0, 1, 1) on generators named a, b."""
+    if not mono:
+        return "1"
+    return "*".join(names[i] if k == 1 else f"{names[i]}^{k}"
+                    for i, k in run_length(mono))
+
+
 class PbwAlgebra:
     """UL with ordered-monomial basis per degree up to the window.
 
@@ -294,8 +303,10 @@ class PbwAlgebra:
         self._d_images = {g: {(k,): c for k, c in tgt.items()}
                           for g, tgt in L.d_gen.items()}
         self._d = None              # UL's differential, once built
+        # a function of the names, not a bound method: no cycle through
+        # the basis
         self.basis = GradedBasis(ordered_monomials(L.degrees, self.n_max),
-                                 self.n_max, self.monomial_name)
+                                 self.n_max, partial(monomial_name, L.names))
 
     # -- basis -------------------------------------------------------------
 
@@ -309,11 +320,7 @@ class PbwAlgebra:
         return sum(self.L.degrees[i] for i in mono)
 
     def monomial_name(self, mono) -> str:
-        if not mono:
-            return "1"
-        names = self.L.names
-        return "*".join(names[i] if k == 1 else f"{names[i]}^{k}"
-                        for i, k in run_length(mono))
+        return monomial_name(self.L.names, mono)
 
     # -- product ------------------------------------------------------------
 

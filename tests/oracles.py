@@ -13,7 +13,9 @@ multiplied out in UL ⊗ UL, UL's differential is applied by Leibniz through
 products and derivations by straightening whole words, the Jacobi identity
 is checked on every generator triple, and products and divided powers in
 Γ(V) are computed in the tensor coalgebra by shuffles, and so is the Λ/Γ
-pairing.
+pairing.  The Γ-morphism and Γ-derivation detectors scan every pair of
+basis words and every even word (`is_gamma_morphism_by_scan`,
+`is_gamma_derivation_by_scan`), where the library checks generators.
 
 `dense_decompose` and `dense_snf` are the dense elimination that the
 library's sparse kernel replaced: the same pivot rule and the same basis
@@ -678,3 +680,80 @@ def gamma_divided_power(G, elem, k):
     exact = gamma_from_tensor(G, result, ZpLocal(ring.p))
     return {gw: ring.of(c) for gw, c in exact.items()
             if not ring.is_zero(ring.of(c))}
+
+
+# ---------------------------------------------------------------------------
+# Γ-morphism and Γ-derivation detectors by scanning every word pair
+# ---------------------------------------------------------------------------
+
+# Every pair of basis words and every even word is checked, each word's
+# image read through GradedMap.image: the reference for the generator
+# checks of gamma._first_failure.
+
+def first_failure_by_scan(A, product_ok, gamma_ok):
+    """The first ("product", w1, w2) over all pairs |w1| ≤ |w2|, then the
+    first ("gamma", w, k) over all even words w and k ≥ 2; None if none."""
+    for n1 in range(1, A.n_max + 1):
+        for w1 in A.words(n1):
+            for n2 in range(n1, A.n_max + 1 - n1):
+                for w2 in A.words(n2):
+                    if not product_ok(n1, w1, w2):
+                        return "product", w1, w2
+    for n in range(2, A.n_max + 1, 2):
+        for w in A.words(n):
+            for k in range(2, A.n_max // n + 1):
+                if not gamma_ok(w, k):
+                    return "gamma", w, k
+    return None
+
+
+def _images_by_scan(f, A):
+    """Each word of A's basis -> its image under f through GradedMap.image."""
+    return {w: f.image(n, {w: f.ring.one})
+            for n in A.basis.degrees() for w in A.words(n)}
+
+
+def _apply(ring, images, elem):
+    out = {}
+    for w, c in elem.items():
+        accumulate(ring, out, images[w], c)
+    return out
+
+
+def is_gamma_morphism_by_scan(f, src, tgt):
+    """(verdict, witness) of gamma.is_gamma_morphism, by the full scan."""
+    ring = f.ring
+    images = _images_by_scan(f, src)
+    if _apply(ring, images, {(): ring.one}) != {(): ring.one}:
+        return False, ("unit", (), 0)
+
+    def product_ok(n1, w1, w2):
+        return (_apply(ring, images, src.word_product(w1, w2))
+                == tgt.mul(images[w1], images[w2]))
+
+    def gamma_ok(w, k):
+        return (_apply(ring, images, src.divided_power({w: ring.one}, k))
+                == tgt.divided_power(images[w], k))
+
+    witness = first_failure_by_scan(src, product_ok, gamma_ok)
+    return witness is None, witness
+
+
+def is_gamma_derivation_by_scan(theta, A):
+    """(verdict, witness) of gamma.is_gamma_derivation, by the full scan."""
+    ring, deg = theta.ring, theta.degree
+    images = _images_by_scan(theta, A)
+
+    def product_ok(n1, w1, w2):
+        a, b = {w1: ring.one}, {w2: ring.one}
+        sign = ring.of(-1 if (deg * n1) % 2 else 1)
+        return _apply(ring, images, A.word_product(w1, w2)) == accumulate(
+            ring, A.mul(images[w1], b), A.mul(a, images[w2]), sign)
+
+    def gamma_ok(w, k):
+        a = {w: ring.one}
+        return (_apply(ring, images, A.divided_power(a, k))
+                == A.mul(images[w], A.divided_power(a, k - 1)))
+
+    witness = first_failure_by_scan(A, product_ok, gamma_ok)
+    return witness is None, witness

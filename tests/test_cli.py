@@ -267,6 +267,19 @@ class TestCheckMorphism:
         assert main(["check-morphism", abc, abc, str(m), "--mod-p"]) == 0
         assert calls == [1, 1]
 
+    @pytest.mark.parametrize("name, lie_type", [("identity3", "yes"),
+                                                 ("twist3", "no")])
+    def test_golden_twist_input(self, capsys, name, lie_type):
+        # the inputs of the CI size smoke, at a small window
+        golden = Path(__file__).parent / "golden"
+        assert main(["check-morphism", str(golden / "twist3.dgl"),
+                     str(golden / "twist3.dgl"), str(golden / f"{name}.map"),
+                     "--mod-p", "--nmax", "24"]) == 0
+        out = capsys.readouterr().out
+        assert f"lie type: {lie_type}" in out
+        if lie_type == "no":
+            assert "dual γ witness: ('gamma', ((2, 1),), 3)" in out
+
     def test_twist_not_hopf_over_zp(self, abc, tmp_path, capsys):
         # over Z_(3) the binomial middle terms survive, so the twisted
         # map fails the coalgebra check outright

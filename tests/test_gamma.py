@@ -6,18 +6,20 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bockstein.gamma import (GammaAlgebra, GammaError, adjoint,
-                             is_gamma_derivation, is_gamma_morphism,
+from bockstein.gamma import (GammaAlgebra, GammaError, _algebra_generators,
+                             adjoint, is_gamma_derivation, is_gamma_morphism,
                              pairing_matrix, pairing_signs,
                              tensor_pairing_sign)
 from bockstein.graded import GradedMap
-from bockstein.lie import PbwAlgebra, abelian
-from bockstein.scalars import Matrix, PrimeField, ZpLocal
+from bockstein.lie import PbwAlgebra, abelian, ordered_monomials
+from bockstein.scalars import Matrix, PrimeField, ZpLocal, accumulate
+from bockstein.structure import hopf_morphism
 from oracles import (from_vector, gamma_divided_power, gamma_expand,
-                     gamma_mul, lambda_gamma_pairing,
+                     gamma_mul, is_gamma_derivation_by_scan,
+                     is_gamma_morphism_by_scan, lambda_gamma_pairing,
                      pairing_matrix_by_expansion, to_vector)
 
 Z3 = ZpLocal(3)
@@ -289,6 +291,20 @@ class TestGammaMorphism:
         assert wit == ("gamma", ((0, 1),), 3)
 
 
+    def test_product_of_divided_powers_witnessed(self):
+        # over F_3, γ³(v)² = 20γ⁶(v) = 2γ⁶(v), while v·γ⁵(v) = 6γ⁶(v) = 0:
+        # scaling the top word γ⁶(v) keeps every product with the letter v,
+        # and only the generator γ³(v) = γ^p(v) sees it
+        G = GammaAlgebra(F3, 12, [("v", 2)])
+        f = GradedMap(G.basis, G.basis, 0, F3)
+        for n in range(13):
+            f.set_block(n, Matrix.identity(F3, G.dim(n)))
+        f.set_block(12, Matrix(F3, 1, 1, [[2]]))  # γ⁶(v) ↦ 2γ⁶(v)
+        witness = (False, ("product", ((0, 3),), ((0, 3),)))
+        assert is_gamma_morphism(f, G, G) == witness
+        assert is_gamma_morphism_by_scan(f, G, G) == witness
+
+
 class TestGammaDerivation:
     def test_zero(self):
         G = GammaAlgebra(Z3, 8, [("v", 2)])
@@ -372,6 +388,174 @@ def _extend_gamma_morphism(src, tgt, gen_images):
         if cols:
             f.set_block(n, Matrix.from_columns(ring, tgt.dim(n), cols))
     return f
+
+
+def _extend_gamma_derivation(G, degree, gen_images):
+    """The Γ-derivation θ of the given degree with θ(x_i) = gen_images[i]:
+    θ(γ^a(x)·rest) = θ(x)·γ^{a-1}(x)·rest ± γ^a(x)·θ(rest)."""
+    ring = G.ring
+    memo = {(): {}}
+
+    def theta(w):
+        if w not in memo:
+            (i, a), rest = w[0], w[1:]
+            lower = {((i, a - 1),) if a > 1 else (): ring.one}
+            out = G.mul(G.mul(gen_images.get(i, {}), lower),
+                        {rest: ring.one})
+            sign = -1 if (degree * a * G.degrees[i]) % 2 else 1
+            memo[w] = accumulate(ring, out,
+                                 G.mul({((i, a),): ring.one}, theta(rest)),
+                                 ring.of(sign))
+        return memo[w]
+
+    f = GradedMap(G.basis, G.basis, degree, ring)
+    for n in G.basis.degrees():
+        if 0 <= n + degree <= G.n_max:
+            f.set_columns(n, [theta(w) for w in G.words(n)])
+    return f
+
+
+def _frobenius_twist_dual(G, c, b, unit):
+    """The Γ-side adjoint of the Hopf morphism x_b ↦ x_b + unit·x_c^p of the
+    free graded-commutative algebra on G's letters (|x_b| = p·|x_c|)."""
+    ring = G.ring
+    gens = list(zip(G.names, G.degrees))
+    alg = PbwAlgebra(abelian(ring, G.n_max, gens))
+    phi = hopf_morphism(alg, alg, {b: {(b,): 1, (c,) * ring.p: unit}})
+    return adjoint(phi.f, G, G)
+
+
+def _perturbed(f, G, rng):
+    """f with one word's column changed by a multiple of one target word;
+    the word is an algebra generator half of the time."""
+    ring, deg = f.ring, f.degree
+    gens = [(G.word_degree(g), g) for g in _algebra_generators(G)]
+    words = [(n, w) for n in G.basis.degrees() for w in G.words(n)]
+    n, w = rng.choice(gens if gens and rng.random() < 0.5 else words)
+    if not G.dim(n + deg):
+        return f
+    cols = list(f.sparse_columns(n))
+    j = G.words(n).index(w)
+    col = dict(cols[j])
+    t = rng.randrange(G.dim(n + deg))
+    col[t] = ring.add(col.get(t, ring.zero),
+                      ring.of(rng.randint(1, ring.p - 1)))
+    cols[j] = col
+    f.set_sparse_columns(n, cols)
+    return f
+
+
+DETECTOR_RINGS = [F3, PrimeField(5), Z3]
+
+
+@st.composite
+def gamma_windows(draw, twist=False):
+    """Γ on 1-3 letters of degree 1-6 over F_3, F_5 or Z_(3), the window
+    deep enough for γ^{p²} of the lowest even letter; with twist, over F_p
+    on c(2), b(2p) and at most one more letter.  Returns Γ and the drawn
+    order: Γ's letter j is the order[j]-th letter drawn."""
+    ring = draw(st.sampled_from(DETECTOR_RINGS[:2] if twist
+                                else DETECTOR_RINGS))
+    p = ring.p
+    extra = st.lists(st.integers(1, 6), min_size=0 if twist else 1,
+                     max_size=1 if twist else 3)
+    degrees = ([2, 2 * p] if twist else []) + draw(extra)
+    order = draw(st.permutations(range(len(degrees))))
+    degrees = [degrees[i] for i in order]
+    even = [d for d in degrees if d % 2 == 0]
+    nmax = p * p * min(even) if even else draw(st.integers(4, 12))
+    assume(sum(map(len, ordered_monomials(degrees, nmax).values())) <= 160)
+    G = GammaAlgebra(ring, nmax,
+                     [(f"x{i}", d) for i, d in enumerate(degrees)])
+    return G, order
+
+
+def _random_element(G, rng, n):
+    ring = G.ring
+    return accumulate(ring, {}, {w: ring.of(rng.randint(-2, 2))
+                                 for w in G.words(n)}, ring.one)
+
+
+class TestDetectorsAgainstScan:
+    """Verdict and witness of each detector equal those of the full scan
+    over every word pair (`oracles`), on extended Γ-morphisms and
+    Γ-derivations, the Frobenius twist, and each with one column changed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma_windows(), st.booleans(), st.integers(0, 2 ** 16))
+    def test_morphism(self, window, perturb, seed):
+        G, _ = window
+        rng = random.Random(seed)
+        f = _extend_gamma_morphism(G, G, {
+            i: _random_element(G, rng, d) for i, d in enumerate(G.degrees)
+            if d <= G.n_max})
+        if perturb:
+            f = _perturbed(f, G, rng)
+        assert is_gamma_morphism(f, G, G) == is_gamma_morphism_by_scan(f, G, G)
+
+    @settings(max_examples=25, deadline=None)
+    @given(gamma_windows(twist=True), st.booleans(), st.integers(0, 2 ** 16))
+    def test_frobenius_twist(self, window, perturb, seed):
+        G, order = window
+        c, b = order.index(0), order.index(1)
+        rng = random.Random(seed)
+        f = _frobenius_twist_dual(G, c, b, rng.randint(1, G.ring.p - 1))
+        if perturb:
+            f = _perturbed(f, G, rng)
+        got = is_gamma_morphism(f, G, G)
+        assert got == is_gamma_morphism_by_scan(f, G, G)
+        if not perturb:
+            assert got == (False, ("gamma", ((c, 1),), G.ring.p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma_windows(), st.sampled_from([-1, 0, 1]), st.booleans(),
+           st.integers(0, 2 ** 16))
+    def test_derivation(self, window, degree, perturb, seed):
+        G, _ = window
+        rng = random.Random(seed)
+        theta = _extend_gamma_derivation(G, degree, {
+            i: _random_element(G, rng, d + degree)
+            for i, d in enumerate(G.degrees) if 0 <= d + degree <= G.n_max})
+        if perturb:
+            theta = _perturbed(theta, G, rng)
+        got = is_gamma_derivation(theta, G)
+        assert got == is_gamma_derivation_by_scan(theta, G)
+        if not perturb:
+            assert got == (True, None)
+
+
+class TestAlgebraGenerators:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_every_word_is_a_unit_times_a_generator_times_a_shorter_word(
+            self, p):
+        # over Z_(p), so a unit is a coefficient prime to p
+        ring = ZpLocal(p)
+        G = GammaAlgebra(ring, 30, [("u", 1), ("v", 2), ("w", 3), ("x", 4),
+                                    ("y", 6)])
+        gens = _algebra_generators(G)
+
+        def factors(w, g):
+            (i, q), = g
+            exps = dict(w)
+            if exps.get(i, 0) < q:
+                return False
+            exps[i] -= q
+            rest = tuple((j, k) for j, k in sorted(exps.items()) if k)
+            prod = G.word_product(g, rest)
+            return (rest in G.words(G.word_degree(rest)) and list(prod) == [w]
+                    and ring.valuation(prod[w]) == 0)
+
+        for n in range(1, 31):
+            for w in G.words(n):
+                assert any(factors(w, g) for g in gens), w
+        # and none can be left out: a generator is no other one times a
+        # shorter word, up to a unit
+        for g in gens:
+            assert [h for h in gens if factors(g, h)] == [g], g
+        # γ^{p^j} of each even letter while it fits in degree 30
+        v = [((1, 1),), ((1, p),)] + ([((1, 9),)] if p == 3 else [])
+        assert gens == [((0, 1),)] + v + [((2, 1),), ((3, 1),), ((3, p),),
+                                          ((4, 1),), ((4, p),)]
 
 
 class TestPairing:

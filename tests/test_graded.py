@@ -103,6 +103,34 @@ class TestBasisAndMaps:
         with pytest.raises(WindowError):
             GradedBasis({5: ["x"]}, 4)
 
+    def test_names_are_made_on_first_use(self):
+        # the name function runs per degree on its first read, not at
+        # construction; bases compare by their keys and window
+        made = []
+
+        def name(key):
+            made.append(key)
+            return f"k{key}"
+
+        b = GradedBasis({0: [0], 1: [1, 2]}, 1, name)
+        assert made == []
+        assert b.name(1, 1) == "k2"
+        assert made == [1, 2]
+        assert b.names(1) == ["k1", "k2"] and b.names(0) == ["k0"]
+        assert made == [1, 2, 0]
+        assert GradedBasis({0: ["x"]}, 0).names(0) == ["x"]
+        assert b == GradedBasis({0: [0], 1: [1, 2]}, 1)
+        assert b != GradedBasis({0: [0], 1: [2, 1]}, 1, name)
+        assert b != GradedBasis({0: [0], 1: [1, 2]}, 2, name)
+
+    def test_column_count_checked(self):
+        b = GradedBasis({0: ["a"], 1: ["x", "y"]}, 1)
+        f = GradedMap(b, b, -1, Z3)
+        with pytest.raises(ComplexError, match="has 1 columns, expected 2"):
+            f.set_columns(1, [{"a": 1}])
+        with pytest.raises(ComplexError, match="is not a basis element"):
+            f.set_columns(1, [{"a": 1}, {"x": 1}])
+
     def test_block_shape_checked(self):
         b = GradedBasis({0: ["a"], 1: ["x", "y"]}, 1)
         f = GradedMap(b, b, -1, Z3)
