@@ -118,19 +118,22 @@ class GammaAlgebra:
         """
         out = self._product_cache.get((wa, wb))
         if out is None:
-            out = {}
-            exps, coeff = dict(wa), 1
-            odd_a = [i for i, _ in wa if self.degrees[i] % 2]
+            out, degrees = {}, self.degrees
+            exps, coeff, deg, odd_a = dict(wa), 1, 0, []
+            for i, a in wa:
+                deg += a * degrees[i]
+                if degrees[i] % 2:
+                    odd_a.append(i)
             for j, b in wb:
                 a = exps.get(j, 0)
-                if self.degrees[j] % 2:
+                deg += b * degrees[j]
+                if degrees[j] % 2:
                     coeff *= 0 if a else (-1) ** sum(i > j for i in odd_a)
                 else:
                     coeff *= comb(a + b, a)
                 exps[j] = a + b
             coeff = self.ring.of(coeff)
-            if (self.word_degree(wa) + self.word_degree(wb) <= self.n_max
-                    and not self.ring.is_zero(coeff)):
+            if deg <= self.n_max and not self.ring.is_zero(coeff):
                 out = {tuple(sorted(exps.items())): coeff}
             self._product_cache[(wa, wb)] = out
         return out

@@ -38,12 +38,13 @@ image is primitive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .bss import BssResult, bockstein_pages, bss_of_morphism
 from .gamma import (GammaAlgebra, adjoint, is_gamma_derivation,
                     is_gamma_morphism)
 from .graded import GradedBasis, GradedChainComplex, GradedMap
-from .lie import PbwAlgebra
+from .lie import PbwAlgebra, run_length
 from .scalars import FpSpan, accumulate, fp_kernel
 
 
@@ -252,7 +253,8 @@ class PageAlgebra:
     vector.  The tensor chains read are Δ and Δ̄ of UL chains, which
     survive to page r when the UL chain does (Δ is a chain map), so
     `primitives` and `coproduct` check only the UL chain, with
-    `BssResult.check_survival`; d is never applied on UL ⊗ UL.
+    `BssResult.check_survival`; d is never applied on UL ⊗ UL.  Both
+    form Δ or Δ̄ over F_p on live factors (`_coproduct_columns`).
     """
 
     def __init__(self, alg: PbwAlgebra, result: BssResult, r: int):
@@ -282,7 +284,7 @@ class PageAlgebra:
 
     def class_pairs(self, n: int) -> list:
         """(a, i, j): class i of degree a with class j of degree n - a, in
-        position order; a new list per call, off the `_pair_coords` path."""
+        position order; a new list per call, not used on the column path."""
         return [(a, i, j)
                 for a in range(n + 1)
                 for i in range(self.page.dim(a))
@@ -299,33 +301,62 @@ class PageAlgebra:
                 out[i] = out.get(i, 0) + x * u
         return {i: x % p for i, x in out.items() if x % p}
 
-    def _pair_coords(self, n: int, t: dict) -> dict:
-        """Page-r class of Δ or Δ̄ of a UL chain x of degree n that survives
-        to page r, as class_pairs(n) position -> nonzero coefficient.  Pair
-        (a, i, j) is at position offset[a] + i·dim(n-a) + j, offset[a]
-        counting the pairs below a.
+    def _coproduct_columns(self, n: int, chains, reduced: bool) -> list:
+        """Page-r classes of Δ, or of Δ̄ when `reduced`, of UL chains of
+        degree n (column dicts) surviving to page r, one dict per chain:
+        class_pairs(n) position -> nonzero coefficient, pair (a, i, j) at
+        offset[a] + i·dim(n-a) + j, offset[a] counting the pairs below a.
 
-        The tensor chain t is not checked here: Δ is a chain map, so
-        d(Δx) = Δ(dx), and Δ has integral coefficients, so dx ∈ p^r·C puts
-        d(Δx) and d(Δ̄x) in p^r·(C ⊗ C).  Callers check x on the UL chain
-        (`BssResult.check_survival`)."""
-        ring, p = self.alg.ring, self.fp.p
-        dim, offset = self.page.dim, [0]
+        Only the class mod p is read, so Δ is formed over F_p, run by run
+        as in `PbwAlgebra.coproduct`: a split whose binomial vanishes mod p
+        (Lucas: in runs g^m with m ≥ p) is dropped, and one is skipped as
+        soon as its left, then its right factor has no page coordinates.
+
+        The tensor chains are not checked: Δ is a chain map with integral
+        coefficients, so dx ∈ p^r·C puts d(Δx) and d(Δ̄x) in p^r·(C ⊗ C);
+        callers check x on the UL chain (`BssResult.check_survival`)."""
+        ring, p, degrees = self.alg.ring, self.fp.p, self.alg.L.degrees
+        keys, coords = self.alg.basis.keys(n), self._coords
+        dims = [self.page.dim(a) for a in range(n + 1)]
+        offset = [0]
         for a in range(n):
-            offset.append(offset[-1] + dim(a) * dim(n - a))
-        coords, out = self._coords, {}
-        for (m1, m2), c in t.items():
-            a, u = coords[m1]
-            v = coords[m2][1]
-            c = ring.reduce_mod_p(c)
-            if not (u and v and c):
-                continue
-            width = dim(n - a)
-            for i, ui in u:
-                cu, row = c * ui, offset[a] + i * width
-                for j, vj in v:
-                    out[row + j] = out.get(row + j, 0) + cu * vj
-        return {k: x % p for k, x in out.items() if x % p}
+            offset.append(offset[-1] + dims[a] * dims[n - a])
+        cols = []
+        for chain in chains:
+            out = {}
+            for k, x in chain.items():
+                c = ring.reduce_mod_p(x)
+                if not c:
+                    continue
+                splits = [((), (), c, 0)]   # left, right, coeff, odd on right
+                for g, m in run_length(keys[k]):
+                    odd, nxt = degrees[g] % 2, []
+                    for j in range(m + 1):
+                        b = comb(m, j) % p
+                        if not b:
+                            continue
+                        gl, gr = (g,) * j, (g,) * (m - j)
+                        for left, right, coeff, parity in splits:
+                            s = -b if odd and j and parity else b
+                            nxt.append((left + gl, right + gr, coeff * s % p,
+                                        parity ^ (odd and j < m)))
+                    splits = nxt
+                for left, right, coeff, _ in splits:
+                    if reduced and not (left and right):
+                        continue
+                    a, u = coords[left]
+                    if not u:
+                        continue
+                    v = coords[right][1]
+                    if not v:
+                        continue
+                    width, base = dims[n - a], offset[a]
+                    for i, ui in u:
+                        cu, row = coeff * ui, base + i * width
+                        for j, vj in v:
+                            out[row + j] = out.get(row + j, 0) + cu * vj
+            cols.append({k: x % p for k, x in out.items() if x % p})
+        return cols
 
     def _rep_elem(self, n: int, vec: dict) -> dict:
         """Chain representative, as a UL element, of page coordinates (a
@@ -347,10 +378,9 @@ class PageAlgebra:
         """Coproduct of a page class, as class_pairs(n) position ->
         nonzero coefficient."""
         alg = self.alg
-        elem = self._rep_elem(n, vec)
-        self.result.check_survival(self.r, n,
-                                   alg.basis.to_column(n, elem, alg.ring))
-        return self._pair_coords(n, alg.coproduct_elem(elem))
+        col = alg.basis.to_column(n, self._rep_elem(n, vec), alg.ring)
+        self.result.check_survival(self.r, n, col)
+        return self._coproduct_columns(n, [col], False)[0]
 
     def beta(self, n: int, vec: dict) -> dict:
         return self.page.beta.apply(n, vec)
@@ -375,13 +405,10 @@ class PageAlgebra:
         over F_p."""
         if n < 1 or n > self.window:
             return []
-        alg, cols = self.alg, []
-        for cl in self.page.classes.get(n, []):
-            self.result.check_survival(self.r, n, cl.rep)
-            delta = alg.coproduct_elem(alg.basis.from_column(n, cl.rep))
-            cols.append(self._pair_coords(
-                n, {k: v for k, v in delta.items() if k[0] and k[1]}))
-        return fp_kernel(self.fp.p, cols)
+        reps = [cl.rep for cl in self.page.classes.get(n, [])]
+        for rep in reps:
+            self.result.check_survival(self.r, n, rep)
+        return fp_kernel(self.fp.p, self._coproduct_columns(n, reps, True))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ exact-couple subquotient lattices
 computed on the raw differential only (no basis change of the complex is
 ever performed here) with `smith`, a dense Smith form of this module's own
 that shares no code with the library's `eliminate`.  UL's coproduct is
-multiplied out in UL ⊗ UL, UL's differential is applied by Leibniz through
-products and derivations by straightening whole words, the Jacobi identity
+multiplied out in UL ⊗ UL, page coproducts are read off all of Δ over
+Z_(p) (`page_pairs_by_delta`), UL's differential is applied by Leibniz
+through products and derivations by straightening whole words, the Jacobi identity
 is checked on every generator triple, and products and divided powers in
 Γ(V) are computed in the tensor coalgebra by shuffles, and so is the Λ/Γ
 pairing.  The Γ-morphism and Γ-derivation detectors scan every pair of
@@ -395,6 +396,32 @@ def page_pairs_by_snf(pa, tensor, n, t):
         r, n, basis.to_column(n, t, ring)), dim))
     assert out is not None
     return sparse(out)
+
+
+def page_pairs_by_delta(pa, n, chain, reduced):
+    """Coordinates over pa.class_pairs(n) of the page class of Δ (of Δ̄
+    when `reduced`) of a UL chain of degree n (a column dict), by the route
+    the page coproduct took before it was formed over F_p: all of Δ over
+    Z_(p) (`PbwAlgebra.coproduct_elem`), the terms with an empty factor
+    filtered out for Δ̄, and each term's coefficient reduced mod p and
+    spread over the pairs of its factors' page coordinates."""
+    alg, ring, p, dim = pa.alg, pa.alg.ring, pa.fp.p, pa.page.dim
+    t = alg.coproduct_elem(alg.basis.from_column(n, chain))
+    if reduced:
+        t = {k: v for k, v in t.items() if k[0] and k[1]}
+    offset = [0]
+    for a in range(n):
+        offset.append(offset[-1] + dim(a) * dim(n - a))
+    out = {}
+    for (m1, m2), c in t.items():
+        a, u = pa._coords[m1]
+        v = pa._coords[m2][1]
+        c = ring.reduce_mod_p(c)
+        for i, ui in u:
+            for j, vj in v:
+                k = offset[a] + i * dim(n - a) + j
+                out[k] = out.get(k, 0) + c * ui * vj
+    return {k: x % p for k, x in out.items() if x % p}
 
 
 # ---------------------------------------------------------------------------

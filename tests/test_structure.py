@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from bockstein.bss import bockstein_pages
 from bockstein.dglfile import parse_dgl
 from bockstein.graded import ComplexError, WindowError
-from bockstein.lie import DgLie, PbwAlgebra, abelian
+from bockstein.lie import DgLie, PbwAlgebra, abelian, run_length
 from bockstein.scalars import Matrix, PrimeField, ZpLocal, accumulate
 from bockstein.structure import (PageAlgebra, StructureError, TensorSquareBss,
                                  _envelope_dims, differential_restricts_to_lie,
                                  hopf_morphism, is_lie_type,
                                  verify_envelope_pages)
-from oracles import coalgebra_failure_by_monomials, dense, page_pairs_by_snf
+from oracles import (coalgebra_failure_by_monomials, dense, page_pairs_by_delta,
+                     page_pairs_by_snf)
 from test_lie import ul_presentations
 
 Z3 = ZpLocal(3)
@@ -276,18 +277,27 @@ XYZW = [("x", 1), ("y", 1), ("z", 2), ("w", 3)]
 Z5 = ZpLocal(5)
 
 
+CLOSED_FORM_INPUTS = [
+    pytest.param(DgLie(Z3, 12, [("e", 1), ("f", 2)], {}, {1: {0: 3}}), 2,
+                 id="example1"),
+    pytest.param(DgLie(Z3, 11, [("e", 1), ("f", 2), ("g", 2)], {},
+                       {1: {0: 3}}), 2, id="efg"),
+    pytest.param(DgLie(Z3, 8, XYZW, {(0, 1): {2: 1}}, {3: {2: 3}}), 2,
+                 id="xyzw-3z"),
+    pytest.param(DgLie(Z3, 8, XYZW, {(0, 1): {2: 1}}, {3: {2: 1}}), 2,
+                 id="xyzw-z"),
+    pytest.param(DgLie(Z3, 10, [("x", 1), ("z", 2)], {(0, 0): {1: 1}}), 2,
+                 id="xx-z"),
+    pytest.param(DgLie(Z5, 12, [("e", 1), ("f", 2)], {}, {1: {0: 25}}), 3,
+                 id="p5-25"),
+]
+
+
 class TestClosedFormCoproduct:
     """The Künneth readout off UL's decomposition against the Smith form of
     UL ⊗ UL, on every class of every computed page."""
 
-    @pytest.mark.parametrize("L, r_max", [
-        (DgLie(Z3, 12, [("e", 1), ("f", 2)], {}, {1: {0: 3}}), 2),
-        (DgLie(Z3, 11, [("e", 1), ("f", 2), ("g", 2)], {}, {1: {0: 3}}), 2),
-        (DgLie(Z3, 8, XYZW, {(0, 1): {2: 1}}, {3: {2: 3}}), 2),
-        (DgLie(Z3, 8, XYZW, {(0, 1): {2: 1}}, {3: {2: 1}}), 2),
-        (DgLie(Z3, 10, [("x", 1), ("z", 2)], {(0, 0): {1: 1}}), 2),
-        (DgLie(Z5, 12, [("e", 1), ("f", 2)], {}, {1: {0: 25}}), 3),
-    ], ids=["example1", "efg", "xyzw-3z", "xyzw-z", "xx-z", "p5-25"])
+    @pytest.mark.parametrize("L, r_max", CLOSED_FORM_INPUTS)
     def test_matches_snf_route(self, L, r_max):
         alg = PbwAlgebra(L)
         result = bockstein_pages(alg.as_complex(), r_max)
@@ -337,6 +347,92 @@ class TestClosedFormCoproduct:
         cl.rep = {i: Z3.mul(Z3.of(3), c) for i, c in cl.rep.items()}
         with pytest.raises(StructureError):
             PageAlgebra(alg, result, 1)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_dgl(name, n_max):
+    return parse_dgl((GOLDEN / name).read_text()).replace(n_max=n_max)
+
+
+def _read_monomials(alg, result):
+    """Monomials with a coefficient prime to p in some class representative
+    of some computed page: the ones the page coproduct splits."""
+    ring = alg.ring
+    return {alg.basis.keys(n)[k]
+            for page in result.pages
+            for n, cls in page.classes.items() for cl in cls
+            for k, x in cl.rep.items() if ring.reduce_mod_p(x)}
+
+
+def _even_run_of_p(alg, mono):
+    # a run g^m, g even and m ≥ p: some C(m, j) with 0 < j < m is 0 mod p
+    return any(m >= alg.ring.p and alg.L.degrees[g] % 2 == 0
+               for g, m in run_length(mono))
+
+
+def _two_odd_letters(alg, mono):
+    # odd letters split apart pick up the Koszul sign
+    return sum(alg.L.degrees[g] % 2 for g in mono) >= 2
+
+
+SPLIT_CASES = {      # name: (L, r_max, the case its splits reach)
+    "p3-even-runs": (DgLie(Z3, 14, [("e", 1), ("f", 2), ("g", 2)], {},
+                           {1: {0: 9}}), 3, _even_run_of_p),
+    "p5-even-runs": (DgLie(Z5, 14, [("e", 1), ("f", 2), ("g", 2)], {},
+                           {1: {0: 5}}), 2, _even_run_of_p),
+    "two-odd-letters": (DgLie(Z3, 10, [("a", 1), ("b", 2), ("c", 1),
+                                       ("d", 3)], {(0, 2): {1: 1}},
+                              {3: {1: 3}}), 2, _two_odd_letters),
+}
+
+
+class TestCoproductOverFp:
+    """The page coproduct formed over F_p split by split, column for column
+    against all of Δ over Z_(p) reduced mod p afterwards
+    (`page_pairs_by_delta`): Δ for `coproduct` and Δ̄ for the columns whose
+    kernel `primitives` takes, on every class of every computed page."""
+
+    @pytest.mark.parametrize("L, r_max", CLOSED_FORM_INPUTS + [
+        pytest.param(golden_dgl("nonabelian16.dgl", 16), 3,
+                     id="nonabelian16"),
+        pytest.param(golden_dgl("four4.dgl", 16), 3, id="four4"),
+    ] + [pytest.param(L, r_max, id=name)
+         for name, (L, r_max, _) in SPLIT_CASES.items()])
+    def test_matches_delta_over_zp(self, L, r_max):
+        alg = PbwAlgebra(L)
+        result = bockstein_pages(alg.as_complex(), r_max)
+        for r in range(1, r_max + 1):
+            pa = PageAlgebra(alg, result, r)
+            for n in range(pa.window + 1):
+                reps = [cl.rep for cl in pa.page.classes.get(n, [])]
+                assert pa._coproduct_columns(n, reps, True) == [
+                    page_pairs_by_delta(pa, n, rep, True)
+                    for rep in reps], (r, n)
+                for i, rep in enumerate(reps):
+                    assert pa.coproduct(n, {i: 1}) == \
+                        page_pairs_by_delta(pa, n, rep, False), (r, n, i)
+
+    @pytest.mark.parametrize("name", SPLIT_CASES)
+    def test_inputs_reach_the_case_they_name(self, name):
+        # each split case splits, on some page, a representative monomial
+        # with a vanishing binomial or with two odd letters
+        L, r_max, shape = SPLIT_CASES[name]
+        alg = PbwAlgebra(L)
+        monos = _read_monomials(alg, bockstein_pages(alg.as_complex(), r_max))
+        assert any(shape(alg, mono) for mono in monos)
+
+    def test_zp_coproduct_off_the_page_path(self, monkeypatch):
+        # the envelope check forms page coproducts over F_p alone; the
+        # Z_(p) Δ of PbwAlgebra is not called
+        def zp_delta(*args, **kwargs):
+            raise AssertionError("Z_(p) coproduct on the page path")
+        monkeypatch.setattr(PbwAlgebra, "coproduct", zp_delta)
+        monkeypatch.setattr(PbwAlgebra, "coproduct_elem", zp_delta)
+        rep = envelope_report(golden_dgl("four4.dgl", 16), 3)
+        assert rep.ok, rep.failures
+        assert rep.primitive_dims[1]
 
 
 def envelope_report(L, r_max, window=None):
