@@ -99,8 +99,17 @@ class GradedBasis:
     def to_column(self, n: int, elem: dict, ring) -> dict:
         """The column dict in degree n of a sparse element, in basis order;
         zero terms skipped."""
-        return dict(sorted((self.index(n, key), c) for key, c in elem.items()
-                           if not ring.is_zero(c)))
+        pos, is_zero = self._pos.get(n, {}), ring.is_zero
+        col = []
+        for key, c in elem.items():
+            if not is_zero(c):
+                j = pos.get(key)
+                if j is None:
+                    raise ComplexError(
+                        f"{key!r} is not a basis element of degree {n}")
+                col.append((j, c))
+        col.sort()
+        return dict(col)
 
     def from_column(self, n: int, col: dict) -> dict:
         """The sparse element of a column dict of nonzeros in degree n."""

@@ -5,13 +5,19 @@ whose denominator is coprime to p; F_p elements are ints in [0, p).  A ring
 object supplies the arithmetic so matrix code is ring-agnostic.  Everything
 is exact: no floats anywhere, and no `/` between two ints.
 
+A sparse vector is a dict key -> nonzero scalar, and `accumulate`
+(acc += c·terms) is the one loop that adds them: it inlines the ring's
+arithmetic and keeps the ring's forms, so every sparse sum in the library
+and every row and basis update of the elimination goes through it.
+
 Smith forms come from one in-place elimination, `eliminate`, on a matrix
 kept as synced row and column dicts of its nonzeros.  Its row and column
 operations are elementary basis changes (`BasisChange`), each applied to
 every matrix that uses the basis: as column dicts where the basis indexes
 columns (P), as row dicts where it indexes rows (P^-1).  Each step costs the
-nonzeros it touches.  `Matrix.snf` converts a dense matrix in and U, V and
-their inverses out; `graded.decompose` tracks the complex's own basis.
+nonzeros it touches, and a pivot's unit is inverted once.  `Matrix.snf`
+converts a dense matrix in and U, V and their inverses out;
+`graded.decompose` tracks the complex's own basis.
 """
 
 from __future__ import annotations
@@ -120,10 +126,10 @@ class ZpLocal:
         return v
 
     def is_unit(self, a) -> bool:
-        return a != 0 and self.valuation(a) == 0
+        return a.numerator % self.p != 0
 
     def inv(self, a):
-        if not self.is_unit(a):
+        if a.numerator % self.p == 0:
             raise RingError(f"{a} is not a unit in Z_({self.p})")
         return self.div(1, a)
 
@@ -131,9 +137,16 @@ class ZpLocal:
         """Exact quotient a/b; raises if the quotient leaves Z_(p)."""
         if b == 0:
             raise ZeroDivisionError
-        if a.__class__ is int and b.__class__ is int and a % b == 0:
-            return a // b
-        return self.of(Fraction(a) / b)
+        if a.__class__ is int and b.__class__ is int:
+            if a % b == 0:
+                return a // b
+            f = Fraction(a, b)
+        else:
+            f = a / b      # a Fraction, since one operand is
+        if f.denominator % self.p == 0:
+            raise RingError(
+                f"denominator of {f} is divisible by p={self.p}: not in Z_(p)")
+        return _integral(f)
 
     def divides(self, b, a) -> bool:
         """Whether b | a in Z_(p): v(b) <= v(a)."""
@@ -512,18 +525,37 @@ def accumulate(ring, acc: dict, terms: dict, coeff) -> dict:
     """acc += coeff · terms on sparse vectors (dicts key -> scalar).
 
     Entries that cancel are removed, so a zero vector is the empty dict.
-    Mutates and returns acc; terms may hold ints or ring elements.
+    Mutates and returns acc; terms may hold ints or ring elements (over
+    F_p, ints of any size and sign).  The ring's arithmetic is inlined, as
+    this is the inner loop of every sparse sum and of `eliminate`; each
+    entry written is in the ring's form: over Z_(p) an int when integral,
+    over F_p an int in [0, p).
     """
-    if not terms or ring.is_zero(coeff):
+    if not terms:
         return acc
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    get = acc.get
+    if ring.is_field:
+        p = ring.p
+        coeff %= p
+        if not coeff:
+            return acc
+        for k, c in terms.items():
+            v = (get(k, 0) + coeff * c) % p
+            if v:
+                acc[k] = v
+            else:
+                acc.pop(k, None)
+        return acc
+    if not coeff:
+        return acc
     for k, c in terms.items():
-        v = acc.get(k)
-        v = mul(coeff, c) if v is None else add(v, mul(coeff, c))
-        if is_zero(v):
-            acc.pop(k, None)
-        else:
+        v = get(k, 0) + coeff * c
+        if v.__class__ is not int:
+            v = _integral(v)
+        if v:
             acc[k] = v
+        else:
+            acc.pop(k, None)
     return acc
 
 
@@ -618,13 +650,14 @@ class BasisChange:
             M[i], M[j] = M[j], M[i]
 
     def scale(self, i: int, c):
-        """e_i -> c·e_i, c a unit."""
+        """e_i -> c·e_i, c a unit; returns c^-1."""
         mul = self.ring.mul
         for M in self.out:
             M[i] = {k: mul(x, c) for k, x in M[i].items()}
         cinv = self.ring.inv(c)
         for M in self.into:
             M[i] = {k: mul(cinv, x) for k, x in M[i].items()}
+        return cinv
 
     def add(self, j: int, i: int, c):
         """e_j -> e_j + c·e_i, i ≠ j."""
@@ -663,8 +696,7 @@ def eliminate(ring, S: list, n_rows: int, rows: BasisChange,
     operations changes of the source basis (`cols`); S itself is updated
     here, not through either.  Columns outside col_order must be zero.
     """
-    is_zero, sub, mul, div, neg = (ring.is_zero, ring.sub, ring.mul,
-                                   ring.div, ring.neg)
+    mul, div, neg = ring.mul, ring.div, ring.neg
     valuation = ring.valuation
     C = S
     R = [{} for _ in range(n_rows)]
@@ -702,8 +734,7 @@ def eliminate(ring, S: list, n_rows: int, rows: BasisChange,
                 least.pop(i, None)
         u = ring.unit_part(R[t][ct])
         if u != 1:
-            rows.scale(t, u)
-            uinv = ring.inv(u)
+            uinv = rows.scale(t, u)
             R[t] = {j: mul(uinv, x) for j, x in R[t].items()}
             for j, x in R[t].items():
                 C[j][t] = x
@@ -715,15 +746,13 @@ def eliminate(ring, S: list, n_rows: int, rows: BasisChange,
             c = div(C[ct][i], piv)
             rows.add(t, i, c)
             least.pop(i, None)
-            Ri = R[i]
-            for j, y in Rt.items():       # row i -= c·row t
+            Ri = accumulate(ring, R[i], Rt, neg(c))   # row i -= c·row t
+            for j in Rt:
                 x = Ri.get(j)
-                x = neg(mul(c, y)) if x is None else sub(x, mul(c, y))
-                if is_zero(x):
-                    del Ri[j]
-                    del C[j][i]
+                if x is None:
+                    C[j].pop(i, None)
                 else:
-                    Ri[j] = C[j][i] = x
+                    C[j][i] = x
         for j in sorted((j for j in Rt if j != ct), key=pos.__getitem__):
             # column ct is piv·e_t now, so column j += c·column ct only
             # cancels the entry (t, j)

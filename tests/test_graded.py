@@ -421,6 +421,29 @@ class TestSparseKernel:
             assert entries and all(type(x) is int or x.denominator != 1
                                    for x in entries)
 
+    def test_one_inverse_per_scaled_pivot(self):
+        # a pivot p^v·u with u ≠ 1 is scaled by u once; u^-1 serves both
+        # P^-1 and the pivot row, so it is computed once
+        class CountingZp(ZpLocal):
+            scaled, inverted = [], []
+
+            def unit_part(self, a):
+                u = super().unit_part(a)
+                if u != 1:
+                    self.scaled.append(u)
+                return u
+
+            def inv(self, a):
+                self.inverted.append(a)
+                return super().inv(a)
+
+        golden = Path(__file__).parent / "golden" / "nonabelian16.dgl"
+        L = parse_dgl(golden.read_text())
+        assert L.n_max == 16
+        ring = CountingZp(L.ring.p)
+        decompose(PbwAlgebra(L.replace(ring=ring)).as_complex())
+        assert ring.scaled and ring.inverted == ring.scaled
+
     @pytest.mark.parametrize("n, j", [(0, 0), (1, 0), (2, 0)])
     def test_corrupted_P_fails_verification(self, n, j):
         # degree 0 and cycles are caught by P^-1·P = 1, the rest by d·P

@@ -70,6 +70,16 @@ class TestZpLocal:
         assert Z3.inv(Fraction(2)) == Fraction(1, 2)
         with pytest.raises(RingError):
             Z3.inv(Fraction(6))
+        # int operands, the form every integral entry takes
+        assert Z3.is_unit(-2) and not Z3.is_unit(0) and not Z3.is_unit(6)
+        assert Z3.inv(-1) == -1 and type(Z3.inv(-1)) is int
+        _assert_form(Z3.inv(-2), Fraction(-1, 2))
+        with pytest.raises(RingError):
+            Z3.inv(3)
+        with pytest.raises(RingError,
+                           match=r"^denominator of 1/3 is divisible by p=3: "
+                                 r"not in Z_\(p\)$"):
+            Z3.div(1, 3)
 
     def test_divides(self):
         assert Z3.divides(Fraction(3), Fraction(6))
@@ -151,6 +161,50 @@ class TestZpLocal:
         _assert_form(sol[1], Fraction(2))
         assert m.apply(sol) == [1, 6]
         assert Matrix(Z3, 1, 1, [[6]]).solve([1]) is None
+
+
+@st.composite
+def accumulate_cases(draw):
+    """(ring, acc, terms, coeff): acc in the ring's form; terms ints and
+    Fractions over Z_(p), ints of any size and sign over F_p; coeff 0, ±1,
+    a unit or a multiple of p."""
+    ring = draw(st.sampled_from([Z3, Z5, F3, PrimeField(5)]))
+    p = ring.p
+    keys = st.integers(0, 6)
+    if ring.is_field:
+        value = st.integers(-3 * p, 3 * p)
+        unit = st.integers(1, p - 1)
+    else:
+        value = _in_zp(p)
+        unit = _in_zp(p).filter(lambda x: Fraction(x).numerator % p)
+    acc = {k: ring.of(x)
+           for k, x in draw(st.dictionaries(keys, value)).items()
+           if not ring.is_zero(ring.of(x))}
+    terms = draw(st.dictionaries(keys, value))
+    coeff = draw(st.one_of(st.sampled_from([0, 1, -1]), unit,
+                           st.integers(-5, 5).map(lambda k: k * p)))
+    return ring, acc, terms, coeff
+
+
+class TestAccumulate:
+    @settings(max_examples=400, deadline=None)
+    @given(accumulate_cases())
+    def test_matches_fraction_reference(self, case):
+        ring, acc, terms, coeff = case
+        want = {k: Fraction(x) for k, x in acc.items()}
+        for k, c in terms.items():
+            want[k] = want.get(k, 0) + Fraction(coeff) * Fraction(c)
+        if ring.is_field:
+            want = {k: x % ring.p for k, x in want.items()}
+        want = {k: x for k, x in want.items() if x}
+        out = accumulate(ring, acc, terms, coeff)
+        assert out is acc
+        assert out.keys() == want.keys()
+        for k, x in out.items():
+            if ring.is_field:
+                assert type(x) is int and 0 < x < ring.p and x == want[k]
+            else:
+                _assert_form(x, want[k])
 
 
 class TestPrimeField:
