@@ -4,11 +4,19 @@ Subcommands: validate | homology | bss | cochains | examples |
 check-morphism.  Input is the .dgl format of dglfile.py; output is a
 deterministic plain-text report, mirrored as JSON with --json.  Exit
 codes: 0 success, 1 mathematical failure or violation, 2 input error.
+
+`main` may be called many times in one process.  The argparse parser is
+built once per process, on the first `main` call (not at import), and
+reused by every later call; each call parses into a fresh namespace.
+`set_defaults` binds the `cmd_*` functions when the parser is built, so a
+test that intercepts a command patches the module globals the command
+calls (`cli.bockstein_pages`, ...), not the `cmd_*` function itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -341,6 +349,7 @@ def _int_at_least(low: int):
     return integer
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bockstein",

@@ -245,15 +245,16 @@ class PageAlgebra:
     Σ c·u_i·v_j mod p over pairs of live classes, where u, v are the
     monomials' page coordinates: the class rows of P^-1, read once per page
     into a sparse list per monomial.  A class of degree n is a dict from
-    positions in the class_pairs(n) order, computed by arithmetic, to
-    nonzero coefficients, and the primitives are the kernel of those
-    sparse columns over F_p (`FpSpan`).  The comparison with the
-    tensor-square page is the identity, and the constructor checks what
-    that rests on: each class representative reads back as its own unit
-    vector.  The tensor chains read are Δ and Δ̄ of UL chains, which
-    survive to page r when the UL chain does (Δ is a chain map), so
-    `primitives` and `coproduct` check only the UL chain, with
-    `BssResult.check_survival`; d is never applied on UL ⊗ UL.  Both
+    pair positions to nonzero coefficients: the pair (a, i, j) of class i
+    of degree a with class j of degree n−a sits at
+    offset[a] + i·dim(n−a) + j, offset[a] counting the pairs below a.  The
+    primitives are the kernel of those sparse columns over F_p (`FpSpan`).
+    The comparison with the tensor-square page is the identity, and the
+    constructor checks what that rests on: each class representative reads
+    back as its own unit vector.  The tensor chains read are Δ and Δ̄ of
+    UL chains, which survive to page r when the UL chain does (Δ is a
+    chain map), so `primitives` and `coproduct` check only the UL chain,
+    with `BssResult.check_survival`; d is never applied on UL ⊗ UL.  Both
     form Δ or Δ̄ over F_p on live factors (`_coproduct_columns`).
     """
 
@@ -282,14 +283,6 @@ class PageAlgebra:
                         f"Künneth comparison is not the identity: {cl.name} "
                         f"at degree {n} does not read back as itself")
 
-    def class_pairs(self, n: int) -> list:
-        """(a, i, j): class i of degree a with class j of degree n - a, in
-        position order; a new list per call, not used on the column path."""
-        return [(a, i, j)
-                for a in range(n + 1)
-                for i in range(self.page.dim(a))
-                for j in range(self.page.dim(n - a))]
-
     def _read(self, n: int, col: dict) -> dict:
         """Page-r coordinates mod p (class position -> nonzero) of a UL
         chain of degree n, a column dict (survival not checked)."""
@@ -304,8 +297,8 @@ class PageAlgebra:
     def _coproduct_columns(self, n: int, chains, reduced: bool) -> list:
         """Page-r classes of Δ, or of Δ̄ when `reduced`, of UL chains of
         degree n (column dicts) surviving to page r, one dict per chain:
-        class_pairs(n) position -> nonzero coefficient, pair (a, i, j) at
-        offset[a] + i·dim(n-a) + j, offset[a] counting the pairs below a.
+        position -> nonzero coefficient, the pair (a, i, j) at
+        offset[a] + i·dim(n−a) + j, offset[a] counting the pairs below a.
 
         Only the class mod p is read, so Δ is formed over F_p, run by run
         as in `PbwAlgebra.coproduct`: a split whose binomial vanishes mod p
@@ -375,8 +368,8 @@ class PageAlgebra:
             self.r, n1 + n2, alg.basis.to_column(n1 + n2, prod, alg.ring))
 
     def coproduct(self, n: int, vec: dict) -> dict:
-        """Coproduct of a page class, as class_pairs(n) position ->
-        nonzero coefficient."""
+        """Coproduct of a page class, as position -> nonzero coefficient,
+        the pair (a, i, j) at offset[a] + i·dim(n−a) + j."""
         alg = self.alg
         col = alg.basis.to_column(n, self._rep_elem(n, vec), alg.ring)
         self.result.check_survival(self.r, n, col)

@@ -9,8 +9,10 @@ exact-couple subquotient lattices
 computed on the raw differential only (no basis change of the complex is
 ever performed here) with `smith`, a dense Smith form of this module's own
 that shares no code with the library's `eliminate`.  UL's coproduct is
-multiplied out in UL ⊗ UL, page coproducts are read off all of Δ over
-Z_(p) (`page_pairs_by_delta`), UL's differential is applied by Leibniz
+multiplied out in UL ⊗ UL.  Page coproducts are read off all of Δ over
+Z_(p) (`page_pairs_by_delta`), each factor's page coordinates taken from
+the class rows of P⁻¹ (`page_coords`), not from the page code's own
+table.  UL's differential is applied by Leibniz
 through products and derivations by straightening whole words, the Jacobi identity
 is checked on every generator triple, and products and divided powers in
 Γ(V) are computed in the tensor coalgebra by shuffles, and so is the Λ/Γ
@@ -372,8 +374,18 @@ def bss_beta_ranks(C, r, page_dims_r, page_dims_r1):
 # Page coproducts through the Smith form of UL ⊗ UL
 # ---------------------------------------------------------------------------
 
+def class_pairs(pa, n):
+    """(a, i, j): class i of degree a with class j of degree n - a on the
+    page of `pa` (a PageAlgebra), in the order of the pair positions
+    offset[a] + i·dim(n−a) + j."""
+    return [(a, i, j)
+            for a in range(n + 1)
+            for i in range(pa.page.dim(a))
+            for j in range(pa.page.dim(n - a))]
+
+
 def page_pairs_by_snf(pa, tensor, n, t):
-    """Coordinates over pa.class_pairs(n) of the page class of a chain t of
+    """Coordinates over class_pairs(pa, n) of the page class of a chain t of
     UL ⊗ UL, read off the tensor square's own decomposition (`tensor` is a
     TensorSquareBss) and solved against the Künneth matrix, whose columns
     are the tensor-square classes of the products u_i ⊗ v_j of class
@@ -381,7 +393,7 @@ def page_pairs_by_snf(pa, tensor, n, t):
     alg, ring, r = pa.alg, pa.alg.ring, pa.r
     basis, dim = tensor.complex.basis, tensor.bss.page(r).dim(n)
     cols = []
-    for a, i, j in pa.class_pairs(n):
+    for a, i, j in class_pairs(pa, n):
         u = pa.page.classes[a][i].rep
         v = pa.page.classes[n - a][j].rep
         prod = {(m1, m2): ring.mul(cu, cv)
@@ -398,13 +410,29 @@ def page_pairs_by_snf(pa, tensor, n, t):
     return sparse(out)
 
 
+def page_coords(pa, mono):
+    """(degree, [(class, coefficient mod p)]) of a PBW monomial on the page
+    of `pa`: its column in the class rows of P⁻¹, reduced mod p."""
+    alg, ring = pa.alg, pa.alg.ring
+    a = alg.monomial_degree(mono)
+    j = alg.basis.index(a, mono)
+    rows = pa.result.decomposition.Pinv[a]
+    coords = []
+    for i, cl in enumerate(pa.page.classes.get(a, [])):
+        u = ring.reduce_mod_p(rows[cl.new_index].get(j, 0))
+        if u:
+            coords.append((i, u))
+    return a, coords
+
+
 def page_pairs_by_delta(pa, n, chain, reduced):
-    """Coordinates over pa.class_pairs(n) of the page class of Δ (of Δ̄
+    """Coordinates over class_pairs(pa, n) of the page class of Δ (of Δ̄
     when `reduced`) of a UL chain of degree n (a column dict), by the route
     the page coproduct took before it was formed over F_p: all of Δ over
     Z_(p) (`PbwAlgebra.coproduct_elem`), the terms with an empty factor
     filtered out for Δ̄, and each term's coefficient reduced mod p and
-    spread over the pairs of its factors' page coordinates."""
+    spread over the pairs of its factors' page coordinates
+    (`page_coords`)."""
     alg, ring, p, dim = pa.alg, pa.alg.ring, pa.fp.p, pa.page.dim
     t = alg.coproduct_elem(alg.basis.from_column(n, chain))
     if reduced:
@@ -412,10 +440,14 @@ def page_pairs_by_delta(pa, n, chain, reduced):
     offset = [0]
     for a in range(n):
         offset.append(offset[-1] + dim(a) * dim(n - a))
+    coords = {}
     out = {}
     for (m1, m2), c in t.items():
-        a, u = pa._coords[m1]
-        v = pa._coords[m2][1]
+        for m in (m1, m2):
+            if m not in coords:
+                coords[m] = page_coords(pa, m)
+        a, u = coords[m1]
+        v = coords[m2][1]
         c = ring.reduce_mod_p(c)
         for i, ui in u:
             for j, vj in v:

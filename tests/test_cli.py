@@ -1,14 +1,22 @@
 """End-to-end tests of the command-line front end.
 
 Everything runs in-process through main(argv); stdout and stderr are
-captured with capsys, and exit codes are asserted directly.
+captured with capsys, and exit codes are asserted directly.  Many calls
+share one process and so one parser; `TestJsonFlagPosition` compares such
+a sequence with fresh `python -m bockstein.cli` processes.
 """
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bockstein
+from bockstein import cli
 from bockstein.cli import main
 
 
@@ -411,3 +419,51 @@ class TestJsonFlagPosition:
         assert runs[0] == runs[1]
         if runs[0][0] == 0:
             json.loads(runs[0][1])
+
+    def test_one_process_matches_fresh_processes(self, ex1, capsys,
+                                                 monkeypatch):
+        # the parser is built once and reused, so no call may see state
+        # left by an earlier one: each call's stdout, stderr and exit code
+        # equal those of the same command in a new process
+        sequence = [["--json", "bss", ex1], ["bss", ex1],
+                    ["bss", ex1, "--no-such-option"], ["bss", ex1, "--json"],
+                    ["validate", ex1], ["--json", "bss", ex1]]
+        monkeypatch.setenv("COLUMNS", "80")     # argparse's usage width
+        env = dict(os.environ, PYTHONIOENCODING="utf-8",
+                   PYTHONPATH=str(Path(bockstein.__file__).parents[1]))
+        codes = []
+        for argv in sequence:
+            code = exit_code(argv)
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "bockstein.cli", *argv],
+                capture_output=True, encoding="utf-8", env=env, timeout=60)
+            assert (code, out, err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.append(code)
+        assert codes == [0, 0, 2, 0, 0, 0]
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, ex1, abc, capsys, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._build_parser.cache_clear()
+        try:
+            for argv in (["validate", ex1], ["--json", "bss", ex1],
+                         ["bss", abc, "--check-envelopes", "--json"],
+                         ["cochains", ex1], ["bss", ex1, "--rmax", "0"]):
+                exit_code(argv)
+        finally:
+            # later tests build a parser without the counting __init__
+            cli._build_parser.cache_clear()
+        capsys.readouterr()
+        # one top-level parser and its six subcommands, built on the first
+        # call
+        assert built.count("bockstein") == 1
+        assert len(built) == 7, built

@@ -18,8 +18,8 @@ from bockstein.structure import (PageAlgebra, StructureError, TensorSquareBss,
                                  _envelope_dims, differential_restricts_to_lie,
                                  hopf_morphism, is_lie_type,
                                  verify_envelope_pages)
-from oracles import (coalgebra_failure_by_monomials, dense, page_pairs_by_delta,
-                     page_pairs_by_snf)
+from oracles import (class_pairs, coalgebra_failure_by_monomials, dense,
+                     page_pairs_by_delta, page_pairs_by_snf)
 from test_lie import ul_presentations
 
 Z3 = ZpLocal(3)
@@ -237,7 +237,7 @@ class TestPageAlgebra:
         result = bockstein_pages(alg.as_complex(), 1)
         pa = PageAlgebra(alg, result, 1)
         co = pa.coproduct(2, {0: 1})
-        pairs = pa.class_pairs(2)
+        pairs = class_pairs(pa, 2)
         nonzero = {pairs[i] for i in co}
         # u ⊗ 1 + 1 ⊗ u only
         assert nonzero == {(0, 0, 0), (2, 0, 0)}
@@ -269,7 +269,7 @@ def _snf_primitives(pa, tensor, n):
         cols.append(page_pairs_by_snf(pa, tensor, n, red))
     if not cols:
         return []
-    return Matrix.from_sparse_columns(pa.fp, len(pa.class_pairs(n)),
+    return Matrix.from_sparse_columns(pa.fp, len(class_pairs(pa, n)),
                                       cols).kernel_basis()
 
 
