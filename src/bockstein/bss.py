@@ -74,15 +74,10 @@ class BssResult:
         """F_p coordinates, in the page-r basis at degree n, of a chain;
         column dicts both.  The chain must survive (`check_survival`)."""
         self.check_survival(r, n, col)
-        ring = self.complex.ring
         w = self.decomposition.coordinates(n, col)
-        out = {}
-        for i, cl in enumerate(self.page(r).classes.get(n, [])):
-            if cl.new_index in w:
-                x = ring.reduce_mod_p(w[cl.new_index])
-                if x:
-                    out[i] = x
-        return out
+        return {i: w[cl.new_index]
+                for i, cl in enumerate(self.page(r).classes.get(n, []))
+                if cl.new_index in w}
 
 
 def _class_name(basis: GradedBasis, n: int, column: dict, used):

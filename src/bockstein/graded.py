@@ -4,11 +4,13 @@ Degrees live in a window [0, N_max].  Homology is computed by decomposing
 the complex into free and elementary pieces: one sparse in-place
 elimination (`scalars.eliminate`) per degree, top degree down, on the
 nonzeros of d, each basis change applied wherever that basis is used (the
-differentials in and out, P kept as column dicts, P^-1 as row dicts).  A
-sparse recomposition checks every decomposition.  Over Z_(p) the same
-decomposition later drives the Bockstein pages, so torsion bookkeeping
-happens exactly once; over F_p every piece has exponent 0, so the free
-pieces are a homology basis.
+differentials in and out, P kept as column dicts, P^-1 as row dicts).  P
+is exact over the ring; P^-1 is kept over the residue field F_p, as every
+reader wants coordinates mod p.  A sparse recomposition certifies every
+decomposition: P^-1·P = 1 over F_p and d·P = P·D exactly.  Over Z_(p) the
+same decomposition later drives the Bockstein pages, so torsion
+bookkeeping happens exactly once; over F_p every piece has exponent 0, so
+the free pieces are a homology basis.
 
 Everything here is sparse.  A chain, or coordinates in any basis, is a
 column dict: position -> nonzero entry.  A `GradedBasis` knows each
@@ -289,7 +291,8 @@ def dualize(f: GradedMap, source_dual: GradedBasis,
 
 
 def _times(ring, A: list, col: dict) -> dict:
-    """A·col for A a list of column dicts and col a sparse column."""
+    """A·col for A a list of column dicts and col a sparse column; over F_p
+    col may hold Z_(p) entries, read mod p."""
     out = {}
     for k, x in col.items():
         accumulate(ring, out, A[k], x)
@@ -347,10 +350,14 @@ class Piece:
 
 @dataclass
 class Decomposition:
+    """P^-1·d·P = D, D the pieces: P[n] holds the new basis of degree n as
+    column dicts over the complex's ring, exactly; Pinv[n] the rows of P^-1
+    reduced mod p, ints in [1, p), since only the residue is ever read."""
+
     complex: GradedChainComplex
     pieces: list
-    P: dict = field(default_factory=dict)       # n -> columns (dicts) of the
-    Pinv: dict = field(default_factory=dict)    # new basis; n -> rows of P^-1
+    P: dict = field(default_factory=dict)
+    Pinv: dict = field(default_factory=dict)
 
     def representative(self, n: int, index: int) -> dict:
         """Chain in original coordinates of new-basis vector (n, index): the
@@ -358,10 +365,11 @@ class Decomposition:
         return self.P[n][index]
 
     def coordinates(self, n: int, col: dict) -> dict:
-        """New-basis coordinates P^-1·col of an original-basis chain, as
-        column dicts both."""
+        """New-basis coordinates P^-1·col mod p of an original-basis chain,
+        as column dicts both (F_p entries out)."""
         C = self.complex
-        return _times(C.ring, _transpose(self.Pinv[n], C.dim(n)), col)
+        return _times(C.ring.residue_field(),
+                      _transpose(self.Pinv[n], C.dim(n)), col)
 
 
 def decompose(C: GradedChainComplex) -> Decomposition:
@@ -376,14 +384,15 @@ def decompose(C: GradedChainComplex) -> Decomposition:
     cycles, so their columns of d_n vanish, and the pieces found so far stay
     intact.  The rows of d_{n+1} are not updated, since d_{n+1} is not read
     again.  Over F_p every nonzero entry is a unit, so every elementary
-    piece has exponent 0.
+    piece has exponent 0.  P^-1 is updated over F_p, P and d exactly.
     """
     ring = C.ring
+    fp = ring.residue_field()
     n_max = C.n_max
     cur = {n: [dict(col) for col in C.d.sparse_columns(n)]  # d_0: no rows
            for n in range(n_max + 1)}
     P = {n: unit_vectors(ring, C.dim(n)) for n in range(n_max + 1)}
-    Pinv = {n: unit_vectors(ring, C.dim(n)) for n in range(n_max + 1)}
+    Pinv = {n: unit_vectors(fp, C.dim(n)) for n in range(n_max + 1)}
     pieces = []
     hit = 0          # basis vectors 0..hit-1 of degree n are hit from above
     for n in range(n_max, -1, -1):
@@ -391,8 +400,9 @@ def decompose(C: GradedChainComplex) -> Decomposition:
         exponents = []
         if n > 0:
             rows = BasisChange(ring, out=[P[n - 1], cur[n - 1]],
-                               into=[Pinv[n - 1]])
-            cols = BasisChange(ring, out=[P[n]], into=[Pinv[n]])
+                               into=[Pinv[n - 1]], into_ring=fp)
+            cols = BasisChange(ring, out=[P[n]], into=[Pinv[n]],
+                               into_ring=fp)
             exponents = eliminate(ring, cur[n], C.dim(n - 1), rows, cols,
                                   free_cols)
         for i, k in enumerate(exponents):
@@ -407,11 +417,14 @@ def decompose(C: GradedChainComplex) -> Decomposition:
 
 
 def _verify_decomposition(dec: Decomposition):
-    """Recompose: P^-1[n]·P[n] = 1 and d_n·P[n] = P[n-1]·D_n, D_n the
-    canonical piece matrix, so that P^-1·d·P = D in every degree.  Column
-    by column on nonzeros."""
+    """Certify P^-1·d·P = D: P^-1[n]·P[n] = 1 over F_p and
+    d_n·P[n] = P[n-1]·D_n exactly, D_n the canonical piece matrix.  The
+    first makes det P a unit, so P is invertible over Z_(p) and P^-1 is the
+    reduction of its inverse; the second is then P^-1·d·P = D.  Column by
+    column on nonzeros; raises naming the first degree that fails."""
     C = dec.complex
-    ring, one = C.ring, C.ring.one
+    ring = C.ring
+    fp = ring.residue_field()
     want = {}            # (n, top index) -> d of the new basis vector
     for pc in dec.pieces:
         if pc.kind == "elementary":
@@ -423,7 +436,7 @@ def _verify_decomposition(dec: Decomposition):
         inv_cols = _transpose(dec.Pinv[n], C.dim(n))
         d = C.d.sparse_columns(n)
         for j, col in enumerate(dec.P[n]):
-            if (_times(ring, inv_cols, col) != {j: one}
+            if (_times(fp, inv_cols, col) != {j: 1}
                     or _times(ring, d, col) != want.get((n, j), {})):
                 raise ComplexError(
                     f"decomposition verification failed at degree {n}")

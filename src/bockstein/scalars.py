@@ -15,9 +15,10 @@ kept as synced row and column dicts of its nonzeros.  Its row and column
 operations are elementary basis changes (`BasisChange`), each applied to
 every matrix that uses the basis: as column dicts where the basis indexes
 columns (P), as row dicts where it indexes rows (P^-1).  Each step costs the
-nonzeros it touches, and a pivot's unit is inverted once.  `Matrix.snf`
-converts a dense matrix in and U, V and their inverses out;
-`graded.decompose` tracks the complex's own basis.
+nonzeros it touches.  `Matrix.snf` converts a dense matrix in and U, V and
+their inverses out, all exact; `graded.decompose` tracks the complex's own
+basis and keeps P^-1 over F_p, as only its residue is read, so P^-1 costs
+int arithmetic mod p and no Fractions.
 """
 
 from __future__ import annotations
@@ -162,9 +163,10 @@ class ZpLocal:
 
     def reduce_mod_p(self, a) -> int:
         """Image in F_p."""
-        num = a.numerator % self.p
-        den = a.denominator % self.p
-        return (num * pow(den, self.p - 2, self.p)) % self.p
+        p = self.p
+        if a.__class__ is int:
+            return a % p
+        return a.numerator * pow(a.denominator, p - 2, p) % p
 
     def residue_field(self) -> "PrimeField":
         return PrimeField(self.p)
@@ -235,6 +237,13 @@ class PrimeField:
 
     def unit_part(self, a):
         return a
+
+    def reduce_mod_p(self, a) -> int:
+        """a in [0, p): F_p is its own residue field."""
+        return a % self.p
+
+    def residue_field(self) -> "PrimeField":
+        return self
 
 
 class Matrix:
@@ -368,9 +377,7 @@ class Matrix:
         return out
 
     def reduce_mod_p(self) -> "Matrix":
-        """Image of a Z_(p) matrix in F_p."""
-        if self.ring.is_field:
-            return self.copy()
+        """Image of a Z_(p) matrix in F_p (a copy of an F_p matrix)."""
         fp = self.ring.residue_field()
         m = Matrix(fp, self.rows, self.cols)
         m.a = [[self.ring.reduce_mod_p(x) for x in row] for row in self.a]
@@ -526,16 +533,19 @@ def accumulate(ring, acc: dict, terms: dict, coeff) -> dict:
 
     Entries that cancel are removed, so a zero vector is the empty dict.
     Mutates and returns acc; terms may hold ints or ring elements (over
-    F_p, ints of any size and sign).  The ring's arithmetic is inlined, as
-    this is the inner loop of every sparse sum and of `eliminate`; each
-    entry written is in the ring's form: over Z_(p) an int when integral,
-    over F_p an int in [0, p).
+    F_p, ints of any size and sign), and over F_p coeff may also be a
+    Z_(p) quotient, read mod p.  The ring's arithmetic is inlined, as this
+    is the inner loop of every sparse sum and of `eliminate`; each entry
+    written is in the ring's form: over Z_(p) an int when integral, over
+    F_p an int in [0, p).
     """
     if not terms:
         return acc
     get = acc.get
     if ring.is_field:
         p = ring.p
+        if coeff.__class__ is not int:
+            coeff = coeff.numerator * pow(coeff.denominator, p - 2, p)
         coeff %= p
         if not coeff:
             return acc
@@ -637,27 +647,36 @@ class BasisChange:
     on the columns of every `out` matrix and, inverted, on the rows of every
     `into` matrix, so every product out·into of the basis is unchanged.  An
     operation costs the nonzeros of the vectors it reads.
+
+    `into_ring` is the ring of the `into` matrices: by default the ring
+    itself, or its residue field F_p when only their image mod p is read
+    (`graded.decompose`); the products out·into are then 1 mod p.
     """
 
-    def __init__(self, ring, out=(), into=()):
+    def __init__(self, ring, out=(), into=(), into_ring=None):
         self.ring = ring
         self.out = list(out)
         self.into = list(into)
+        self.into_ring = ring if into_ring is None else into_ring
 
     def swap(self, i: int, j: int):
         """e_i <-> e_j."""
         for M in self.out + self.into:
             M[i], M[j] = M[j], M[i]
 
-    def scale(self, i: int, c):
-        """e_i -> c·e_i, c a unit; returns c^-1."""
-        mul = self.ring.mul
+    def scale(self, i: int, c, cinv=None):
+        """e_i -> c·e_i, c a unit.  cinv, c^-1 in the ring when the caller
+        has it, spares inverting c again for `into` matrices over the ring;
+        over F_p they are scaled by the inverse of c mod p."""
+        ring, into_ring = self.ring, self.into_ring
         for M in self.out:
-            M[i] = {k: mul(x, c) for k, x in M[i].items()}
-        cinv = self.ring.inv(c)
+            M[i] = accumulate(ring, {}, M[i], c)
+        if into_ring is not ring:
+            cinv = into_ring.inv(ring.reduce_mod_p(c))
+        elif cinv is None:
+            cinv = ring.inv(c)
         for M in self.into:
-            M[i] = {k: mul(cinv, x) for k, x in M[i].items()}
-        return cinv
+            M[i] = accumulate(into_ring, {}, M[i], cinv)
 
     def add(self, j: int, i: int, c):
         """e_j -> e_j + c·e_i, i ≠ j."""
@@ -666,7 +685,7 @@ class BasisChange:
             accumulate(ring, M[j], M[i], c)
         negc = ring.neg(c)
         for M in self.into:
-            accumulate(ring, M[i], M[j], negc)
+            accumulate(self.into_ring, M[i], M[j], negc)
 
 
 def _swap_lines(A: list, B: list, i: int, j: int):
@@ -690,8 +709,10 @@ def eliminate(ring, S: list, n_rows: int, rows: BasisChange,
     synced list of row dicts is kept beside it, so every step costs the
     nonzeros it touches.  Step t pivots on an entry of least valuation, then
     least row (from t on), then earliest position in col_order (from t on);
-    moves it to (t, col_order[t]), scales it to a pure power of p (skipped
-    when the factor is 1) and clears its column, then its row.  Row
+    moves it to (t, col_order[t]), scales its row by the inverse of its unit
+    part (skipped when that is 1; the pivot becomes p^v in closed form, and
+    the unit is inverted over the ring only when the row holds other
+    entries) and clears its column, then its row.  Row
     operations are changes of the target basis (`rows`) and column
     operations changes of the source basis (`cols`); S itself is updated
     here, not through either.  Columns outside col_order must be zero.
@@ -732,13 +753,13 @@ def eliminate(ring, S: list, n_rows: int, rows: BasisChange,
             _swap_lines(C, R, ct, col_order[k])
             for i in C[ct].keys() | C[col_order[k]].keys():
                 least.pop(i, None)
-        u = ring.unit_part(R[t][ct])
-        if u != 1:
-            uinv = rows.scale(t, u)
-            R[t] = {j: mul(uinv, x) for j, x in R[t].items()}
-            for j, x in R[t].items():
-                C[j][t] = x
         Rt = R[t]
+        u = ring.unit_part(Rt[ct])
+        if u != 1:              # the pivot u·p^v becomes p^v
+            uinv = ring.inv(u) if len(Rt) > 1 else None
+            rows.scale(t, u, uinv)
+            for j, x in Rt.items():
+                Rt[j] = C[j][t] = ring.p ** v if j == ct else mul(uinv, x)
         piv = Rt[ct]
         for i in sorted(C[ct]):
             if i == t:

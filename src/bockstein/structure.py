@@ -266,15 +266,13 @@ class PageAlgebra:
         self.fp = alg.ring.residue_field()
         self.window = self.page.n_max
         self._coords = {}       # monomial -> (degree, [(class, coeff)])
-        ring, Pinv = alg.ring, result.decomposition.Pinv
+        Pinv = result.decomposition.Pinv      # over F_p, no zeros stored
         for n in range(self.window + 1):
             keys = alg.basis.keys(n)
             coords = [[] for _ in keys]
             for i, cl in enumerate(self.page.classes.get(n, [])):
-                for j, x in Pinv[n][cl.new_index].items():
-                    u = ring.reduce_mod_p(x)
-                    if u:
-                        coords[j].append((i, u))
+                for j, u in Pinv[n][cl.new_index].items():
+                    coords[j].append((i, u))
             self._coords.update((m, (n, c)) for m, c in zip(keys, coords))
         for n, cls in self.page.classes.items():
             for i, cl in enumerate(cls):

@@ -7,6 +7,7 @@ a sequence with fresh `python -m bockstein.cli` processes.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -357,6 +358,17 @@ class TestExamples:
                      "--target", "ul", "--rmax", "3"]) == 0
         assert (capsys.readouterr().out.encode()
                 == (golden / "nonabelian16.json").read_bytes())
+
+    def test_nonabelian16_size_report_digest(self, capsys):
+        # the same report at nmax 32 (UL of total dim 11,024), pinned by
+        # the sha256 of its stdout: a change of pivots, P, class names or
+        # page data at size shows here
+        golden = Path(__file__).parent / "golden"
+        assert main(["--json", "bss", str(golden / "nonabelian16.dgl"),
+                     "--nmax", "32", "--target", "ul", "--rmax", "3"]) == 0
+        assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+                == "e6668247219c6e990b52692b6f6d6257"
+                   "e022dce5501a8143b0955456c91a3a0b")
 
     def test_non_prime_exits_2(self, tmp_path, capsys):
         # 0 is a given prime, not a missing one: no fallback to p = 3

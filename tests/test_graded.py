@@ -361,15 +361,17 @@ RINGS = [Z3, ZpLocal(5), F3, PrimeField(5)]
 
 
 def assert_matches_dense(C):
-    """decompose(C) equals the dense reference entry for entry."""
+    """decompose(C) equals the dense reference entry for entry: P exactly,
+    P^-1 (kept over F_p) as the reference's P^-1 reduced mod p."""
     dec = decompose(C)
     pieces, P, Pinv = dense_decompose(C)
     assert dec.pieces == pieces
+    fp = C.ring.residue_field()
     for n in range(C.n_max + 1):
         dim = C.dim(n)
         assert Matrix.from_sparse_columns(C.ring, dim, dec.P[n]).a == P[n].a
-        assert Matrix.from_sparse_columns(
-            C.ring, dim, dec.Pinv[n]).transpose().a == Pinv[n].a
+        assert (Matrix.from_sparse_columns(fp, dim, dec.Pinv[n]).transpose().a
+                == Pinv[n].reduce_mod_p().a)
 
 
 class TestSparseKernel:
@@ -414,35 +416,59 @@ class TestSparseKernel:
         assert entries and all(type(x) is int for x in entries)
         dec = decompose(A.as_complex())
         # a pivot scaled by a unit u ≠ ±1 puts true quotients such as 1/2
-        # into P^-1 (and from there into P); those alone are Fractions
-        for lines in (dec.P, dec.Pinv):
-            entries = [x for n in lines for line in lines[n]
-                       for x in line.values()]
-            assert entries and all(type(x) is int or x.denominator != 1
-                                   for x in entries)
+        # into P (through the column operations); those alone are Fractions
+        entries = [x for n in dec.P for line in dec.P[n]
+                   for x in line.values()]
+        assert entries and all(type(x) is int or x.denominator != 1
+                               for x in entries)
+        # P^-1 is kept over F_p: no Fraction, no zero, nothing unreduced
+        entries = [x for n in dec.Pinv for line in dec.Pinv[n]
+                   for x in line.values()]
+        assert entries and all(type(x) is int and 1 <= x < L.ring.p
+                               for x in entries)
 
-    def test_one_inverse_per_scaled_pivot(self):
-        # a pivot p^v·u with u ≠ 1 is scaled by u once; u^-1 serves both
-        # P^-1 and the pivot row, so it is computed once
+    def test_inverse_only_for_scaled_pivot_rows_with_other_entries(self):
+        # a pivot p^v·u with u ≠ 1 is set to p^v in closed form; u^-1 over
+        # Z_(p) is computed only to scale the pivot row's other entries,
+        # once, right after the unit is found (P^-1 is scaled mod p)
         class CountingZp(ZpLocal):
-            scaled, inverted = [], []
+            def __init__(self, p):
+                super().__init__(p)
+                object.__setattr__(self, "events", [])
 
             def unit_part(self, a):
                 u = super().unit_part(a)
                 if u != 1:
-                    self.scaled.append(u)
+                    self.events.append(("scaled", u))
                 return u
 
             def inv(self, a):
-                self.inverted.append(a)
+                self.events.append(("inv", a))
                 return super().inv(a)
+
+        def events(C):
+            C.ring.events.clear()
+            decompose(C)
+            return C.ring.events
 
         golden = Path(__file__).parent / "golden" / "nonabelian16.dgl"
         L = parse_dgl(golden.read_text())
         assert L.n_max == 16
-        ring = CountingZp(L.ring.p)
-        decompose(PbwAlgebra(L.replace(ring=ring)).as_complex())
-        assert ring.scaled and ring.inverted == ring.scaled
+        ev = events(PbwAlgebra(L.replace(ring=CountingZp(3))).as_complex())
+        scaled = [i for i, e in enumerate(ev) if e[0] == "scaled"]
+        inverted = [i for i, e in enumerate(ev) if e[0] == "inv"]
+        assert all(i - 1 in scaled and ev[i - 1][1] == ev[i][1]
+                   for i in inverted)
+        assert 0 < len(inverted) < len(scaled)
+        # d e = 2·3·a, a pivot alone in its row: scaled, never inverted;
+        # d f = 2·3·a and d g = 3a, a pivot whose row holds 3: inverted once
+        alone = complex_from_blocks(
+            CountingZp(3), {0: ["a"], 1: ["e"]}, {1: [[6]]}, n_max=1)
+        assert events(alone) == [("scaled", 2)]
+        shared = complex_from_blocks(
+            CountingZp(3), {0: ["a"], 1: ["f", "g"]}, {1: [[6, 3]]},
+            n_max=1)
+        assert events(shared) == [("scaled", 2), ("inv", 2)]
 
     @pytest.mark.parametrize("n, j", [(0, 0), (1, 0), (2, 0)])
     def test_corrupted_P_fails_verification(self, n, j):
@@ -455,6 +481,35 @@ class TestSparseKernel:
         i = min(col)
         col[i] = col[i] + 1
         with pytest.raises(ComplexError, match=f"failed at degree {n}"):
+            _verify_decomposition(dec)
+
+    @pytest.mark.parametrize("n, i", [(0, 0), (1, 0), (1, 1), (2, 0)])
+    def test_corrupted_Pinv_fails_verification(self, n, i):
+        # P^-1 is kept mod p: an entry moved by 1 breaks P^-1·P = 1 over F_p
+        C = complex_from_blocks(Z3, {0: ["a"], 1: ["b", "c"], 2: ["e"]},
+                                {1: [[3, 1]], 2: [[1], [-3]]}, n_max=2)
+        dec = decompose(C)
+        row = dec.Pinv[n][i]
+        k = min(row)
+        row[k] = (row[k] + 1) % 3
+        if not row[k]:
+            del row[k]
+        with pytest.raises(ComplexError, match=f"failed at degree {n}"):
+            _verify_decomposition(dec)
+
+    @pytest.mark.parametrize("n, j, caught", [(0, 0, 1), (1, 0, 1),
+                                              (2, 0, 2)])
+    def test_P_corrupted_by_p_fails_verification(self, n, j, caught):
+        # an entry of P moved by p is invisible to P^-1·P = 1 over F_p, so
+        # d·P = P·D over Z_(p) must catch it: at its own degree, or one up
+        # where P[0] enters D
+        C = complex_from_blocks(Z3, {0: ["a"], 1: ["b", "c"], 2: ["e"]},
+                                {1: [[3, 1]], 2: [[1], [-3]]}, n_max=2)
+        dec = decompose(C)
+        col = dec.P[n][j]
+        i = min(col)
+        col[i] = col[i] + 3
+        with pytest.raises(ComplexError, match=f"failed at degree {caught}"):
             _verify_decomposition(dec)
 
 

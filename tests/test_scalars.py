@@ -100,6 +100,13 @@ class TestZpLocal:
     def test_residue_field(self):
         fp = Z3.residue_field()
         assert isinstance(fp, PrimeField) and fp.p == 3
+        # F_p is its own residue field, so code reading residues needs no
+        # branch on the ring
+        assert F3.residue_field() is F3
+        assert [F3.reduce_mod_p(x) for x in (-4, 0, 2, 7)] == [2, 0, 2, 1]
+        assert [type(Z3.reduce_mod_p(x)) for x in (-4, Fraction(1, 2))] \
+            == [int, int]
+        assert Z3.reduce_mod_p(-4) == 2
 
     @settings(max_examples=300, deadline=None)
     @given(zp_operands())
@@ -167,7 +174,7 @@ class TestZpLocal:
 def accumulate_cases(draw):
     """(ring, acc, terms, coeff): acc in the ring's form; terms ints and
     Fractions over Z_(p), ints of any size and sign over F_p; coeff 0, ±1,
-    a unit or a multiple of p."""
+    a unit or a multiple of p, and over F_p also any Z_(p) element."""
     ring = draw(st.sampled_from([Z3, Z5, F3, PrimeField(5)]))
     p = ring.p
     keys = st.integers(0, 6)
@@ -181,8 +188,11 @@ def accumulate_cases(draw):
            for k, x in draw(st.dictionaries(keys, value)).items()
            if not ring.is_zero(ring.of(x))}
     terms = draw(st.dictionaries(keys, value))
-    coeff = draw(st.one_of(st.sampled_from([0, 1, -1]), unit,
-                           st.integers(-5, 5).map(lambda k: k * p)))
+    coeffs = [st.sampled_from([0, 1, -1]), unit,
+              st.integers(-5, 5).map(lambda k: k * p)]
+    if ring.is_field:
+        coeffs.append(_in_zp(p))
+    coeff = draw(st.one_of(*coeffs))
     return ring, acc, terms, coeff
 
 
@@ -191,9 +201,12 @@ class TestAccumulate:
     @given(accumulate_cases())
     def test_matches_fraction_reference(self, case):
         ring, acc, terms, coeff = case
+        f = Fraction(coeff)
+        if ring.is_field:       # a Z_(p) coefficient is read mod p
+            f = f.numerator * pow(f.denominator, -1, ring.p)
         want = {k: Fraction(x) for k, x in acc.items()}
         for k, c in terms.items():
-            want[k] = want.get(k, 0) + Fraction(coeff) * Fraction(c)
+            want[k] = want.get(k, 0) + f * Fraction(c)
         if ring.is_field:
             want = {k: x % ring.p for k, x in want.items()}
         want = {k: x for k, x in want.items() if x}
