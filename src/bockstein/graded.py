@@ -549,15 +549,13 @@ class FieldHomology:
 
 def induced_map(f: GradedMap, H_src: FieldHomology, H_tgt: FieldHomology,
                 window: int) -> dict:
-    """Per-degree matrices of H(f) in degrees ≤ window; f must be a (co)chain
-    map there."""
+    """H(f) in degrees ≤ window, per degree as the list of its column dicts
+    (the image of each source class in target class coordinates); f must
+    be a (co)chain map there."""
     out = {}
     for n in range(window + 1):
-        if not (0 <= n + f.degree <= H_tgt.basis.n_max):
-            continue
-        cols = [H_tgt.class_of(n + f.degree,
-                               f.apply(n, H_src.representative(n, j)))
-                for j in range(H_src.dim(n))]
-        out[n] = Matrix.from_sparse_columns(f.ring, H_tgt.dim(n + f.degree),
-                                            cols)
+        if 0 <= n + f.degree <= H_tgt.basis.n_max:
+            out[n] = [H_tgt.class_of(n + f.degree,
+                                     f.apply(n, H_src.representative(n, j)))
+                      for j in range(H_src.dim(n))]
     return out

@@ -3,22 +3,24 @@
 Elements of a Lie algebra are coefficient dicts over generator indices.
 Elements of the enveloping algebra are dicts mapping PBW monomials (tuples
 of generator indices, nondecreasing, odd generators at most once) to
-scalars.  Products straighten by the commutator rule
+scalars.  Words are put in PBW order by one route, `_insert`, which places
+one letter into an ordered monomial by the commutator rule
     x_j x_i = (-1)^{|x_i||x_j|} x_i x_j + [x_j, x_i]   (j > i),
-with odd squares resolved as x^2 = (1/2)[x,x]; `mul` straightens each
-whole word by adjacent swaps, through a cache.
+passing only the letters it is out of order with, with odd squares
+resolved as x^2 = (1/2)[x,x].  A product of monomials ma·mb is ma
+multiplied on the right by mb's letters in turn, each inserted at the
+right end, so `mul` and `element` keep no table of words.
 
 UL's basis is a `GradedBasis` keyed by the monomials, so elements and
 coordinates convert in `graded`.  The differential d of UL is built once,
 as the derivation on ∂'s generator images, and stored, and elements read
 it through `d_elem`.  A derivation replaces one letter of an ordered
-monomial at a time, so a one-letter image is inserted into the ordered
-rest by the same rule, passing only the letters it is out of order with;
-∂ sends generators to generators, so building d straightens no whole
-word and fills no cache.  Longer images (the quadratic part of cce's d)
-are straightened as in `mul`.  Δ is a chain map, Δ∘d = (d⊗1 ± 1⊗d)∘Δ, so
-the Bockstein page checks apply d on UL only; d⊗1 ± 1⊗d on UL ⊗ UL serves
-the tensor-square reference (`structure.TensorSquareBss`).
+monomial at a time: a one-letter image is inserted into the ordered rest,
+and a longer image (the quadratic part of cce's d) is the prefix before
+the letter multiplied on the right by the image's letters and then by the
+rest.  Δ is a chain map, Δ∘d = (d⊗1 ± 1⊗d)∘Δ, so the Bockstein page checks
+apply d on UL only; d⊗1 ± 1⊗d on UL ⊗ UL serves the tensor-square
+reference (`structure.TensorSquareBss`).
 """
 
 from __future__ import annotations
@@ -295,7 +297,6 @@ class PbwAlgebra:
         self.L = L
         self.ring = L.ring
         self.n_max = L.n_max
-        self._straight_cache = {}       # whole words, by `_straighten`
         self._odd = [n % 2 for n in L.degrees]
         # [x_i, x_j] for the pairs that bracket to nonzero, both orders
         pairs = {q for i, j in L.brackets for q in ((i, j), (j, i))}
@@ -324,38 +325,6 @@ class PbwAlgebra:
 
     # -- product ------------------------------------------------------------
 
-    def _straighten(self, word) -> dict:
-        """Word of generator indices -> dict of canonical monomials."""
-        ring = self.ring
-        cached = self._straight_cache.get(word)
-        if cached is not None:
-            return cached
-        L = self.L
-        result = None
-        for i in range(len(word) - 1):
-            a, b = word[i], word[i + 1]
-            if a < b or (a == b and L.degrees[a] % 2 == 0):
-                continue
-            if a == b:
-                # odd square: x² = ½[x,x]
-                half = ring.div(ring.one, ring.of(2))
-                result = {}
-                for k, c in L.bracket_gens(a, a).items():
-                    sub = self._straighten(word[:i] + (k,) + word[i + 2:])
-                    result = accumulate(ring, result, sub, ring.mul(half, c))
-            else:
-                s = ring.of(-1 if (L.degrees[a] * L.degrees[b]) % 2 else 1)
-                result = accumulate(ring, {}, self._straighten(
-                    word[:i] + (b, a) + word[i + 2:]), s)
-                for k, c in L.bracket_gens(a, b).items():
-                    sub = self._straighten(word[:i] + (k,) + word[i + 2:])
-                    result = accumulate(ring, result, sub, c)
-            break
-        if result is None:
-            result = {word: ring.one}
-        self._straight_cache[word] = result
-        return result
-
     def mul(self, a: dict, b: dict) -> dict:
         """Product in UL; drops monomials beyond the window."""
         ring = self.ring
@@ -364,9 +333,20 @@ class PbwAlgebra:
             for mb, cb in b.items():
                 if self.monomial_degree(ma + mb) > self.n_max:
                     continue
-                out = accumulate(ring, out, self._straighten(ma + mb),
-                                 ring.mul(ca, cb))
+                accumulate(ring, out, self._right_mul(ma, mb),
+                           ring.mul(ca, cb))
         return out
+
+    def _right_mul(self, mono, letters) -> dict:
+        """mono·x_{h_1}···x_{h_k} for a monomial and any word of letters:
+        each letter in turn is inserted at the right end (`_insert`)."""
+        ring, elem = self.ring, {mono: self.ring.one}
+        for h in letters:
+            nxt = {}
+            for word, c in elem.items():
+                accumulate(ring, nxt, self._insert(word, len(word), h), c)
+            elem = nxt
+        return elem
 
     def gen(self, i: int) -> dict:
         return {(i,): self.ring.one}
@@ -377,7 +357,7 @@ class PbwAlgebra:
         out = {}
         for key, c in spec.items():
             mono = (self.L.index[key],) if isinstance(key, str) else tuple(key)
-            out = accumulate(ring, out, self._straighten(mono), ring.of(c))
+            accumulate(ring, out, self._right_mul((), mono), ring.of(c))
         return out
 
     # -- differential as a derivation ----------------------------------------
@@ -406,7 +386,7 @@ class PbwAlgebra:
 
         Each column is `_derive` of a monomial: one-letter image monomials
         (all of ∂'s, and cce's d0) are inserted, longer ones (cce's d1)
-        straightened whole by `_straighten`.
+        multiplied in by `_right_mul`.
         """
         theta = GradedMap(self.basis, self.basis, degree, self.ring)
         for n in range(max(0, -degree), self.n_max + 1 - max(0, degree)):
@@ -423,7 +403,9 @@ class PbwAlgebra:
         letter (`_insert`).  In a run g^m of an even letter with [g, h] = 0
         all m positions give the same word, so the run costs one insertion
         with coefficient m.  A longer image monomial (the quadratic part of
-        cce's d) is multiplied out by `_straighten`, as in `mul`.
+        cce's d), at position pos, gives mono[:pos] multiplied on the right
+        by the image's letters and then by mono[pos+1:] (`_right_mul`), as
+        in `mul`.
         """
         ring = self.ring
         out = {}
@@ -437,8 +419,8 @@ class PbwAlgebra:
                     c = ring.mul(sign, c)
                     if len(image) != 1:
                         for pos in range(start, start + m):
-                            accumulate(ring, out, self._straighten(
-                                mono[:pos] + image + mono[pos + 1:]), c)
+                            accumulate(ring, out, self._right_mul(
+                                mono[:pos], image + mono[pos + 1:]), c)
                     elif m == 1 or (g, image[0]) not in self._brackets:
                         c = ring.mul(ring.of(m), c)
                         if not ring.is_zero(c):

@@ -12,11 +12,12 @@ that shares no code with the library's `eliminate`.  UL's coproduct is
 multiplied out in UL ⊗ UL.  Page coproducts are read off all of Δ over
 Z_(p) (`page_pairs_by_delta`), each factor's page coordinates taken from
 the class rows of P⁻¹ (`page_coords`), not from the page code's own
-table.  UL's differential is applied by Leibniz
-through products and derivations by straightening whole words, the Jacobi identity
-is checked on every generator triple, and products and divided powers in
-Γ(V) are computed in the tensor coalgebra by shuffles, and so is the Λ/Γ
-pairing.  The Γ-morphism and Γ-derivation detectors scan every pair of
+table.  UL's words are put in PBW order by adjacent swaps (`straighten`),
+the route the library's one-letter insertion replaced, and UL's
+differential and derivations are applied by Leibniz on whole straightened
+words.  The Jacobi identity is checked on every generator triple, and
+products and divided powers in Γ(V) are computed in the tensor coalgebra
+by shuffles, and so is the Λ/Γ pairing.  The Γ-morphism and Γ-derivation detectors scan every pair of
 basis words and every even word (`is_gamma_morphism_by_scan`,
 `is_gamma_derivation_by_scan`), where the library checks generators.
 
@@ -461,7 +462,7 @@ def page_pairs_by_delta(pa, n, chain, reduced):
 # ---------------------------------------------------------------------------
 #
 # Δ is built as the algebra map with Δ(g) = g⊗1 + 1⊗g, multiplying in
-# UL ⊗ UL through the library's straightening, never its closed form.
+# UL ⊗ UL through the library's product `mul`, never its closed form.
 
 def tensor_mul(alg, a, b):
     """Product in UL ⊗ UL; keys are (mono, mono) pairs."""
@@ -573,13 +574,51 @@ def jacobi_violations(L):
 
 
 # ---------------------------------------------------------------------------
-# UL's differential by Leibniz through products
+# UL's product and differential by straightening whole words
 # ---------------------------------------------------------------------------
 #
-# d(x_1···x_k) = Σ_i (-1)^{|x_1···x_{i-1}|} x_1···x_{i-1}·∂x_i·x_{i+1}···x_k,
-# each term multiplied out by `PbwAlgebra.mul`, never `_derive` or the
-# stored differential.  `derive_by_straightening` straightens each whole
-# substituted word instead of inserting one letter.
+# `straighten` orders a word by adjacent swaps, recursing on the first
+# pair out of order: the route the library took before it inserted one
+# letter at a time (`PbwAlgebra._insert`).  It reads only the Lie algebra
+# and the ring.  d(x_1···x_k) = Σ_i (-1)^{|x_1···x_{i-1}|} x_1···∂x_i···x_k
+# straightens each substituted word whole, never through `mul`, `_derive`
+# or the stored differential.
+
+def straighten(alg, word):
+    """A word of generator indices as a dict of PBW monomials, by adjacent
+    swaps x_b x_a = (-1)^{|x_a||x_b|} x_a x_b + [x_b, x_a] and odd squares
+    x² = ½[x, x]; the memo lives for one call."""
+    L, ring = alg.L, alg.ring
+    memo = {}
+
+    def walk(word):
+        if word in memo:
+            return memo[word]
+        result = {word: ring.one}
+        for i in range(len(word) - 1):
+            a, b = word[i], word[i + 1]
+            if a < b or (a == b and L.degrees[a] % 2 == 0):
+                continue
+            result = {}
+            if a == b:
+                half = ring.div(ring.one, ring.of(2))
+                for k, c in L.bracket_gens(a, a).items():
+                    accumulate(ring, result,
+                               walk(word[:i] + (k,) + word[i + 2:]),
+                               ring.mul(half, c))
+            else:
+                s = -1 if L.degrees[a] * L.degrees[b] % 2 else 1
+                accumulate(ring, result, walk(word[:i] + (b, a) + word[i + 2:]),
+                           ring.of(s))
+                for k, c in L.bracket_gens(a, b).items():
+                    accumulate(ring, result,
+                               walk(word[:i] + (k,) + word[i + 2:]), c)
+            break
+        memo[word] = result
+        return result
+
+    return walk(tuple(word))
+
 
 def ul_d_by_leibniz(alg, elem):
     """d of an element of UL, term by term from ∂ on generators."""
@@ -587,11 +626,11 @@ def ul_d_by_leibniz(alg, elem):
     out = {}
     for mono, c in elem.items():
         for pos, g in enumerate(mono):
-            prefix = {mono[:pos]: ring.one}
-            dg = {(k,): ck for k, ck in alg.L.d_gen.get(g, {}).items()}
-            term = alg.mul(alg.mul(prefix, dg), {mono[pos + 1:]: ring.one})
             sign = -1 if alg.monomial_degree(mono[:pos]) % 2 else 1
-            accumulate(ring, out, term, ring.mul(ring.of(sign), c))
+            for k, ck in alg.L.d_gen.get(g, {}).items():
+                word = mono[:pos] + (k,) + mono[pos + 1:]
+                accumulate(ring, out, straighten(alg, word),
+                           ring.mul(ring.of(sign), ring.mul(ck, c)))
     return out
 
 
@@ -606,7 +645,7 @@ def derive_by_straightening(alg, mono, degree, gen_images):
     for pos, g in enumerate(mono):
         for image, c in gen_images.get(g, {}).items():
             word = mono[:pos] + image + mono[pos + 1:]
-            accumulate(ring, out, alg.element({word: 1}),
+            accumulate(ring, out, straighten(alg, word),
                        ring.mul(ring.of(sign), c))
         if degree * alg.L.degrees[g] % 2:
             sign = -sign

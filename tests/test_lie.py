@@ -15,8 +15,8 @@ from bockstein.graded import homology
 from bockstein.lie import DgLie, LieError, PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal, accumulate
 from oracles import (coproduct_by_products, dense, derive_by_straightening,
-                     from_vector, jacobi_violations, sparse, tensor_mul,
-                     to_vector, ul_d_by_leibniz, ul_primitives,
+                     from_vector, jacobi_violations, sparse, straighten,
+                     tensor_mul, to_vector, ul_d_by_leibniz, ul_primitives,
                      ul_tensor_d_by_leibniz)
 
 Z3 = ZpLocal(3)
@@ -319,6 +319,58 @@ class TestProduct:
         for a, b, c in itertools.permutations(elems, 3):
             assert A.mul(A.mul(a, b), c) == A.mul(a, A.mul(b, c))
 
+    @settings(max_examples=150, deadline=None)
+    @given(dgl_presentations(), st.data())
+    def test_product_matches_straightening(self, L, data):
+        # mul and element insert one letter at a time at the right end; the
+        # oracle orders whole words by adjacent swaps.  The word for element
+        # has letters in any order, with repeats, and an odd letter's
+        # square spliced in
+        A = PbwAlgebra(L)
+        ring = A.ring
+        gens = range(L.n_gens())
+        word = data.draw(st.lists(st.sampled_from(gens), max_size=5))
+        odd = [g for g in gens if L.degrees[g] % 2]
+        if odd:
+            pos = data.draw(st.integers(0, len(word)))
+            word[pos:pos] = [data.draw(st.sampled_from(odd))] * 2
+        c = data.draw(st.sampled_from([1, 2, -1, 3, -5]))
+        assert A.element({tuple(word): c}) == accumulate(
+            ring, {}, straighten(A, word), ring.of(c))
+        a, b = (random_element(data, A, data.draw(st.integers(0, A.n_max)))
+                for _ in range(2))
+        want = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                if A.monomial_degree(ma + mb) <= A.n_max:
+                    accumulate(ring, want, straighten(A, ma + mb),
+                               ring.mul(ca, cb))
+        assert A.mul(a, b) == want
+
+    def test_no_table_grows_with_products(self):
+        # mul, element and algebra_map keep nothing per word: every
+        # container the algebra holds keeps its size over many products
+        golden = Path(__file__).parent / "golden" / "nonabelian16.dgl"
+        A = PbwAlgebra(parse_dgl(golden.read_text()))
+        A.differential()
+
+        def sizes():
+            return {k: len(v) for k, v in vars(A).items()
+                    if isinstance(v, (dict, list, set, tuple))}
+
+        before = sizes()
+        rng = random.Random(7)
+        gens = range(A.L.n_gens())
+        for _ in range(20):
+            a, b = (from_vector(A.basis, n, [A.ring.of(rng.randint(-2, 2))
+                                             for _ in range(A.dim(n))],
+                                A.ring)
+                    for n in (rng.randint(1, 6), rng.randint(1, 6)))
+            A.mul(a, b)
+            A.element({tuple(rng.choices(gens, k=5)): 1})
+        A.algebra_map(A, {g: A.gen(g) for g in gens})
+        assert sizes() == before
+
 
 class TestDifferential:
     def test_derivation_on_powers(self):
@@ -364,8 +416,9 @@ class TestDifferential:
 
     def test_peak_memory_of_d(self):
         # building d by insertion keeps no table of straightened words;
-        # straightening each substituted word through the cache peaks at
-        # about 5 MB here
+        # straightening each substituted word through a table kept for the
+        # algebra's life, as before one-letter insertion, peaked at about
+        # 5 MB here
         golden = Path(__file__).parent / "golden" / "nonabelian16.dgl"
         A = PbwAlgebra(parse_dgl(golden.read_text()).replace(n_max=24))
         tracemalloc.start()
