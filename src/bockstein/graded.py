@@ -19,7 +19,7 @@ converts between an element (key -> scalar) and its column dict.  A
 `GradedMap` stores each block only as the column dicts of its nonzeros and
 does all its arithmetic on them; `block(n)` builds a dense `Matrix` on
 demand, for the small page-level maps and for tests.
-`check_square_zero` multiplies block nonzeros and names the first entry of
+`check_square_zero` applies d to d's columns and names the first entry of
 d∘d that is not zero.
 """
 
@@ -44,10 +44,10 @@ class GradedBasis:
 
     A key is whatever names a basis vector to its owner: a PBW monomial, a
     Γ word, a generator index or a plain name.  `name` prints a key (keys
-    are their own names by default); a degree's names are made on first
-    use, since a report names few of them.  Each degree keeps a key ->
-    position dict, so elements (sparse dicts key -> scalar) and column
-    dicts (position -> scalar) convert here and nowhere else.
+    are their own names by default); each key's name is made on its first
+    use and kept, since a report names few of them.  Each degree keeps a
+    key -> position dict, so elements (sparse dicts key -> scalar) and
+    column dicts (position -> scalar) convert here and nowhere else.
     """
 
     def __init__(self, keys_by_degree: dict, n_max: int, name=None):
@@ -67,20 +67,18 @@ class GradedBasis:
     def dim(self, n: int) -> int:
         return len(self._keys.get(n, []))
 
-    def _names_of(self, n: int) -> list:
-        names = self._names.get(n)
-        if names is None:
-            keys = self.keys(n)
-            names = self._names[n] = (
-                keys if self._name is None else list(map(self._name, keys)))
-        return names
-
     def names(self, n: int) -> list:
-        return list(self._names_of(n))
+        return [self.name(n, j) for j in range(self.dim(n))]
 
     def name(self, n: int, j: int) -> str:
         """The name of the basis vector at position j of degree n."""
-        return self._names_of(n)[j]
+        key = self._keys[n][j]
+        if self._name is None:
+            return key
+        name = self._names.get(key)
+        if name is None:
+            name = self._names[key] = self._name(key)
+        return name
 
     def keys(self, n: int) -> list:
         """The keys of degree n in basis order (do not mutate)."""
@@ -301,16 +299,17 @@ def _times(ring, A: list, col: dict) -> dict:
 
 def check_square_zero(d: GradedMap):
     """Raise ComplexError unless d∘d = 0, naming the first entry that is not
-    zero: least source degree, then basis order of source and target."""
-    dd = d.compose(d)
-    if not dd.is_zero():
-        n = dd.degrees()[0]
-        j, col = next((j, c) for j, c in enumerate(dd.sparse_columns(n)) if c)
-        i = min(col)
-        raise ComplexError(
-            f"d∘d ≠ 0 at degree {n}: d(d({d.source.names(n)[j]})) "
-            f"has coefficient {col[i]} on "
-            f"{d.target.names(n + 2 * d.degree)[i]}")
+    zero: least source degree, then basis order of source and target.
+    Applies d to each column of d in that order, so d∘d is never built."""
+    for n in d.degrees():
+        for j, col in enumerate(d.sparse_columns(n)):
+            dd = d.apply(n + d.degree, col)
+            if dd:
+                i = min(dd)
+                raise ComplexError(
+                    f"d∘d ≠ 0 at degree {n}: d(d({d.source.name(n, j)})) "
+                    f"has coefficient {dd[i]} on "
+                    f"{d.target.name(n + 2 * d.degree, i)}")
 
 
 class GradedChainComplex:

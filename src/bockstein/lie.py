@@ -279,8 +279,8 @@ def monomial_name(names: list, mono) -> str:
     """a*b^2 for the monomial (0, 1, 1) on generators named a, b."""
     if not mono:
         return "1"
-    return "*".join(names[i] if k == 1 else f"{names[i]}^{k}"
-                    for i, k in run_length(mono))
+    return "*".join(names[i] if (k := mono.count(i)) == 1
+                    else f"{names[i]}^{k}" for i in dict.fromkeys(mono))
 
 
 class PbwAlgebra:
@@ -327,14 +327,15 @@ class PbwAlgebra:
 
     def mul(self, a: dict, b: dict) -> dict:
         """Product in UL; drops monomials beyond the window."""
-        ring = self.ring
+        ring, deg = self.ring, self.monomial_degree
         out = {}
+        right = [(mb, cb, deg(mb)) for mb, cb in b.items()]
         for ma, ca in a.items():
-            for mb, cb in b.items():
-                if self.monomial_degree(ma + mb) > self.n_max:
-                    continue
-                accumulate(ring, out, self._right_mul(ma, mb),
-                           ring.mul(ca, cb))
+            room = self.n_max - deg(ma)
+            for mb, cb, db in right:
+                if db <= room:
+                    accumulate(ring, out, self._right_mul(ma, mb),
+                               ring.mul(ca, cb))
         return out
 
     def _right_mul(self, mono, letters) -> dict:

@@ -15,7 +15,8 @@ kept as synced row and column dicts of its nonzeros.  Its row and column
 operations are elementary basis changes (`BasisChange`), each applied to
 every matrix that uses the basis: as column dicts where the basis indexes
 columns (P), as row dicts where it indexes rows (P^-1).  Each step costs the
-nonzeros it touches.  `Matrix.snf` converts a dense matrix in and U, V and
+nonzeros it touches, and its pivot comes off a heap of the rows' least
+entries.  `Matrix.snf` converts a dense matrix in and U, V and
 their inverses out, all exact; `graded.decompose` tracks the complex's own
 basis and keeps P^-1 over F_p, as only its residue is read, so P^-1 costs
 int arithmetic mod p and no Fractions.
@@ -650,7 +651,9 @@ class BasisChange:
 
     `into_ring` is the ring of the `into` matrices: by default the ring
     itself, or its residue field F_p when only their image mod p is read
-    (`graded.decompose`); the products out·into are then 1 mod p.
+    (`graded.decompose`); the products out·into are then 1 mod p.  A swap
+    is its own inverse, so `swap` exchanges the two vectors in every matrix,
+    `out` and `into` alike.
     """
 
     def __init__(self, ring, out=(), into=(), into_ring=None):
@@ -661,7 +664,9 @@ class BasisChange:
 
     def swap(self, i: int, j: int):
         """e_i <-> e_j."""
-        for M in self.out + self.into:
+        for M in self.out:
+            M[i], M[j] = M[j], M[i]
+        for M in self.into:
             M[i], M[j] = M[j], M[i]
 
     def scale(self, i: int, c, cinv=None):
@@ -712,10 +717,20 @@ def eliminate(ring, S: list, n_rows: int, rows: BasisChange,
     moves it to (t, col_order[t]), scales its row by the inverse of its unit
     part (skipped when that is 1; the pivot becomes p^v in closed form, and
     the unit is inverted over the ring only when the row holds other
-    entries) and clears its column, then its row.  Row
-    operations are changes of the target basis (`rows`) and column
-    operations changes of the source basis (`cols`); S itself is updated
-    here, not through either.  Columns outside col_order must be zero.
+    entries) and clears its column, then its row, each only when it holds
+    more than the pivot.  Row operations are changes of the target basis
+    (`rows`) and column operations changes of the source basis (`cols`); S
+    itself is updated here, not through either.  Columns outside col_order
+    must be zero.
+
+    The pivot is the top of a heap of (valuation, row, position) entries,
+    so the heap order is the pivot rule.  Each nonempty row from t on has
+    one live entry, its least (valuation, position), pushed again whenever
+    that can change: when the row swap moves the row, when a column swap
+    moves its least entry, when the column clear updates it.  An entry is
+    stale when its row is below t or no longer holds it, and stale entries
+    are popped when they reach the top, so the search costs the rows a step
+    changed, not the rows left.
     """
     mul, div, neg = ring.mul, ring.div, ring.neg
     valuation = ring.valuation
@@ -726,34 +741,58 @@ def eliminate(ring, S: list, n_rows: int, rows: BasisChange,
             R[i][j] = x
     col_order = list(col_order)
     pos = {j: k for k, j in enumerate(col_order)}
-    least = {}      # row -> its least (valuation, position), None if empty;
-    exponents = []  # dropped whenever the row changes
+    live = [None] * n_rows     # row -> its live heap entry, None if empty
+    heap = []
+
+    def refresh(i):
+        """Push row i's least (valuation, row, position) as its live entry."""
+        Ri = R[i]
+        if len(Ri) == 1:
+            (j, x), = Ri.items()
+            e = (valuation(x), i, pos[j])
+        elif Ri:
+            v, k = min((valuation(x), pos[j]) for j, x in Ri.items())
+            e = (v, i, k)
+        else:
+            live[i] = None
+            return
+        live[i] = e
+        heappush(heap, e)
+
+    for i in range(n_rows):
+        if R[i]:
+            refresh(i)
+    exponents = []
     for t in range(min(n_rows, len(col_order))):
         # rows t.. hold entries only in columns col_order[t:]
-        best = None
-        for i in range(t, n_rows):
-            if i not in least:
-                least[i] = min(((valuation(x), pos[j])
-                                for j, x in R[i].items()), default=None)
-            m = least[i]
-            if m is not None and (best is None or m[0] < best[0]):
-                best = (m[0], i, m[1])
-                if m[0] == 0:
-                    break
-        if best is None:
+        while heap:
+            e = heap[0]
+            if e[1] >= t and live[e[1]] is e:
+                break
+            heappop(heap)
+        else:
             break
-        v, pi, k = best
-        ct = col_order[t]
+        v, pi, k = e
+        ct, ck = col_order[t], col_order[k]
         if pi != t:
             rows.swap(t, pi)
             _swap_lines(R, C, t, pi)
-            least.pop(pi, None)
-        if col_order[k] != ct:
-            cols.swap(ct, col_order[k])
-            _swap_lines(C, R, ct, col_order[k])
-            for i in C[ct].keys() | C[col_order[k]].keys():
-                least.pop(i, None)
-        Rt = R[t]
+            e = live[t]         # row t's entry, moved to row pi
+            if e is None:
+                live[pi] = None
+            else:
+                live[pi] = e = (e[0], pi, e[2])
+                heappush(heap, e)
+        if ck != ct:
+            cols.swap(ct, ck)
+            _swap_lines(C, R, ct, ck)
+            # column ct holds the pivot's row and the rows cleared below; in
+            # the other rows an entry moved from position t to k, which
+            # changes the least only if it was that entry
+            for i in C[ck]:
+                if i not in C[ct] and live[i][2] == t:
+                    refresh(i)
+        Rt, Cct = R[t], C[ct]
         u = ring.unit_part(Rt[ct])
         if u != 1:              # the pivot u·p^v becomes p^v
             uinv = ring.inv(u) if len(Rt) > 1 else None
@@ -761,23 +800,25 @@ def eliminate(ring, S: list, n_rows: int, rows: BasisChange,
             for j, x in Rt.items():
                 Rt[j] = C[j][t] = ring.p ** v if j == ct else mul(uinv, x)
         piv = Rt[ct]
-        for i in sorted(C[ct]):
-            if i == t:
-                continue
-            c = div(C[ct][i], piv)
-            rows.add(t, i, c)
-            least.pop(i, None)
-            Ri = accumulate(ring, R[i], Rt, neg(c))   # row i -= c·row t
-            for j in Rt:
-                x = Ri.get(j)
-                if x is None:
-                    C[j].pop(i, None)
-                else:
-                    C[j][i] = x
-        for j in sorted((j for j in Rt if j != ct), key=pos.__getitem__):
-            # column ct is piv·e_t now, so column j += c·column ct only
-            # cancels the entry (t, j)
-            cols.add(j, ct, neg(div(Rt.pop(j), piv)))
-            del C[j][t]
+        if len(Cct) > 1:
+            for i in sorted(Cct):
+                if i == t:
+                    continue
+                c = div(Cct[i], piv)
+                rows.add(t, i, c)
+                Ri = accumulate(ring, R[i], Rt, neg(c))   # row i -= c·row t
+                for j in Rt:
+                    x = Ri.get(j)
+                    if x is None:
+                        C[j].pop(i, None)
+                    else:
+                        C[j][i] = x
+                refresh(i)
+        if len(Rt) > 1:
+            for j in sorted((j for j in Rt if j != ct), key=pos.__getitem__):
+                # column ct is piv·e_t now, so column j += c·column ct only
+                # cancels the entry (t, j)
+                cols.add(j, ct, neg(div(Rt.pop(j), piv)))
+                del C[j][t]
         exponents.append(v)
     return exponents

@@ -24,7 +24,9 @@ basis words and every even word (`is_gamma_morphism_by_scan`,
 `dense_decompose` and `dense_snf` are the dense elimination that the
 library's sparse kernel replaced: the same pivot rule and the same basis
 changes on full matrices, the entry-for-entry reference for `decompose`
-and `Matrix.snf`.  `to_vector`, `from_vector`, `dense` and `sparse` convert
+and `Matrix.snf`.  `certify_piece_counts` checks a decomposition at any
+size against ranks of d mod p and mod a second prime q, taken by `FpSpan`
+on plain ints.  `to_vector`, `from_vector`, `dense` and `sparse` convert
 between the library's column dicts and the dense coordinate vectors these
 references work on.
 """
@@ -35,8 +37,8 @@ from math import factorial
 from bockstein.gamma import GammaError, tensor_pairing_sign
 from bockstein.graded import Piece
 from bockstein.lie import run_length
-from bockstein.scalars import (Matrix, PrimeField, SnfResult, ZpLocal,
-                               accumulate)
+from bockstein.scalars import (FpSpan, Matrix, PrimeField, SnfResult,
+                               ZpLocal, accumulate)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +226,65 @@ def dense_decompose(C):
             pieces.append(Piece("free", n, j))
         hit = len(exponents)
     return pieces, P, Pinv
+
+
+# ---------------------------------------------------------------------------
+# Piece counts certified by ranks over F_p and F_q
+# ---------------------------------------------------------------------------
+
+Q = 2 ** 31 - 1     # a prime; q ≠ p, and no denominator in the inputs has it
+
+
+def _rank_mod(columns, q):
+    """Rank over F_q of sparse Z_(p) columns, each entry read mod q."""
+    span = FpSpan(q)
+    rank = 0
+    for col in columns:
+        red = {}
+        for i, x in col.items():
+            if x.__class__ is not int:
+                if x.denominator % q == 0:
+                    raise ValueError(f"{x} has no image mod {q}")
+                x = x.numerator * pow(x.denominator, -1, q)
+            red[i] = x % q
+        rank += span.add(red) is None
+    return rank
+
+
+def certify_piece_counts(C, pieces, q=Q):
+    """Check a piece list of the Z_(p) complex C against ranks of d read by
+    `FpSpan` on plain ints, sharing nothing with `eliminate`, the ring
+    classes or `_verify_decomposition`; raises AssertionError naming the
+    first degree that fails.  In each degree n:
+    - the pieces cover the basis once: free and elementary pieces with top
+      degree n plus elementary pieces with top degree n + 1 make dim C_n;
+    - rank(d_n ⊗ F_p) is the number of exponent-0 pieces with top degree n,
+      since P^-1·d·P = D is invertible mod p;
+    - rank(d_n ⊗ F_q) is at most the number of elementary pieces with top
+      degree n, which is rank(d_n) over Q.  A count below it is a certain
+      bug; an equal count is strong evidence, not proof."""
+    p = C.ring.p
+    free, tops, units = {}, {}, {}
+    for pc in pieces:
+        n = pc.top_degree
+        if pc.kind == "free":
+            free[n] = free.get(n, 0) + 1
+        else:
+            tops[n] = tops.get(n, 0) + 1
+            units[n] = units.get(n, 0) + (pc.exponent == 0)
+    for n in range(C.n_max + 1):
+        cover = free.get(n, 0) + tops.get(n, 0) + tops.get(n + 1, 0)
+        assert cover == C.dim(n), (
+            f"degree {n}: pieces cover {cover} of {C.dim(n)} basis vectors")
+        cols = C.d.sparse_columns(n)
+        rank_p = _rank_mod(cols, p)
+        assert rank_p == units.get(n, 0), (
+            f"degree {n}: rank mod {p} is {rank_p}, "
+            f"{units.get(n, 0)} exponent-0 pieces")
+        rank_q = _rank_mod(cols, q)
+        assert rank_q <= tops.get(n, 0), (
+            f"degree {n}: rank mod {q} is {rank_q}, "
+            f"{tops.get(n, 0)} elementary pieces")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Graded bases, maps, complexes, decomposition and homology."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,17 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bockstein import scalars
 from bockstein.cli import builtin_dgl
 from bockstein.dglfile import parse_dgl
 from bockstein.gamma import GammaAlgebra
 from bockstein.graded import (ComplexError, FieldHomology, GradedBasis,
-                              GradedChainComplex, GradedMap, WindowError,
-                              _verify_decomposition, decompose, dual_basis,
-                              dualize, homology, induced_map)
+                              GradedChainComplex, GradedMap, Piece,
+                              WindowError, _verify_decomposition, decompose,
+                              dual_basis, dualize, homology, induced_map)
 from bockstein.lie import DgLie, PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal
-from oracles import (dense, dense_decompose, from_vector, mod_p_homology_dims,
-                     sparse, to_vector)
+from oracles import (certify_piece_counts, dense, dense_decompose,
+                     from_vector, mod_p_homology_dims, sparse, to_vector)
 from test_lie import dgl_presentations
 
 Z3 = ZpLocal(3)
@@ -27,6 +29,17 @@ F3 = PrimeField(3)
 
 def F(x):
     return Fraction(x)
+
+
+def golden_lie(name, n_max=None):
+    """A golden input: a built-in example or a `tests/golden` DGL file,
+    in its own window or in n_max."""
+    if name in ("example1", "example2", "model"):
+        L = builtin_dgl(name)[0]
+    else:
+        L = parse_dgl((Path(__file__).parent / "golden"
+                       / f"{name}.dgl").read_text())
+    return L if n_max is None else L.replace(n_max=n_max)
 
 
 def complex_from_blocks(ring, names, blocks, n_max):
@@ -104,8 +117,8 @@ class TestBasisAndMaps:
             GradedBasis({5: ["x"]}, 4)
 
     def test_names_are_made_on_first_use(self):
-        # the name function runs per degree on its first read, not at
-        # construction; bases compare by their keys and window
+        # the name function runs per key on its first read, not at
+        # construction, and once; bases compare by their keys and window
         made = []
 
         def name(key):
@@ -115,9 +128,9 @@ class TestBasisAndMaps:
         b = GradedBasis({0: [0], 1: [1, 2]}, 1, name)
         assert made == []
         assert b.name(1, 1) == "k2"
-        assert made == [1, 2]
+        assert made == [2]
         assert b.names(1) == ["k1", "k2"] and b.names(0) == ["k0"]
-        assert made == [1, 2, 0]
+        assert made == [2, 1, 0]
         assert GradedBasis({0: ["x"]}, 0).names(0) == ["x"]
         assert b == GradedBasis({0: [0], 1: [1, 2]}, 1)
         assert b != GradedBasis({0: [0], 1: [2, 1]}, 1, name)
@@ -511,6 +524,57 @@ class TestSparseKernel:
         col[i] = col[i] + 3
         with pytest.raises(ComplexError, match=f"failed at degree {caught}"):
             _verify_decomposition(dec)
+
+    def test_pivot_search_work_follows_the_pivots(self, monkeypatch):
+        # the search goes through the heap (every row with an entry is
+        # pushed), and each step pushes the rows it changed and pops what
+        # went stale, so the heap work follows the pivots (about 8
+        # operations per pivot here), not the rows left at each step
+        C = PbwAlgebra(golden_lie("nonabelian16", n_max=24)).as_complex()
+        calls = []
+        for name in ("heappush", "heappop"):
+            op = getattr(scalars, name)
+            monkeypatch.setattr(scalars, name,
+                                lambda *a, op=op: calls.append(1) or op(*a))
+        pivots = sum(pc.kind == "elementary" for pc in decompose(C).pieces)
+        assert pivots == 2195
+        assert pivots <= len(calls) <= 16 * pivots
+
+
+class TestPieceCertificate:
+    @pytest.mark.parametrize("name, n_max", [
+        ("example1", None), ("example2", None), ("model", None),
+        ("four4", None), ("twist3", None), ("nonabelian16", None),
+        ("nonabelian16", 40)])
+    def test_golden_decompositions_pass(self, name, n_max):
+        C = PbwAlgebra(golden_lie(name, n_max)).as_complex()
+        certify_piece_counts(C, decompose(C).pieces)
+
+    def test_wrong_piece_lists_fail(self):
+        # the model has free, exponent-0 and torsion pieces
+        C = PbwAlgebra(golden_lie("model")).as_complex()
+        pieces = decompose(C).pieces
+        unit = next(i for i, pc in enumerate(pieces)
+                    if pc.kind == "elementary" and pc.exponent == 0)
+        torsion = next(i for i, pc in enumerate(pieces) if pc.exponent > 0)
+        free = next(i for i, pc in enumerate(pieces) if pc.kind == "free")
+
+        def edit(i, *new):
+            return pieces[:i] + list(new) + pieces[i + 1:]
+
+        with pytest.raises(AssertionError, match="exponent-0 pieces"):
+            certify_piece_counts(C, edit(unit, replace(pieces[unit],
+                                                       exponent=1)))
+        for i in (unit, torsion, free):
+            with pytest.raises(AssertionError, match="pieces cover"):
+                certify_piece_counts(C, edit(i))
+        # a torsion piece read as two free ones covers the same basis with
+        # the same exponent-0 count, but one elementary piece too few
+        pc = pieces[torsion]
+        with pytest.raises(AssertionError, match="elementary pieces"):
+            certify_piece_counts(C, edit(
+                torsion, Piece("free", pc.top_degree, pc.top_index),
+                Piece("free", pc.top_degree - 1, pc.bottom_index)))
 
 
 class TestFieldHomology:
