@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graded import (ComplexError, Decomposition, GradedBasis,
-                     GradedChainComplex, GradedMap, WindowError, decompose)
+                     GradedChainComplex, GradedMap, WindowError, decompose,
+                     read_mod_p)
 from .scalars import RingError
 
 
@@ -74,10 +75,9 @@ class BssResult:
         """F_p coordinates, in the page-r basis at degree n, of a chain;
         column dicts both.  The chain must survive (`check_survival`)."""
         self.check_survival(r, n, col)
-        w = self.decomposition.coordinates(n, col)
-        return {i: w[cl.new_index]
-                for i, cl in enumerate(self.page(r).classes.get(n, []))
-                if cl.new_index in w}
+        table = self.decomposition.coordinate_table(
+            n, [cl.new_index for cl in self.page(r).classes.get(n, [])])
+        return read_mod_p(self.complex.ring, table, col)
 
 
 def _class_name(basis: GradedBasis, n: int, column: dict, used):
@@ -169,9 +169,10 @@ def is_chain_map(f: GradedMap, C: GradedChainComplex, D: GradedChainComplex):
     return D.d.compose(f).differs_at(f.compose(C.d))
 
 
-def bss_of_morphism(f: GradedMap, bss_src: BssResult, bss_tgt: BssResult,
-                    r_max: int | None = None) -> list:
-    """Per-page maps E^r(f), as GradedMaps over F_p between page bases.
+def bss_of_morphism(f: GradedMap, bss_src: BssResult,
+                    bss_tgt: BssResult) -> list:
+    """Per-page maps E^r(f), as GradedMaps over F_p between page bases, on
+    the pages both results computed.
 
     f must be a degree-0 chain map over Z_(p); E^r(f) sends a class to the
     class of the image of its representative, which survives automatically.
@@ -179,11 +180,9 @@ def bss_of_morphism(f: GradedMap, bss_src: BssResult, bss_tgt: BssResult,
     bad = is_chain_map(f, bss_src.complex, bss_tgt.complex)
     if bad is not None:
         raise ComplexError(f"not a chain map: fails at degree {bad}")
-    if r_max is None:
-        r_max = min(len(bss_src.pages), len(bss_tgt.pages))
     fp = bss_src.complex.ring.residue_field()
     out = []
-    for r in range(1, r_max + 1):
+    for r in range(1, min(len(bss_src.pages), len(bss_tgt.pages)) + 1):
         ps, pt = bss_src.page(r), bss_tgt.page(r)
         gm = GradedMap(ps.basis, pt.basis, 0, fp)
         for n in ps.degrees():

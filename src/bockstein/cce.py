@@ -53,20 +53,12 @@ class CceChains:
 
 def free_cochain_algebra(ring, n_max, generators,
                          d_images=None) -> CochainAlgebra:
-    """(ΛW, d) from generator degrees and d on generators (element dicts,
-    keyed like PbwAlgebra.element specs)."""
+    """(ΛW, d) from generator degrees and d on generators, a spec of
+    `PbwAlgebra.images`."""
     lam = PbwAlgebra(abelian(ring, n_max, generators))
-    images = {}
-    for key, elem in (d_images or {}).items():
-        i = lam.L.index[key] if isinstance(key, str) else key
-        images[i] = lam.element(elem) if not _is_elem(elem) else elem
-    d = lam.derivation(1, images)
+    d = lam.derivation(1, lam.images(lam.L, d_images or {}))
     check_square_zero(d)
     return CochainAlgebra(lam, d)
-
-
-def _is_elem(x) -> bool:
-    return isinstance(x, dict) and all(isinstance(k, tuple) for k in x)
 
 
 def cochains(L: DgLie) -> CceCochains:
@@ -153,12 +145,8 @@ def verify_quasi_iso(gen_images: dict, src: CochainAlgebra,
         raise ComplexError("quasi-isomorphism check runs over a field")
     if window is None:
         window = src.algebra.n_max - 1
-    images = {}
-    for key, elem in gen_images.items():
-        i = src.algebra.L.index[key] if isinstance(key, str) else key
-        images[i] = (tgt.algebra.element(elem) if not _is_elem(elem)
-                     else elem)
-    m = src.algebra.algebra_map(tgt.algebra, images)
+    m = src.algebra.algebra_map(tgt.algebra,
+                                tgt.algebra.images(src.algebra.L, gen_images))
     bad = tgt.d.compose(m).differs_at(m.compose(src.d))
     if bad is not None and bad <= window:
         return False, f"not a cochain map at degree {bad}"

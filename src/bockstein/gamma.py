@@ -10,8 +10,8 @@ identity and dualizing a map is a signed blockwise transpose
 Products and divided powers are closed forms on words (`word_product`,
 `divided_power`), and so is the pairing (`pairing_matrix`).  Γ(V) also
 sits in the tensor coalgebra T_C(V) as the symmetric words under the
-shuffle product (`shuffle`); the test oracles expand words there to check
-the closed forms.
+shuffle product; the test oracles expand words there, with a shuffle of
+their own, to check the closed forms.
 
 The basis is a `GradedBasis` keyed by the words, so elements and
 coordinates convert in `graded`; the detectors read each word's image
@@ -63,7 +63,6 @@ class GammaAlgebra:
         self.degrees = [g[1] for g in generators]
         if any(d < 1 for d in self.degrees):
             raise GammaError("generator degrees must be >= 1")
-        self._shuffle_cache = {}
         self._product_cache = {}
         self.basis = GradedBasis(
             {n: [run_length(m) for m in monos]
@@ -78,33 +77,6 @@ class GammaAlgebra:
 
     def word_degree(self, gword) -> int:
         return sum(k * self.degrees[i] for i, k in gword)
-
-    # -- shuffle product in T_C(V), integer coefficients ----------------------
-
-    def shuffle(self, a, b) -> dict:
-        """Shuffle product of two tensor words (tuples of gen indices)."""
-        key = (a, b)
-        cached = self._shuffle_cache.get(key)
-        if cached is not None:
-            return cached
-        if not a:
-            out = {b: 1}
-        elif not b:
-            out = {a: 1}
-        else:
-            out = {}
-            for w, c in self.shuffle(a[1:], b).items():
-                k = (a[0],) + w
-                out[k] = out.get(k, 0) + c
-            # bringing b[0] to the front moves it past all of a
-            sign = -1 if (self.degrees[b[0]]
-                          * sum(self.degrees[i] for i in a)) % 2 else 1
-            for w, c in self.shuffle(a, b[1:]).items():
-                k = (b[0],) + w
-                out[k] = out.get(k, 0) + sign * c
-            out = {w: c for w, c in out.items() if c}
-        self._shuffle_cache[key] = out
-        return out
 
     # -- algebra structure -----------------------------------------------------
 

@@ -6,7 +6,10 @@ elimination (`scalars.eliminate`) per degree, top degree down, on the
 nonzeros of d, each basis change applied wherever that basis is used (the
 differentials in and out, P kept as column dicts, P^-1 as row dicts).  P
 is exact over the ring; P^-1 is kept over the residue field F_p, as every
-reader wants coordinates mod p.  A sparse recomposition certifies every
+reader wants coordinates mod p.  Coordinates are read off it by one
+route: a table of the rows for chosen new-basis vectors, by original
+position (`Decomposition.coordinate_table`), and a mod-p read through it
+(`read_mod_p`).  A sparse recomposition certifies every
 decomposition: P^-1·P = 1 over F_p and d·P = P·D exactly.  Over Z_(p) the
 same decomposition later drives the Bockstein pages, so torsion
 bookkeeping happens exactly once; over F_p every piece has exponent 0, so
@@ -363,12 +366,28 @@ class Decomposition:
         column of P itself, so do not mutate."""
         return self.P[n][index]
 
-    def coordinates(self, n: int, col: dict) -> dict:
-        """New-basis coordinates P^-1·col mod p of an original-basis chain,
-        as column dicts both (F_p entries out)."""
-        C = self.complex
-        return _times(C.ring.residue_field(),
-                      _transpose(self.Pinv[n], C.dim(n)), col)
+    def coordinate_table(self, n: int, indices) -> list:
+        """The rows of P^-1 at the new-basis vectors `indices` of degree n,
+        read by original position: per position j, the list of (h, u) with
+        u = P^-1[indices[h]][j] ≠ 0 mod p.  Built from those rows alone,
+        for `read_mod_p`."""
+        table = [[] for _ in range(self.complex.dim(n))]
+        for h, i in enumerate(indices):
+            for j, u in self.Pinv[n][i].items():
+                table[j].append((h, u))
+        return table
+
+
+def read_mod_p(ring, table: list, col: dict) -> dict:
+    """The coordinates mod p, h -> nonzero in order of h, of a chain (a
+    column dict over `ring`) on the new-basis vectors of a
+    `Decomposition.coordinate_table`: the one reader of P^-1."""
+    p, out = ring.p, {}
+    for j, x in col.items():
+        x = ring.reduce_mod_p(x)
+        for h, u in table[j]:
+            out[h] = out.get(h, 0) + x * u
+    return {h: x % p for h, x in sorted(out.items()) if x % p}
 
 
 def decompose(C: GradedChainComplex) -> Decomposition:
@@ -537,9 +556,8 @@ class FieldHomology:
         if self.d.apply(n, col):
             raise ComplexError("not a cycle")
         m = self._m(n)
-        w = self._dec.coordinates(m, col)
-        return {h: w[j] for h, j in enumerate(self._free.get(m, []))
-                if j in w}
+        return read_mod_p(self.ring, self._dec.coordinate_table(
+            m, self._free.get(m, [])), col)
 
     def representative(self, n: int, h_index: int) -> dict:
         m = self._m(n)

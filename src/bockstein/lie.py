@@ -21,6 +21,12 @@ the letter multiplied on the right by the image's letters and then by the
 rest.  Δ is a chain map, Δ∘d = (d⊗1 ± 1⊗d)∘Δ, so the Bockstein page checks
 apply d on UL only; d⊗1 ± 1⊗d on UL ⊗ UL serves the tensor-square
 reference (`structure.TensorSquareBss`).
+
+Δ of an ordered monomial has one split rule, `splits`, over the integers
+or over F_p; `PbwAlgebra.coproduct` and the page coproduct of
+`structure` both iterate it.  Generator images given by name or index
+(`PbwAlgebra.images`) are read once, for Hopf morphisms and for cce's
+cochain algebras and maps.
 """
 
 from __future__ import annotations
@@ -275,6 +281,39 @@ def run_length(mono) -> tuple:
     return tuple(out)
 
 
+def splits(degrees, mono, p: int | None):
+    """Δ of an ordered monomial, one (left, right, coefficient) per term:
+    the one split rule of UL's coproduct.
+
+    Δ(x_1···x_k) = Π(x_i⊗1 + 1⊗x_i), and a sub-monomial of an ordered
+    monomial is ordered, so the bracket never enters: a run g^m gives
+    C(m, j)·g^j ⊗ g^(m-j), and an odd g sent left passes the odd letters
+    already sent right (Milnor–Moore).  Parities are read from `degrees`.
+    Coefficients are ints; for a prime p they are reduced mod p, and a
+    split whose binomial vanishes mod p (Lucas: in runs g^m with m ≥ p)
+    is dropped, so every coefficient yielded is nonzero; for p None they
+    are kept over Z.
+    """
+    terms = [((), (), 1, 0)]        # left, right, coeff, odd on right
+    for g, m in run_length(mono):
+        odd, nxt = degrees[g] % 2, []
+        for j in range(m + 1):
+            b = comb(m, j)
+            if p is not None:
+                b %= p
+                if not b:
+                    continue
+            gl, gr = (g,) * j, (g,) * (m - j)
+            for left, right, coeff, parity in terms:
+                c = coeff * (-b if odd and j and parity else b)
+                nxt.append((left + gl, right + gr,
+                            c if p is None else c % p,
+                            parity ^ (odd and j < m)))
+        terms = nxt
+    for left, right, coeff, _ in terms:
+        yield left, right, coeff
+
+
 def monomial_name(names: list, mono) -> str:
     """a*b^2 for the monomial (0, 1, 1) on generators named a, b."""
     if not mono:
@@ -360,6 +399,13 @@ class PbwAlgebra:
             mono = (self.L.index[key],) if isinstance(key, str) else tuple(key)
             accumulate(ring, out, self._right_mul((), mono), ring.of(c))
         return out
+
+    def images(self, L: DgLie, spec: dict) -> dict:
+        """Generator images of L in this algebra, keyed by index, from a
+        spec keyed by generator name or index whose values are `element`
+        specs; an element dict passes through unchanged."""
+        return {L.index[key] if isinstance(key, str) else key:
+                self.element(val) for key, val in spec.items()}
 
     # -- differential as a derivation ----------------------------------------
 
@@ -511,31 +557,13 @@ class PbwAlgebra:
         return out
 
     def coproduct(self, mono) -> dict:
-        """Δ of a basis monomial in closed form; generators are primitive.
-
-        Δ(x_1···x_k) = Π(x_i⊗1 + 1⊗x_i), and a sub-monomial of an ordered
-        monomial is ordered, so the bracket never enters: a run g^m gives
-        C(m, j)·g^j ⊗ g^(m-j), and an odd g sent left passes the odd
-        letters already sent right (Milnor–Moore).  Coefficients that
-        vanish in the ring, C(p, j) over F_p, are dropped.  Nothing is
-        kept, and the caller owns the returned dict.
+        """Δ of a basis monomial in closed form (`splits`); generators are
+        primitive.  Over F_p the coefficients that vanish, C(p, j), are
+        dropped.  Nothing is kept, and the caller owns the returned dict.
         """
-        ring = self.ring
-        terms = [((), (), ring.one, 0)]   # left, right, coeff, odd on right
-        for g, m in run_length(mono):
-            odd = self.L.degrees[g] % 2
-            nxt = []
-            for j in range(m + 1):
-                c = ring.of(comb(m, j))
-                if ring.is_zero(c):
-                    continue
-                for left, right, coeff, parity in terms:
-                    s = ring.neg(c) if odd and j == 1 and parity else c
-                    nxt.append((left + (g,) * j, right + (g,) * (m - j),
-                                ring.mul(coeff, s),
-                                parity ^ (odd and j < m)))
-            terms = nxt
-        return {(left, right): c for left, right, c, _ in terms}
+        p = self.ring.p if self.ring.is_field else None
+        return {(left, right): c
+                for left, right, c in splits(self.L.degrees, mono, p)}
 
     def coproduct_elem(self, elem: dict) -> dict:
         ring = self.ring

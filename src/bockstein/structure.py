@@ -28,8 +28,10 @@ dense matrix or vector is built on this path.
 
 The coalgebra structure constants of UL in the PBW basis do not involve
 the bracket: Δ of an ordered monomial is a signed sum of binomial
-multiples of its ordered sub-monomials (PbwAlgebra.coproduct), so the dual
-of any UL is paired against the same Γ-algebra as in the abelian case.
+multiples of its ordered sub-monomials, by the one split rule
+`lie.splits` that `PbwAlgebra.coproduct` and the page coproduct both
+iterate, so the dual of any UL is paired against the same Γ-algebra as in
+the abelian case.
 Primitivity is read off Δ directly, and a Hopf morphism's coalgebra
 condition is checked on generators, where it says that each generator
 image is primitive.
@@ -38,13 +40,12 @@ image is primitive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .bss import BssResult, bockstein_pages, bss_of_morphism
 from .gamma import (GammaAlgebra, adjoint, is_gamma_derivation,
                     is_gamma_morphism)
-from .graded import GradedBasis, GradedChainComplex, GradedMap
-from .lie import PbwAlgebra, run_length
+from .graded import GradedBasis, GradedChainComplex, GradedMap, read_mod_p
+from .lie import PbwAlgebra, splits
 from .scalars import FpSpan, accumulate, fp_kernel
 
 
@@ -147,10 +148,7 @@ def hopf_morphism(source: PbwAlgebra, target: PbwAlgebra,
     so the one named in a failure is the lowest-degree basis monomial
     whose coproduct f does not preserve.
     """
-    imgs = {}
-    for key, val in gen_images.items():
-        i = source.L.index[key] if isinstance(key, str) else key
-        imgs[i] = target.element(val) if val else {}
+    imgs = target.images(source.L, gen_images)
     for i, el in imgs.items():
         for mono in el:
             if target.monomial_degree(mono) != source.L.degrees[i]:
@@ -244,6 +242,7 @@ class PageAlgebra:
     H-spaces", 1961).  So a tensor chain surviving to page r has the class
     Σ c·u_i·v_j mod p over pairs of live classes, where u, v are the
     monomials' page coordinates: the class rows of P^-1, read once per page
+    and degree by `graded`'s one reader (`Decomposition.coordinate_table`)
     into a sparse list per monomial.  A class of degree n is a dict from
     pair positions to nonzero coefficients: the pair (a, i, j) of class i
     of degree a with class j of degree n−a sits at
@@ -255,7 +254,8 @@ class PageAlgebra:
     UL chains, which survive to page r when the UL chain does (Δ is a
     chain map), so `primitives` and `coproduct` check only the UL chain,
     with `BssResult.check_survival`; d is never applied on UL ⊗ UL.  Both
-    form Δ or Δ̄ over F_p on live factors (`_coproduct_columns`).
+    form Δ or Δ̄ over F_p on live factors (`_coproduct_columns`), split by
+    split from `lie.splits`.
     """
 
     def __init__(self, alg: PbwAlgebra, result: BssResult, r: int):
@@ -266,31 +266,17 @@ class PageAlgebra:
         self.fp = alg.ring.residue_field()
         self.window = self.page.n_max
         self._coords = {}       # monomial -> (degree, [(class, coeff)])
-        Pinv = result.decomposition.Pinv      # over F_p, no zeros stored
         for n in range(self.window + 1):
-            keys = alg.basis.keys(n)
-            coords = [[] for _ in keys]
-            for i, cl in enumerate(self.page.classes.get(n, [])):
-                for j, u in Pinv[n][cl.new_index].items():
-                    coords[j].append((i, u))
-            self._coords.update((m, (n, c)) for m, c in zip(keys, coords))
-        for n, cls in self.page.classes.items():
+            cls = self.page.classes.get(n, [])
+            table = result.decomposition.coordinate_table(
+                n, [cl.new_index for cl in cls])
+            self._coords.update((m, (n, row)) for m, row
+                                in zip(alg.basis.keys(n), table))
             for i, cl in enumerate(cls):
-                if self._read(n, cl.rep) != {i: 1}:
+                if read_mod_p(alg.ring, table, cl.rep) != {i: 1}:
                     raise StructureError(
                         f"Künneth comparison is not the identity: {cl.name} "
                         f"at degree {n} does not read back as itself")
-
-    def _read(self, n: int, col: dict) -> dict:
-        """Page-r coordinates mod p (class position -> nonzero) of a UL
-        chain of degree n, a column dict (survival not checked)."""
-        ring, p, keys = self.alg.ring, self.fp.p, self.alg.basis.keys(n)
-        out = {}
-        for j, x in col.items():
-            x = ring.reduce_mod_p(x)
-            for i, u in self._coords[keys[j]][1]:
-                out[i] = out.get(i, 0) + x * u
-        return {i: x % p for i, x in out.items() if x % p}
 
     def _coproduct_columns(self, n: int, chains, reduced: bool) -> list:
         """Page-r classes of Δ, or of Δ̄ when `reduced`, of UL chains of
@@ -298,10 +284,10 @@ class PageAlgebra:
         position -> nonzero coefficient, the pair (a, i, j) at
         offset[a] + i·dim(n−a) + j, offset[a] counting the pairs below a.
 
-        Only the class mod p is read, so Δ is formed over F_p, run by run
-        as in `PbwAlgebra.coproduct`: a split whose binomial vanishes mod p
-        (Lucas: in runs g^m with m ≥ p) is dropped, and one is skipped as
-        soon as its left, then its right factor has no page coordinates.
+        Only the class mod p is read, so Δ is formed over F_p by the
+        splits of `lie.splits` with p, which drops a split whose binomial
+        vanishes mod p, and a split is skipped as soon as its left, then
+        its right factor has no page coordinates.
 
         The tensor chains are not checked: Δ is a chain map with integral
         coefficients, so dx ∈ p^r·C puts d(Δx) and d(Δ̄x) in p^r·(C ⊗ C);
@@ -319,20 +305,7 @@ class PageAlgebra:
                 c = ring.reduce_mod_p(x)
                 if not c:
                     continue
-                splits = [((), (), c, 0)]   # left, right, coeff, odd on right
-                for g, m in run_length(keys[k]):
-                    odd, nxt = degrees[g] % 2, []
-                    for j in range(m + 1):
-                        b = comb(m, j) % p
-                        if not b:
-                            continue
-                        gl, gr = (g,) * j, (g,) * (m - j)
-                        for left, right, coeff, parity in splits:
-                            s = -b if odd and j and parity else b
-                            nxt.append((left + gl, right + gr, coeff * s % p,
-                                        parity ^ (odd and j < m)))
-                    splits = nxt
-                for left, right, coeff, _ in splits:
+                for left, right, coeff in splits(degrees, keys[k], p):
                     if reduced and not (left and right):
                         continue
                     a, u = coords[left]
@@ -341,7 +314,7 @@ class PageAlgebra:
                     v = coords[right][1]
                     if not v:
                         continue
-                    width, base = dims[n - a], offset[a]
+                    width, base, coeff = dims[n - a], offset[a], c * coeff
                     for i, ui in u:
                         cu, row = coeff * ui, base + i * width
                         for j, vj in v:
@@ -439,8 +412,7 @@ def verify_envelope_pages(alg: PbwAlgebra, result: BssResult,
     """
     r_max = len(result.pages)
     result_l = bockstein_pages(alg.L.as_complex(), r_max)
-    page_maps = bss_of_morphism(alg.inclusion_of_lie(), result_l, result,
-                                r_max)
+    page_maps = bss_of_morphism(alg.inclusion_of_lie(), result_l, result)
     full = result.page(1).n_max
     window = full if window is None else min(window, full)
     fp = alg.ring.residue_field()

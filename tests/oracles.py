@@ -17,8 +17,9 @@ the route the library's one-letter insertion replaced, and UL's
 differential and derivations are applied by Leibniz on whole straightened
 words.  The Jacobi identity is checked on every generator triple, and
 products and divided powers in Γ(V) are computed in the tensor coalgebra
-by shuffles, and so is the Λ/Γ pairing.  The Γ-morphism and Γ-derivation detectors scan every pair of
-basis words and every even word (`is_gamma_morphism_by_scan`,
+by this module's shuffle product (`shuffle`), and so is the Λ/Γ pairing.
+The Γ-morphism and Γ-derivation detectors scan every pair of basis words
+and every even word (`is_gamma_morphism_by_scan`,
 `is_gamma_derivation_by_scan`), where the library checks generators.
 
 `dense_decompose` and `dense_snf` are the dense elimination that the
@@ -731,8 +732,35 @@ def ul_tensor_d_by_leibniz(alg, t):
 # ---------------------------------------------------------------------------
 #
 # Γ(V) sits in T_C(V) as the symmetric words; its product is the shuffle
-# product and γ^k(x) = x^k/k! there.  These routes use only the library's
-# `GammaAlgebra.shuffle`, never its closed-form product or pairing.
+# product and γ^k(x) = x^k/k! there.  These routes use only `shuffle`,
+# never the library's closed-form product or pairing.
+
+def shuffle(G, a, b):
+    """Shuffle product, integer coefficients, of two tensor words (tuples
+    of indices of G's generators), with the Koszul sign of each letter of
+    b passing letters of a; the memo lives for one call."""
+    degrees, memo = G.degrees, {}
+
+    def walk(a, b):
+        if not a or not b:
+            return {a + b: 1}
+        out = memo.get((a, b))
+        if out is None:
+            out = {}
+            for w, c in walk(a[1:], b).items():
+                k = (a[0],) + w
+                out[k] = out.get(k, 0) + c
+            # bringing b[0] to the front moves it past all of a
+            sign = -1 if (degrees[b[0]]
+                          * sum(degrees[i] for i in a)) % 2 else 1
+            for w, c in walk(a, b[1:]).items():
+                k = (b[0],) + w
+                out[k] = out.get(k, 0) + sign * c
+            out = memo[a, b] = {w: c for w, c in out.items() if c}
+        return out
+
+    return walk(tuple(a), tuple(b))
+
 
 def gamma_expand(G, gword):
     """Tensor-word expansion (integer coefficients) of a gamma word: the
@@ -741,7 +769,7 @@ def gamma_expand(G, gword):
     for i, k in gword:
         nxt = {}
         for w, c in out.items():
-            for w2, c2 in G.shuffle(w, (i,) * k).items():
+            for w2, c2 in shuffle(G, w, (i,) * k).items():
                 nxt[w2] = nxt.get(w2, 0) + c * c2
         out = {w: c for w, c in nxt.items() if c}
     return out
@@ -811,7 +839,7 @@ def gamma_mul(G, a, b):
     for ta, ca in gamma_expand_elem(G, a).items():
         for tb, cb in gamma_expand_elem(G, b).items():
             if sum(G.degrees[i] for i in ta + tb) <= G.n_max:
-                accumulate(ring, tensor, G.shuffle(ta, tb), ring.mul(ca, cb))
+                accumulate(ring, tensor, shuffle(G, ta, tb), ring.mul(ca, cb))
     return gamma_from_tensor(G, tensor)
 
 
@@ -830,7 +858,7 @@ def gamma_divided_power(G, elem, k):
         nxt = {}
         for wa, ca in power.items():
             for wb, cb in tensor.items():
-                for w, c in G.shuffle(wa, wb).items():
+                for w, c in shuffle(G, wa, wb).items():
                     nxt[w] = nxt.get(w, Fraction(0)) + ca * cb * c
         power = {w: c for w, c in nxt.items() if c}
     result = {w: c / factorial(k) for w, c in power.items()}

@@ -20,7 +20,8 @@ from bockstein.lie import DgLie, PbwAlgebra, abelian
 from bockstein.scalars import PrimeField, ZpLocal
 from bockstein.structure import (StructureError, differential_restricts_to_lie,
                                  hopf_morphism, is_lie_type)
-from oracles import bss_beta_ranks, bss_page_dims, mod_p_homology_dims
+from oracles import (bss_beta_ranks, bss_page_dims, mod_p_homology_dims,
+                     shuffle)
 from test_graded import random_complex
 from test_structure import envelope_report
 
@@ -243,19 +244,19 @@ def test_criterion_6_axiom_suites():
     letter_words = [(), (0,), (1,), (2,), (1, 1), (0, 2), (2, 0), (0, 1, 1)]
     for _ in range(20):
         a, b, c = (rng.choice(letter_words) for _ in range(3))
-        ab = G.shuffle(a, b)
+        ab = shuffle(G, a, b)
         da = sum(G.degrees[i] for i in a)
         db = sum(G.degrees[i] for i in b)
         sign = -1 if (da * db) % 2 else 1
-        ba = {w: sign * x for w, x in G.shuffle(b, a).items()}
+        ba = {w: sign * x for w, x in shuffle(G, b, a).items()}
         assert ab == {w: x for w, x in ba.items() if x}
         lhs = {}
         for w, x in ab.items():
-            for w2, y in G.shuffle(w, c).items():
+            for w2, y in shuffle(G, w, c).items():
                 lhs[w2] = lhs.get(w2, 0) + x * y
         rhs = {}
-        for w, x in G.shuffle(b, c).items():
-            for w2, y in G.shuffle(a, w).items():
+        for w, x in shuffle(G, b, c).items():
+            for w2, y in shuffle(G, a, w).items():
                 rhs[w2] = rhs.get(w2, 0) + x * y
         assert ({w: c for w, c in lhs.items() if c}
                 == {w: c for w, c in rhs.items() if c})

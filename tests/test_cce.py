@@ -219,6 +219,31 @@ class TestVerifyQuasiIso:
         assert verify_quasi_iso(images, src, tgt, window=4) == \
             (False, "not a cochain map at degree 4")
 
+    def test_specs_by_name_and_by_element_build_equal_maps(self,
+                                                             monkeypatch):
+        # generator images named by generator, or given as element dicts
+        # keyed by index, build the same d and the same cochain map
+        def tgt(d_images):
+            return free_cochain_algebra(
+                F3, 8, [("x", 2), ("z", 4), ("w", 5)], d_images)
+
+        by_name, by_elem = tgt({"z": {"w": 1}}), tgt({1: {(2,): 1}})
+        assert by_name.d == by_elem.d and not by_name.d.is_zero()
+        src = free_cochain_algebra(F3, 8, [("u", 2), ("v", 4)], {})
+        maps, algebra_map = [], PbwAlgebra.algebra_map
+
+        def record(self, target, gen_images):
+            maps.append(algebra_map(self, target, gen_images))
+            return maps[-1]
+
+        monkeypatch.setattr(PbwAlgebra, "algebra_map", record)
+        for images in ({"u": {"x": 1}, "v": {"z": 1}},
+                       {0: {(0,): 1}, 1: {(1,): 1}}):
+            assert verify_quasi_iso(images, src, by_name, window=3) == \
+                (True, {"window": 3, "dims": {0: 1, 1: 0, 2: 1, 3: 0}})
+        assert len(maps) == 2 and maps[0] == maps[1]
+        assert not maps[0].is_zero()
+
     def test_cochains_vs_chains_dims(self):
         # Γ(sL) and ΛV have equal dimensions in every degree (dual bases)
         L = DgLie(Z3, 9, [("x", 1), ("y", 1), ("z", 2)], {(0, 1): {2: 1}})

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 from bockstein.bss import bockstein_pages
 from bockstein.dglfile import parse_dgl
 from bockstein.graded import ComplexError, WindowError
-from bockstein.lie import DgLie, PbwAlgebra, abelian, run_length
+from bockstein.lie import DgLie, PbwAlgebra, abelian, run_length, splits
 from bockstein.scalars import Matrix, PrimeField, ZpLocal, accumulate
 from bockstein.structure import (PageAlgebra, StructureError, TensorSquareBss,
                                  _envelope_dims, differential_restricts_to_lie,
                                  hopf_morphism, is_lie_type,
                                  verify_envelope_pages)
 from oracles import (class_pairs, coalgebra_failure_by_monomials, dense,
-                     page_pairs_by_delta, page_pairs_by_snf)
+                     page_coords, page_pairs_by_delta, page_pairs_by_snf)
+from test_graded import golden_lie
 from test_lie import ul_presentations
 
 Z3 = ZpLocal(3)
@@ -433,6 +434,65 @@ class TestCoproductOverFp:
         rep = envelope_report(golden_dgl("four4.dgl", 16), 3)
         assert rep.ok, rep.failures
         assert rep.primitive_dims[1]
+
+
+class TestOneSplitRule:
+    """`lie.splits` with p against the splits over Z reduced mod p, and
+    Δ of `PbwAlgebra` over F_p against the splits with p, on every
+    monomial of the split cases and of nonabelian16 at nmax 12."""
+
+    @pytest.mark.parametrize("L", [
+        pytest.param(L, id=name) for name, (L, _, _) in SPLIT_CASES.items()
+    ] + [pytest.param(golden_dgl("nonabelian16.dgl", 12),
+                      id="nonabelian16")])
+    def test_splits_mod_p(self, L):
+        p, degrees = L.p, L.degrees
+        alg = PbwAlgebra(L.replace(ring=PrimeField(p)))
+        dropped = 0
+        for n in range(L.n_max + 1):
+            for mono in alg.monomials(n):
+                over_z = [(left, right, c % p)
+                          for left, right, c in splits(degrees, mono, None)]
+                mod_p = list(splits(degrees, mono, p))
+                assert mod_p == [t for t in over_z if t[2]], mono
+                assert alg.coproduct(mono) == {
+                    (left, right): c for left, right, c in mod_p}, mono
+                dropped += len(over_z) - len(mod_p)
+        assert dropped      # each input has runs g^m with m ≥ p
+
+
+class TestPageCoordinates:
+    """`BssResult.class_of_chain` against the readout through the class
+    rows of P⁻¹ (`oracles.page_coords`), for every class representative
+    and for the image of every Lie class under the inclusion, the chains
+    `bss_of_morphism` reads, on pages 1-3 of every golden input."""
+
+    @pytest.mark.parametrize("name, n_max", [
+        ("example1", None), ("example2", None), ("model", None),
+        ("four4", None), ("twist3", None), ("nonabelian16", 16)])
+    def test_class_of_chain_matches_page_coords(self, name, n_max):
+        alg = PbwAlgebra(golden_lie(name, n_max))
+        ring, p, keys = alg.ring, alg.ring.p, alg.basis.keys
+        result = bockstein_pages(alg.as_complex(), 3)
+        result_l = bockstein_pages(alg.L.as_complex(), 3)
+        incl = alg.inclusion_of_lie()
+        read = 0
+        for r in range(1, 4):
+            pa = PageAlgebra(alg, result, r)
+            for n in range(pa.window + 1):
+                chains = [cl.rep for cl in pa.page.classes.get(n, [])] + [
+                    incl.apply(n, cl.rep)
+                    for cl in result_l.page(r).classes.get(n, [])]
+                for col in chains:
+                    want = {}
+                    for j, x in col.items():
+                        for i, u in page_coords(pa, keys(n)[j])[1]:
+                            want[i] = (want.get(i, 0)
+                                       + ring.reduce_mod_p(x) * u) % p
+                    assert result.class_of_chain(r, n, col) == {
+                        i: x for i, x in want.items() if x}, (r, n)
+                    read += bool(want)
+        assert read
 
 
 def envelope_report(L, r_max, window=None):
