@@ -3,16 +3,20 @@
 Pages are read off the elementary-piece decomposition: a piece p^k: y -> x
 contributes the pair ([y], [x]) to every page r ≤ k, with β^r[y] = [x] exactly
 when r = k, and both classes die entering page k+1; free pieces contribute
-permanent classes.  Chain-level representatives are the decomposed basis
-vectors, so d(rep) ∈ p^r·C holds by construction for every class alive at
-page r; each is its column of P, a column dict shared with the
-decomposition.  Chains and page coordinates are column dicts throughout,
-and β^r is stored as the column dicts of its arrows.
+permanent classes.  So the pages are nested filters of one list of piece
+ends, built once (`bockstein_pages`): page r keeps the free ends and both
+ends of every piece with k ≥ r, and only β^r and the ~k suffixes that keep
+class names unique on a page change with r.  Chain-level representatives
+are the decomposed basis vectors, so d(rep) ∈ p^r·C holds by construction
+for every class alive at page r; each is its column of P, a column dict
+shared with the decomposition.  Chains and page coordinates are column
+dicts throughout, and β^r is stored as the column dicts of its arrows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 from .graded import (ComplexError, Decomposition, GradedBasis,
                      GradedChainComplex, GradedMap, WindowError, decompose,
@@ -27,7 +31,6 @@ class PageClass:
     # the class's column of P, shared rather than copied: its chain in
     # original coordinates over Z_(p), position -> nonzero
     rep: dict
-    kind: str                    # "free" | "top" | "bottom"
     exponent: int                # piece exponent (0 for free classes)
     new_index: int               # column in the decomposed basis
 
@@ -52,7 +55,7 @@ class BssResult:
     complex: GradedChainComplex
     decomposition: Decomposition
     pages: list
-    stable_page: int | None      # first r with E^r = E^{r+1} = ..., if certain
+    stable_page: int             # first r with E^r = E^{r+1} = ...
     max_exponent: int
 
     def page(self, r: int) -> SpectralPage:
@@ -80,20 +83,17 @@ class BssResult:
         return read_mod_p(self.complex.ring, table, col)
 
 
-def _class_name(basis: GradedBasis, n: int, column: dict, used):
-    """[first basis vector of a P column], made unique with ~k."""
-    name = f"[{basis.name(n, min(column))}]" if column else "[0]"
-    if name in used:
-        k = 2
-        while f"{name}~{k}" in used:
-            k += 1
-        name = f"{name}~{k}"
-    used.add(name)
-    return name
-
-
 def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
-    """Pages E^1..E^{r_max}, reported for degrees ≤ n_max - 1."""
+    """Pages E^1..E^{r_max}, reported for degrees ≤ n_max - 1.
+
+    The ends of the pieces inside the window are listed once, stably sorted
+    by degree so that piece order holds within a degree: each free piece's
+    end, with exponent 0, and both ends of each piece p^k, k ≥ 1.  Page r
+    keeps the free ends and the ends with k ≥ r, and β^r joins the two ends
+    of each piece with k = r.  An end is named [first basis vector of its P
+    column]; on each page the later ends of one name, in list order, get
+    ~2, ~3, ..., and each degree lists its classes sorted by name.
+    """
     if r_max < 1:
         raise ValueError("r_max must be ≥ 1")
     ring = C.ring
@@ -103,64 +103,51 @@ def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
     dec = decompose(C)
     window = C.n_max - 1
 
-    elementary = [pc for pc in dec.pieces
-                  if pc.kind == "elementary" and pc.exponent >= 1]
-    max_exp = max((pc.exponent for pc in elementary
-                   if pc.top_degree - 1 <= window), default=0)
+    ends = []    # (degree, exponent, new index, piece number)
+    for i, pc in enumerate(dec.pieces):
+        if pc.kind == "free":
+            ends.append((pc.top_degree, 0, pc.top_index, i))
+        elif pc.exponent >= 1:
+            ends += [(pc.top_degree, pc.exponent, pc.top_index, i),
+                     (pc.top_degree - 1, pc.exponent, pc.bottom_index, i)]
+    ends = sorted((e for e in ends if e[0] <= window), key=itemgetter(0))
+    base = [f"[{C.basis.name(n, min(dec.P[n][j]))}]" for n, _, j, _ in ends]
+    # All piece exponents inside the window are known, so stabilization at
+    # max_exp + 1 is genuine, not an artifact of truncation.
+    max_exp = max((k for _, k, _, _ in ends), default=0)
 
     pages = []
     for r in range(1, r_max + 1):
-        classes = {}
-        pairs = []   # (top PageClass, bottom PageClass) for β^r arrows
-
-        def _add(n, kind, exponent, new_index, store):
-            rep = dec.representative(n, new_index)
-            cl = PageClass(n, "", rep, kind, exponent, new_index)
-            store.setdefault(n, []).append(cl)
-            return cl
-
-        raw = {}
-        for pc in dec.pieces:
-            if pc.kind == "free":
-                if pc.top_degree <= window:
-                    _add(pc.top_degree, "free", 0, pc.top_index, raw)
-            elif pc.exponent >= r:
-                top = bottom = None
-                if pc.top_degree <= window:
-                    top = _add(pc.top_degree, "top", pc.exponent,
-                               pc.top_index, raw)
-                if pc.top_degree - 1 <= window:
-                    bottom = _add(pc.top_degree - 1, "bottom", pc.exponent,
-                                  pc.bottom_index, raw)
-                if pc.exponent == r and top is not None and bottom is not None:
-                    pairs.append((top, bottom))
-
-        used = set()
-        for n in sorted(raw):
-            cls = raw[n]
-            for cl in cls:
-                cl.name = _class_name(C.basis, n, dec.P[n][cl.new_index],
-                                      used)
-            cls.sort(key=lambda cl: cl.name)
-            classes[n] = cls
-
-        names = {n: [cl.name for cl in cls] for n, cls in classes.items()}
-        page_basis = GradedBasis(names, max(window, 0))
+        seen, alive = {}, []     # alive: (degree, name, end) on page r
+        for e, (n, k, _, _) in enumerate(ends):
+            if k == 0 or k >= r:
+                name = base[e]
+                seen[name] = c = seen.get(name, 0) + 1
+                alive.append((n, name if c == 1 else f"{name}~{c}", e))
+        alive.sort()
+        classes, pos = {}, [0] * len(ends)   # pos: end -> place in degree
+        for n, name, e in alive:
+            cls = classes.setdefault(n, [])
+            pos[e] = len(cls)
+            _, k, j, _ = ends[e]
+            cls.append(PageClass(n, name, dec.P[n][j], k, j))
+        page_basis = GradedBasis({n: [cl.name for cl in cls]
+                                  for n, cls in classes.items()},
+                                 max(window, 0))
         beta = GradedMap(page_basis, page_basis, -1, fp)
-        cols = {}    # degree n -> column dicts of the β block at n
-        index = {id(cl): i for cls in classes.values()
-                 for i, cl in enumerate(cls)}
-        for top, bottom in pairs:
-            n = top.degree
+        cols, lower = {}, {}     # lower: piece -> position of its lower end
+        for e, (n, k, _, i) in enumerate(ends):
+            if k != r:
+                continue
+            if i not in lower:   # the lower end comes first in the list
+                lower[i] = pos[e]
+                continue
             if n not in cols:
-                cols[n] = [{} for _ in range(page_basis.dim(n))]
-            cols[n][index[id(top)]][bottom.name] = fp.one
-        for n, elems in cols.items():
-            beta.set_columns(n, elems)
+                cols[n] = [{} for _ in classes[n]]
+            cols[n][pos[e]][lower[i]] = fp.one
+        for n, block in cols.items():
+            beta.set_sparse_columns(n, block)
         pages.append(SpectralPage(r, window, classes, beta, page_basis))
-
-    # All piece exponents inside the window are known, so stabilization at
-    # max_exp + 1 is genuine, not an artifact of truncation.
     return BssResult(C, dec, pages, max_exp + 1, max_exp)
 
 

@@ -43,8 +43,6 @@ class CceChains:
     L: DgLie
     algebra: GammaAlgebra
     d: GradedMap
-    d0: GradedMap
-    d1: GradedMap
 
     def as_complex(self) -> GradedChainComplex:
         return GradedChainComplex(self.algebra.basis, self.d,
@@ -124,11 +122,10 @@ def chains(L: DgLie, co: CceCochains | None = None) -> CceChains:
     sgamma = GammaAlgebra(L.ring, L.n_max,
                           [(f"s{name}", deg + 1)
                            for name, deg in zip(L.names, L.degrees)])
-    # ⟨a, ∂ω⟩ = (-1)^{|a|} ⟨d a, ω⟩, and the adjoint is linear
-    p0, p1 = (adjoint(dmap, sgamma, sgamma) for dmap in (co.d0, co.d1))
-    pd = p0 + p1
+    # ⟨a, ∂ω⟩ = (-1)^{|a|} ⟨d a, ω⟩
+    pd = adjoint(co.d, sgamma, sgamma)
     GradedChainComplex(sgamma.basis, pd, L.ring)   # validates ∂∂ = 0
-    return CceChains(L, sgamma, pd, p0, p1)
+    return CceChains(L, sgamma, pd)
 
 
 def verify_quasi_iso(gen_images: dict, src: CochainAlgebra,

@@ -125,9 +125,8 @@ def _page_report(result, rmax):
         for a in arrows:
             lines.append("  " + a)
         rep[str(r)] = {"classes": prep, "beta": arrows}
-    if result.stable_page is not None:
-        lines.append(f"collapsed at page {result.stable_page}")
-        rep["stable_page"] = result.stable_page
+    lines.append(f"collapsed at page {result.stable_page}")
+    rep["stable_page"] = result.stable_page
     return lines, rep
 
 

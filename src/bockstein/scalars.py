@@ -669,17 +669,13 @@ class BasisChange:
         for M in self.into:
             M[i], M[j] = M[j], M[i]
 
-    def scale(self, i: int, c, cinv=None):
-        """e_i -> c·e_i, c a unit.  cinv, c^-1 in the ring when the caller
-        has it, spares inverting c again for `into` matrices over the ring;
-        over F_p they are scaled by the inverse of c mod p."""
+    def scale(self, i: int, c):
+        """e_i -> c·e_i, c a unit; `into` matrices over F_p are scaled by
+        the inverse of c mod p."""
         ring, into_ring = self.ring, self.into_ring
         for M in self.out:
             M[i] = accumulate(ring, {}, M[i], c)
-        if into_ring is not ring:
-            cinv = into_ring.inv(ring.reduce_mod_p(c))
-        elif cinv is None:
-            cinv = ring.inv(c)
+        cinv = into_ring.inv(c if into_ring is ring else ring.reduce_mod_p(c))
         for M in self.into:
             M[i] = accumulate(into_ring, {}, M[i], cinv)
 
@@ -796,7 +792,7 @@ def eliminate(ring, S: list, n_rows: int, rows: BasisChange,
         u = ring.unit_part(Rt[ct])
         if u != 1:              # the pivot u·p^v becomes p^v
             uinv = ring.inv(u) if len(Rt) > 1 else None
-            rows.scale(t, u, uinv)
+            rows.scale(t, u)
             for j, x in Rt.items():
                 Rt[j] = C[j][t] = ring.p ** v if j == ct else mul(uinv, x)
         piv = Rt[ct]

@@ -401,20 +401,19 @@ def _envelope_dims(p: int, gen_counts: dict, window: int) -> list:
     return series
 
 
-def verify_envelope_pages(alg: PbwAlgebra, result: BssResult,
-                          window: int | None = None) -> EnvelopePageReport:
+def verify_envelope_pages(alg: PbwAlgebra,
+                          result: BssResult) -> EnvelopePageReport:
     """Page-by-page consistency of E^r(UL) with U(primitives).
 
     `result` holds the pages of UL's own complex.  For each computed page
-    r and degree ≤ window: (a) β^r maps primitives to primitives; (b) page
+    r and degree in its trust window: (a) β^r maps primitives to primitives; (b) page
     dimensions match the enveloping count on a basis of P(E^r); (c) the
     image of E^r of the Lie inclusion is primitive.
     """
     r_max = len(result.pages)
     result_l = bockstein_pages(alg.L.as_complex(), r_max)
     page_maps = bss_of_morphism(alg.inclusion_of_lie(), result_l, result)
-    full = result.page(1).n_max
-    window = full if window is None else min(window, full)
+    window = result.page(1).n_max
     fp = alg.ring.residue_field()
     failures = []
     prim_dims = {}

@@ -8,11 +8,13 @@ exact-couple subquotient lattices
     Z^r_n = {c : d(c) ∈ p^r·C_{n-1}},
 computed on the raw differential only (no basis change of the complex is
 ever performed here) with `smith`, a dense Smith form of this module's own
-that shares no code with the library's `eliminate`.  UL's coproduct is
-multiplied out in UL ⊗ UL.  Page coproducts are read off all of Δ over
-Z_(p) (`page_pairs_by_delta`), each factor's page coordinates taken from
-the class rows of P⁻¹ (`page_coords`), not from the page code's own
-table.  UL's words are put in PBW order by adjacent swaps (`straighten`),
+that shares no code with the library's `eliminate`.  `pages_by_pieces`
+rebuilds each page, its class names and β^r from the piece list page by
+page, the route `bockstein_pages` took before it filtered one list of
+piece ends.  UL's coproduct is multiplied out in UL ⊗ UL.  Page
+coproducts are read off all of Δ over Z_(p) (`page_pairs_by_delta`), each
+factor's page coordinates taken from the class rows of P⁻¹
+(`page_coords`), not from the page code's own table.  UL's words are put in PBW order by adjacent swaps (`straighten`),
 the route the library's one-letter insertion replaced, and UL's
 differential and derivations are applied by Leibniz on whole straightened
 words.  The Jacobi identity is checked on every generator triple, and
@@ -36,7 +38,7 @@ from fractions import Fraction
 from math import factorial
 
 from bockstein.gamma import GammaError, tensor_pairing_sign
-from bockstein.graded import Piece
+from bockstein.graded import GradedBasis, GradedMap, Piece, decompose
 from bockstein.lie import run_length
 from bockstein.scalars import (FpSpan, Matrix, PrimeField, SnfResult,
                                ZpLocal, accumulate)
@@ -431,6 +433,66 @@ def bss_beta_ranks(C, r, page_dims_r, page_dims_r1):
         ranks[n + 1] = page_dims_r[n] - ranks.get(n, 0) - page_dims_r1[n]
         assert ranks[n + 1] >= 0
     return ranks
+
+
+def pages_by_pieces(C, r_max):
+    """Pages E^1..E^{r_max} of the Z_(p) complex C, each rebuilt from the
+    piece list of `decompose`: per page, every free piece and every piece
+    p^k with k ≥ r adds its ends inside the window, degree by degree in
+    piece order; a class is named [first basis vector of its P column],
+    made unique on the page with ~2, ~3, ... in that order, and each
+    degree is sorted by name.  β^r is written by class name and read back
+    through the page basis.  Returns per page (classes, beta): classes a
+    dict degree -> [(name, new_index, exponent, rep)] in page order, beta a
+    GradedMap over F_p on the page basis."""
+    dec = decompose(C)
+    fp = C.ring.residue_field()
+    window = C.n_max - 1
+    pages = []
+    for r in range(1, r_max + 1):
+        raw, pairs = {}, []
+        for pc in dec.pieces:
+            if pc.kind == "free":
+                ends = [(pc.top_degree, pc.top_index)]
+            elif pc.exponent >= r:
+                ends = [(pc.top_degree, pc.top_index),
+                        (pc.top_degree - 1, pc.bottom_index)]
+            else:
+                continue
+            k = 0 if pc.kind == "free" else pc.exponent
+            added = []
+            for n, j in ends:
+                if n <= window:
+                    rec = [None, j, k, dec.P[n][j]]
+                    raw.setdefault(n, []).append(rec)
+                    added.append(rec)
+            if k == r and len(added) == 2:
+                pairs.append((pc.top_degree, added[0], added[1]))
+        used = set()
+        for n in sorted(raw):
+            for rec in raw[n]:
+                name = f"[{C.basis.name(n, min(rec[3]))}]"
+                if name in used:
+                    k = 2
+                    while f"{name}~{k}" in used:
+                        k += 1
+                    name = f"{name}~{k}"
+                used.add(name)
+                rec[0] = name
+            raw[n].sort(key=lambda rec: rec[0])
+        classes = {n: [tuple(rec) for rec in recs] for n, recs in raw.items()}
+        basis = GradedBasis({n: [c[0] for c in cls]
+                             for n, cls in classes.items()}, max(window, 0))
+        beta = GradedMap(basis, basis, -1, fp)
+        for n in {n for n, _, _ in pairs}:
+            elems = [{} for _ in classes[n]]
+            names = [c[0] for c in classes[n]]
+            for m, top, bottom in pairs:
+                if m == n:
+                    elems[names.index(top[0])][bottom[0]] = fp.one
+            beta.set_columns(n, elems)
+        pages.append((classes, beta))
+    return pages
 
 
 # ---------------------------------------------------------------------------

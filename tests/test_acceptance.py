@@ -309,7 +309,7 @@ def test_criterion_7_pages_are_enveloping_algebras():
             if rng.random() < 0.5:
                 gens.append((f"z{len(gens)}", rng.choice(lows)))
             L = DgLie(ring, window + 1, gens, {}, diff)
-            rep = envelope_report(L, 2, window=window)
+            rep = envelope_report(L, 2)
             assert rep.ok, (p, gens, rep.failures)
             checked += 1
     assert checked == 20

@@ -8,9 +8,10 @@ import pytest
 from bockstein.bss import bockstein_pages, bss_of_morphism, is_chain_map
 from bockstein.graded import (ComplexError, GradedBasis, GradedChainComplex,
                               GradedMap, homology)
+from bockstein.lie import DgLie, PbwAlgebra
 from bockstein.scalars import Matrix, PrimeField, RingError, ZpLocal
-from oracles import bss_beta_ranks, bss_page_dims
-from test_graded import complex_from_blocks, random_complex
+from oracles import bss_beta_ranks, bss_page_dims, pages_by_pieces
+from test_graded import complex_from_blocks, golden_lie, random_complex
 
 Z3 = ZpLocal(3)
 
@@ -93,6 +94,76 @@ class TestAgainstLatticeOracle:
                 ranks = bss_beta_ranks(C, r, oracle, nxt)
                 for n in range(1, C.n_max):
                     assert page.beta.block(n).rank() == ranks[n], (r, n)
+
+
+def assert_pages_by_pieces(C, r_max):
+    """Every page of `bockstein_pages` equals the per-page rebuild from the
+    piece list: per degree, the class names in order, new indices,
+    exponents and representatives, and the columns of β^r."""
+    result = bockstein_pages(C, r_max)
+    for r, (classes, beta) in enumerate(pages_by_pieces(C, r_max), 1):
+        page = result.page(r)
+        assert page.degrees() == sorted(classes), r
+        for n, want in classes.items():
+            got = [(cl.name, cl.new_index, cl.exponent, cl.rep)
+                   for cl in page.classes[n]]
+            assert got == want, (r, n)
+            assert page.beta.sparse_columns(n) == beta.sparse_columns(n), \
+                (r, n)
+        assert page.beta.degrees() == beta.degrees(), r
+    return result
+
+
+def torsion_pairs_dgl(rng, p, n_max):
+    """A sum of two or three torsion pairs e(m), f(m+1), ∂f = u·p^k·e, with
+    x(1), y(1), z(2), w(3), [x,y] = z and ∂w = u·p^k·z beside them."""
+    gens, diff = [], {}
+    for _ in range(rng.randint(2, 3)):
+        e, m = len(gens), rng.choice((1, 2, 3))
+        gens += [(f"e{e}", m), (f"f{e}", m + 1)]
+        diff[e + 1] = {e: rng.randint(1, p - 1) * p ** rng.randint(0, 2)}
+    x = len(gens)
+    gens += [("x", 1), ("y", 1), ("z", 2), ("w", 3)]
+    diff[x + 3] = {x + 2: rng.randint(1, p - 1) * p ** rng.randint(1, 2)}
+    return DgLie(ZpLocal(p), n_max, gens, {(x, x + 1): {x + 2: 1}}, diff)
+
+
+class TestPagesByPieces:
+    """`bockstein_pages` filters one list of piece ends; the reference
+    rebuilds every page from the pieces (`oracles.pages_by_pieces`)."""
+
+    @pytest.mark.parametrize("name, n_max", [
+        ("example1", None), ("example2", None), ("model", None),
+        ("four4", None), ("twist3", None), ("nonabelian16", 16),
+        ("nonabelian16", 24)])
+    def test_golden_inputs(self, name, n_max):
+        L = golden_lie(name, n_max)
+        assert_pages_by_pieces(L.as_complex(), 4)
+        assert_pages_by_pieces(PbwAlgebra(L).as_complex(), 4)
+
+    def test_random_torsion_pairs_with_nonabelian_block(self):
+        rng = random.Random(26)
+        for p in (3, 5, 3, 5, 3, 5):
+            L = torsion_pairs_dgl(rng, p, rng.randint(6, 11))
+            assert_pages_by_pieces(PbwAlgebra(L).as_complex(), 4)
+
+    def test_random_complexes(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            assert_pages_by_pieces(
+                random_complex(Z3, rng, n_max=5, max_dim=5), 4)
+
+    def test_name_changes_between_pages(self):
+        # d f1 = 3·e1, d f2 = 9·e1 + 9·e2: the pieces are 3: f1 -> e1 and
+        # 9: f2 - 3·f1 -> e2, and both tops are named after f1
+        C = complex_from_blocks(
+            Z3, {0: [], 1: ["e1", "e2"], 2: ["f1", "f2"], 3: []},
+            {2: [[3, 9], [0, 9]]}, n_max=3)
+        result = assert_pages_by_pieces(C, 3)
+        names = [[cl.name for cl in result.page(r).classes.get(2, [])]
+                 for r in (1, 2, 3)]
+        assert names == [["[f1]", "[f1]~2"], ["[f1]"], []]
+        assert [cl.exponent for cl in result.page(1).classes[2]] == [1, 2]
 
 
 class TestClassOfChain:

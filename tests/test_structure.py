@@ -1,6 +1,7 @@
 """Two-route Lie-restriction detectors, page Hopf structure, and the
 enveloping-algebra shape of Bockstein pages."""
 
+import json
 import random
 import tracemalloc
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bockstein import cli, structure
 from bockstein.bss import bockstein_pages
 from bockstein.dglfile import parse_dgl
 from bockstein.graded import ComplexError, WindowError
@@ -495,10 +497,9 @@ class TestPageCoordinates:
         assert read
 
 
-def envelope_report(L, r_max, window=None):
+def envelope_report(L, r_max):
     alg = PbwAlgebra(L)
-    return verify_envelope_pages(
-        alg, bockstein_pages(alg.as_complex(), r_max), window)
+    return verify_envelope_pages(alg, bockstein_pages(alg.as_complex(), r_max))
 
 
 class TestVerifyEnvelopePages:
@@ -562,3 +563,111 @@ class TestVerifyEnvelopePages:
         # every even degree exactly once
         dims = _envelope_dims(3, {1: 1, 2: 1, 6: 1, 18: 1}, 19)
         assert all(dims[n] == 1 for n in range(20))
+
+
+# e(1), f(2) with ∂f = 3e and a(1), b(2) with ∂b = 9a: on page 1 the
+# primitives at degree 6 are [b^3] and [f^3], on page 2 also, and every
+# class of degree 5 on page 1, [a*b^2] on page 2, is not primitive
+TWO_PAIRS = """\
+prime 3
+nmax 8
+generator e 1
+generator f 2
+generator a 1
+generator b 2
+differential f = 3 e
+differential b = 9 a
+"""
+
+# The report on TWO_PAIRS, pages 1-2, with one check broken.  Where (a)
+# or (c) fails for several classes of one page and degree, it reports
+# that page and degree once.
+TAMPERED_FAILURES = {
+    # (b): [f^3] dropped from page 1, degree 6; with one generator of
+    # degree 6 fewer, U(primitives) loses [f^3] and [f^3]·[a], [f^3]·[e]
+    "primitive": [
+        "page 1: dim 7 at degree 6 differs from the enveloping count 6",
+        "page 1: dim 8 at degree 7 differs from the enveloping count 6"],
+    # (a): on each page, β^r of [b^3] and of [f^3] sent to [a*b^2]
+    "beta": [
+        "page 1: β of a primitive at degree 6 is not primitive",
+        "page 2: β of a primitive at degree 6 is not primitive"],
+    # (c): on page 1, the Lie classes [b] and [f] both sent to [e*a]
+    "lie": [
+        "page 1: a Lie class at degree 2 maps to a non-primitive page "
+        "class"],
+}
+
+
+def tamper(kind, monkeypatch):
+    """Break check `kind` of `verify_envelope_pages` on TWO_PAIRS: the
+    primitives it reads, the β^r of the pages that `cli.bockstein_pages`
+    returns, or the maps E^r of the Lie inclusion."""
+    if kind == "primitive":
+        primitives = PageAlgebra.primitives
+
+        def dropped(pa, n):
+            prim = primitives(pa, n)
+            if (pa.r, n) == (1, 6):
+                assert prim[-1] == {pa.page.dim(6) - 1: 1}     # [f^3]
+                return prim[:-1]
+            return prim
+        monkeypatch.setattr(PageAlgebra, "primitives", dropped)
+    elif kind == "beta":
+        pages = cli.bockstein_pages
+
+        def redirected(C, r_max):
+            result = pages(C, r_max)
+            for page in result.pages:
+                assert page.classes[5][0].name == "[a*b^2]"
+                page.beta.set_sparse_columns(6, [
+                    {0: 1} if cl.name in ("[b^3]", "[f^3]") else col
+                    for cl, col in zip(page.classes[6],
+                                       page.beta.sparse_columns(6))])
+            return result
+        monkeypatch.setattr(cli, "bockstein_pages", redirected)
+    else:
+        morphism = structure.bss_of_morphism
+
+        def redirected(f, src, tgt):
+            maps = morphism(f, src, tgt)
+            assert [cl.name for cl in tgt.page(1).classes[2]] == [
+                "[b]", "[e*a]", "[f]"]
+            maps[0].set_sparse_columns(2, [{1: 1}, {1: 1}])
+            return maps
+        monkeypatch.setattr(structure, "bss_of_morphism", redirected)
+
+
+class TestFailingVerdicts:
+    """Each check of `verify_envelope_pages` fails when broken by hand,
+    with its exact failure lines, both in the report and through the
+    command line."""
+
+    def test_untampered_passes(self):
+        alg = PbwAlgebra(parse_dgl(TWO_PAIRS))
+        rep = verify_envelope_pages(alg, bockstein_pages(alg.as_complex(), 2))
+        assert rep.ok and rep.failures == []
+
+    @pytest.mark.parametrize("kind", sorted(TAMPERED_FAILURES))
+    def test_report(self, kind, monkeypatch):
+        tamper(kind, monkeypatch)
+        alg = PbwAlgebra(parse_dgl(TWO_PAIRS))
+        rep = verify_envelope_pages(
+            alg, cli.bockstein_pages(alg.as_complex(), 2))
+        assert not rep.ok
+        assert rep.failures == TAMPERED_FAILURES[kind]
+
+    @pytest.mark.parametrize("kind", sorted(TAMPERED_FAILURES))
+    def test_cli(self, kind, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "two_pairs.dgl"
+        path.write_text(TWO_PAIRS)
+        argv = ["bss", str(path), "--target", "ul", "--rmax", "2",
+                "--check-envelopes"]
+        tamper(kind, monkeypatch)
+        assert cli.main(argv) == 1
+        out = capsys.readouterr().out.splitlines()
+        at = out.index("page/enveloping consistency: FAILED")
+        assert out[at + 1:] == ["  " + f for f in TAMPERED_FAILURES[kind]]
+        assert cli.main(["--json"] + argv) == 1
+        rep = json.loads(capsys.readouterr().out)["envelope_consistency"]
+        assert rep == {"ok": False, "failures": TAMPERED_FAILURES[kind]}
