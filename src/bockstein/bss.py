@@ -74,13 +74,18 @@ class BssResult:
                 raise ComplexError(
                     f"chain does not survive to page {r}: d(c) ∉ p^{r}·C")
 
+    def page_table(self, r: int, n: int) -> list:
+        """The `Decomposition.coordinate_table` of the page-r classes of
+        degree n, for `read_mod_p`."""
+        return self.decomposition.coordinate_table(
+            n, [cl.new_index for cl in self.page(r).classes.get(n, [])])
+
     def class_of_chain(self, r: int, n: int, col: dict) -> dict:
         """F_p coordinates, in the page-r basis at degree n, of a chain;
-        column dicts both.  The chain must survive (`check_survival`)."""
+        column dicts both.  The chain must survive (`check_survival`).
+        The table is built per call; readers of many chains share one."""
         self.check_survival(r, n, col)
-        table = self.decomposition.coordinate_table(
-            n, [cl.new_index for cl in self.page(r).classes.get(n, [])])
-        return read_mod_p(self.complex.ring, table, col)
+        return read_mod_p(self.complex.ring, self.page_table(r, n), col)
 
 
 def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
@@ -167,14 +172,18 @@ def bss_of_morphism(f: GradedMap, bss_src: BssResult,
     bad = is_chain_map(f, bss_src.complex, bss_tgt.complex)
     if bad is not None:
         raise ComplexError(f"not a chain map: fails at degree {bad}")
-    fp = bss_src.complex.ring.residue_field()
+    ring = bss_src.complex.ring
+    fp = ring.residue_field()
     out = []
     for r in range(1, min(len(bss_src.pages), len(bss_tgt.pages)) + 1):
         ps, pt = bss_src.page(r), bss_tgt.page(r)
         gm = GradedMap(ps.basis, pt.basis, 0, fp)
         for n in ps.degrees():
-            gm.set_sparse_columns(n, [
-                bss_tgt.class_of_chain(r, n, f.apply(n, cl.rep))
-                for cl in ps.classes[n]])
+            table, cols = bss_tgt.page_table(r, n), []
+            for cl in ps.classes[n]:
+                col = f.apply(n, cl.rep)
+                bss_tgt.check_survival(r, n, col)
+                cols.append(read_mod_p(ring, table, col))
+            gm.set_sparse_columns(n, cols)
         out.append(gm)
     return out

@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bss import bockstein_pages, bss_of_morphism
+from .bss import bockstein_pages
 from .cce import cochains, free_cochain_algebra, verify_quasi_iso
 from .dglfile import DglParseError, emit_dgl, parse_dgl, parse_map
 from .graded import FieldHomology, homology

@@ -154,6 +154,9 @@ class GradedMap:
         rows, is_zero = self.target.dim(n + self.degree), self.ring.is_zero
         clean = []
         for col in cols:
+            if not col:     # most columns of a page's β^r
+                clean.append({})
+                continue
             keys = sorted(i for i, x in col.items() if not is_zero(x))
             if keys and (keys[0] < 0 or keys[-1] >= rows):
                 raise ComplexError(

@@ -15,16 +15,19 @@ decomposition (d·P = P·D), and Δ∘d = (d⊗1 ± 1⊗d)∘Δ with integral
 coefficients, so Δ of a surviving UL chain survives too.  Survival is
 checked once, on the UL chain.  Third, a page-by-page report that each
 page looks like the enveloping algebra of its primitives: β-closure, a
-dimension count, and primitivity of the image of the Lie inclusion.
+dimension count, and primitivity of the image of the Lie inclusion, on
+primitives certified by a Milnor–Moore count where it closes and taken
+as the full kernel of Δ̄ elsewhere (`verify_envelope_pages`).
 
 The page side works on nonzeros.  Page coordinates, in and out, are
 column dicts (class position -> nonzero), a class's representative is its
 column of P, and β is applied through its stored columns.  A class of
 UL ⊗ UL over pairs of page classes is a dict of its nonzero coordinates,
-the primitives are the kernel of those sparse columns over F_p, and the
-span checks reduce sparse vectors against them (`scalars.FpSpan`, whose
-kernel basis is the reduced-echelon one of `Matrix.kernel_basis`).  No
-dense matrix or vector is built on this path.
+a candidate is primitive when its column is empty, the full kernel is
+taken of those sparse columns over F_p, and the span checks reduce sparse
+vectors against them (`scalars.FpSpan`, whose kernel basis is the
+reduced-echelon one of `Matrix.kernel_basis`).  No dense matrix or
+vector is built on this path.
 
 The coalgebra structure constants of UL in the PBW basis do not involve
 the bracket: Δ of an ordered monomial is a signed sum of binomial
@@ -44,7 +47,8 @@ from dataclasses import dataclass
 from .bss import BssResult, bockstein_pages, bss_of_morphism
 from .gamma import (GammaAlgebra, adjoint, is_gamma_derivation,
                     is_gamma_morphism)
-from .graded import GradedBasis, GradedChainComplex, GradedMap, read_mod_p
+from .graded import (ComplexError, GradedBasis, GradedChainComplex, GradedMap,
+                     read_mod_p)
 from .lie import PbwAlgebra, splits
 from .scalars import FpSpan, accumulate, fp_kernel
 
@@ -265,14 +269,13 @@ class PageAlgebra:
         self.page = result.page(r)
         self.fp = alg.ring.residue_field()
         self.window = self.page.n_max
+        self._tables = {}       # degree -> its `BssResult.page_table`
         self._coords = {}       # monomial -> (degree, [(class, coeff)])
         for n in range(self.window + 1):
-            cls = self.page.classes.get(n, [])
-            table = result.decomposition.coordinate_table(
-                n, [cl.new_index for cl in cls])
+            table = self._tables[n] = result.page_table(r, n)
             self._coords.update((m, (n, row)) for m, row
                                 in zip(alg.basis.keys(n), table))
-            for i, cl in enumerate(cls):
+            for i, cl in enumerate(self.page.classes.get(n, [])):
                 if read_mod_p(alg.ring, table, cl.rep) != {i: 1}:
                     raise StructureError(
                         f"Künneth comparison is not the identity: {cl.name} "
@@ -322,27 +325,36 @@ class PageAlgebra:
             cols.append({k: x % p for k, x in out.items() if x % p})
         return cols
 
-    def _rep_elem(self, n: int, vec: dict) -> dict:
-        """Chain representative, as a UL element, of page coordinates (a
-        column dict)."""
+    def _chain(self, n: int, vec: dict) -> dict:
+        """Chain representative, a column dict over Z_(p), of page
+        coordinates (a column dict): Σ c·rep over the classes."""
         ring, classes = self.alg.ring, self.page.classes.get(n, [])
         col = {}
         for i, c in vec.items():
             accumulate(ring, col, classes[i].rep, ring.of(c))
-        return self.alg.basis.from_column(n, col)
+        return col
+
+    def _rep_elem(self, n: int, vec: dict) -> dict:
+        """The chain representative as a UL element."""
+        return self.alg.basis.from_column(n, self._chain(n, vec))
+
+    def class_of_chain(self, n: int, col: dict) -> dict:
+        """`BssResult.class_of_chain` on this page, read through the
+        degree's table built once by the constructor."""
+        self.result.check_survival(self.r, n, col)
+        return read_mod_p(self.alg.ring, self._tables[n], col)
 
     def product(self, n1: int, vec1: dict, n2: int, vec2: dict) -> dict:
         """Page coordinates of the product of two page classes."""
         alg = self.alg
         prod = alg.mul(self._rep_elem(n1, vec1), self._rep_elem(n2, vec2))
-        return self.result.class_of_chain(
-            self.r, n1 + n2, alg.basis.to_column(n1 + n2, prod, alg.ring))
+        return self.class_of_chain(
+            n1 + n2, alg.basis.to_column(n1 + n2, prod, alg.ring))
 
     def coproduct(self, n: int, vec: dict) -> dict:
         """Coproduct of a page class, as position -> nonzero coefficient,
         the pair (a, i, j) at offset[a] + i·dim(n−a) + j."""
-        alg = self.alg
-        col = alg.basis.to_column(n, self._rep_elem(n, vec), alg.ring)
+        col = self._chain(n, vec)
         self.result.check_survival(self.r, n, col)
         return self._coproduct_columns(n, [col], False)[0]
 
@@ -366,13 +378,47 @@ class PageAlgebra:
     def primitives(self, n: int) -> list:
         """Basis of the kernel of the reduced coproduct, as column dicts of
         page coordinates: the reduced-echelon one, from the sparse columns
-        over F_p."""
+        over F_p.  The fallback of `verify_envelope_pages` where the
+        certificate does not close, and the reference it is tested
+        against."""
         if n < 1 or n > self.window:
             return []
         reps = [cl.rep for cl in self.page.classes.get(n, [])]
         for rep in reps:
             self.result.check_survival(self.r, n, rep)
         return fp_kernel(self.fp.p, self._coproduct_columns(n, reps, True))
+
+    def certified_primitives(self, seeds) -> dict | None:
+        """Primitives spanned by `seeds`, pairs (degree ≥ 1, page
+        coordinates), closed under β^r and under p-th powers of even
+        degree: degree -> list of independent column dicts, each checked
+        primitive by Δ̄ of its one chain.  None as soon as a candidate is
+        not primitive, a nonzero class of degree 0 included.  A candidate
+        in the span of those kept is skipped; β^r and the p-th power are
+        taken of the kept ones.  Whether they span all primitives is the
+        caller's count (`verify_envelope_pages`)."""
+        p, beta, window = self.fp.p, self.page.beta, self.window
+        spans = {n: FpSpan(p) for n in range(1, window + 1)}
+        prim = {n: [] for n in range(1, window + 1)}
+        todo = list(seeds)
+        while todo:
+            n, vec = todo.pop()
+            if not vec:
+                continue
+            if n == 0:
+                return None
+            if spans[n].add(vec) is not None:
+                continue
+            if self._coproduct_columns(n, [self._chain(n, vec)], True)[0]:
+                return None
+            prim[n].append(vec)
+            todo.append((n - 1, beta.apply(n, vec)))
+            if n % 2 == 0 and p * n <= window:
+                power = vec
+                for k in range(1, p):
+                    power = self.product(k * n, power, n, vec)
+                todo.append((p * n, power))
+        return prim
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +436,18 @@ class EnvelopePageReport:
 def _envelope_dims(p: int, gen_counts: dict, window: int) -> list:
     """Degreewise dimensions of the enveloping algebra on primitive
     generators: exponent ≤ 1 on odd degrees, < p on even degrees (p-th
-    powers of primitives reappear as primitives of their own)."""
+    powers of primitives reappear as primitives of their own).  Each
+    generator of degree d multiplies the series by
+    1 + t^d + ... = (1 − t^cut)/(1 − t^d), cut = 2d for odd d and p·d for
+    even d, exactly over the integers, in two passes over the window."""
     series = [1] + [0] * window
     for d, count in sorted(gen_counts.items()):
-        top = 1 if d % 2 else p - 1
-        for _ in range(count):      # times 1 + t^d + ... + t^(top·d)
-            series = [sum(series[n - e * d]
-                          for e in range(min(top, n // d) + 1))
-                      for n in range(window + 1)]
+        cut = 2 * d if d % 2 else p * d
+        for _ in range(count):
+            for n in range(window, cut - 1, -1):
+                series[n] -= series[n - cut]
+            for n in range(d, window + 1):
+                series[n] += series[n - d]
     return series
 
 
@@ -406,26 +456,62 @@ def verify_envelope_pages(alg: PbwAlgebra,
     """Page-by-page consistency of E^r(UL) with U(primitives).
 
     `result` holds the pages of UL's own complex.  For each computed page
-    r and degree in its trust window: (a) β^r maps primitives to primitives; (b) page
-    dimensions match the enveloping count on a basis of P(E^r); (c) the
-    image of E^r of the Lie inclusion is primitive.
+    r and degree in its trust window: (a) β^r maps primitives to
+    primitives; (b) page dimensions match the enveloping count on a basis
+    of P(E^r); (c) the image of E^r of the Lie inclusion is primitive.
+
+    P(E^r) is certified where it can be.  The seeds are the image of E^r
+    of the Lie inclusion, which (c) reads, and, where they survive to
+    page r, the p-th powers g^p of the even generators and the chains of
+    page r−1's primitives; `PageAlgebra.certified_primitives` closes them
+    under β^r and p-th powers and checks each kept one primitive.  If all
+    are, and their enveloping count equals dim E^r in every degree, they
+    span P(E^r): V(P) → E^r is injective (Milnor and Moore, "On the
+    structure of Hopf algebras", 1965, §§3 and 6), so the count on P is
+    at most dim E^r, and the count on a subspace Q of P is at most that
+    on P, with equality in every degree only when Q = P.  The checks then
+    pass, as on the full kernel.  Otherwise the page falls back to the
+    full kernel of Δ̄ (`PageAlgebra.primitives`), so a failing verdict
+    and its lines are those of the full kernel.
     """
     r_max = len(result.pages)
     result_l = bockstein_pages(alg.L.as_complex(), r_max)
     page_maps = bss_of_morphism(alg.inclusion_of_lie(), result_l, result)
     window = result.page(1).n_max
-    fp = alg.ring.residue_field()
+    ring = alg.ring
+    p = ring.p
     failures = []
     prim_dims = {}
     page_dims = {}
+    powers = [(p * d, alg.basis.to_column(p * d, {(i,) * p: ring.one}, ring))
+              for i, d in enumerate(alg.L.degrees)
+              if d % 2 == 0 and p * d <= window]
+    chains = []     # (degree, chain) of each of page r−1's primitives
+
+    def count(prim):
+        return _envelope_dims(p, {n: len(v) for n, v in prim.items()},
+                              window)
     for r in range(1, r_max + 1):
         pa = PageAlgebra(alg, result, r)
         page = result.page(r)
-        prim = {n: pa.primitives(n) for n in range(1, window + 1)}
+        gm = page_maps[r - 1]
+        dims = [page.dim(n) for n in range(window + 1)]
+        seeds = [(n, col) for n in range(1, window + 1)
+                 for col in gm.sparse_columns(n)]
+        for n, chain in powers + chains:
+            try:
+                seeds.append((n, pa.class_of_chain(n, chain)))
+            except ComplexError:
+                pass             # dies entering page r
+        prim = pa.certified_primitives(seeds)
+        env = None if prim is None else count(prim)
+        if env != dims:
+            prim = {n: pa.primitives(n) for n in range(1, window + 1)}
+            env = count(prim)
+        chains = [(n, pa._chain(n, v)) for n, vs in prim.items() for v in vs]
         prim_dims[r] = {n: len(v) for n, v in prim.items() if v}
-        page_dims[r] = {n: page.dim(n) for n in range(window + 1)
-                        if page.dim(n)}
-        span = {n: FpSpan(fp.p, prim.get(n, [])) for n in range(window + 1)}
+        page_dims[r] = {n: d for n, d in enumerate(dims) if d}
+        span = {n: FpSpan(p, prim.get(n, [])) for n in range(window + 1)}
         for n in range(1, window + 1):
             for v in prim[n]:
                 if page.beta.apply(n, v) not in span[n - 1]:
@@ -433,14 +519,11 @@ def verify_envelope_pages(alg: PbwAlgebra,
                         f"page {r}: β of a primitive at degree {n} "
                         "is not primitive")
                     break
-        counts = {n: len(v) for n, v in prim.items()}
-        env = _envelope_dims(fp.p, counts, window)
         for n in range(window + 1):
-            if env[n] != page.dim(n):
+            if env[n] != dims[n]:
                 failures.append(
-                    f"page {r}: dim {page.dim(n)} at degree {n} differs "
+                    f"page {r}: dim {dims[n]} at degree {n} differs "
                     f"from the enveloping count {env[n]}")
-        gm = page_maps[r - 1]
         for n in range(1, window + 1):
             for col in gm.sparse_columns(n):
                 if col not in span[n]:

@@ -14,7 +14,9 @@ page, the route `bockstein_pages` took before it filtered one list of
 piece ends.  UL's coproduct is multiplied out in UL ⊗ UL.  Page
 coproducts are read off all of Δ over Z_(p) (`page_pairs_by_delta`), each
 factor's page coordinates taken from the class rows of P⁻¹
-(`page_coords`), not from the page code's own table.  UL's words are put in PBW order by adjacent swaps (`straighten`),
+(`page_coords`), not from the page code's own table.  Enveloping counts
+are multiplied out term by term (`envelope_dims_by_products`).  UL's
+words are put in PBW order by adjacent swaps (`straighten`),
 the route the library's one-letter insertion replaced, and UL's
 differential and derivations are applied by Leibniz on whole straightened
 words.  The Jacobi identity is checked on every generator triple, and
@@ -664,6 +666,26 @@ def coalgebra_failure_by_monomials(source, target, f):
                 return ("not a coalgebra morphism: coproduct of "
                         f"{source.monomial_name(mono)} not preserved")
     return None
+
+
+# ---------------------------------------------------------------------------
+# Enveloping counts by products of truncated geometric series
+# ---------------------------------------------------------------------------
+
+def envelope_dims_by_products(p, gen_counts, window):
+    """Degreewise dimensions of the enveloping algebra on primitive
+    generators, exponent ≤ 1 on odd degrees and < p on even ones: the
+    series multiplied out term by term, one factor 1 + t^d + ... +
+    t^(top·d) per generator, the route `structure._envelope_dims` took
+    before its two-pass recurrence."""
+    series = [1] + [0] * window
+    for d, count in sorted(gen_counts.items()):
+        top = 1 if d % 2 else p - 1
+        for _ in range(count):
+            series = [sum(series[n - e * d]
+                          for e in range(min(top, n // d) + 1))
+                      for n in range(window + 1)]
+    return series
 
 
 # ---------------------------------------------------------------------------

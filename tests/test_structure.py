@@ -7,7 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bockstein import cli, structure
@@ -15,15 +15,16 @@ from bockstein.bss import bockstein_pages
 from bockstein.dglfile import parse_dgl
 from bockstein.graded import ComplexError, WindowError
 from bockstein.lie import DgLie, PbwAlgebra, abelian, run_length, splits
-from bockstein.scalars import Matrix, PrimeField, ZpLocal, accumulate
+from bockstein.scalars import FpSpan, Matrix, PrimeField, ZpLocal, accumulate
 from bockstein.structure import (PageAlgebra, StructureError, TensorSquareBss,
                                  _envelope_dims, differential_restricts_to_lie,
                                  hopf_morphism, is_lie_type,
                                  verify_envelope_pages)
 from oracles import (class_pairs, coalgebra_failure_by_monomials, dense,
-                     page_coords, page_pairs_by_delta, page_pairs_by_snf)
+                     envelope_dims_by_products, page_coords,
+                     page_pairs_by_delta, page_pairs_by_snf)
 from test_graded import golden_lie
-from test_lie import ul_presentations
+from test_lie import dgl_presentations, ul_presentations
 
 Z3 = ZpLocal(3)
 F3 = PrimeField(3)
@@ -463,15 +464,17 @@ class TestOneSplitRule:
         assert dropped      # each input has runs g^m with m ≥ p
 
 
+GOLDEN_INPUTS = [("example1", None), ("example2", None), ("model", None),
+                 ("four4", None), ("twist3", None), ("nonabelian16", 16)]
+
+
 class TestPageCoordinates:
     """`BssResult.class_of_chain` against the readout through the class
     rows of P⁻¹ (`oracles.page_coords`), for every class representative
     and for the image of every Lie class under the inclusion, the chains
     `bss_of_morphism` reads, on pages 1-3 of every golden input."""
 
-    @pytest.mark.parametrize("name, n_max", [
-        ("example1", None), ("example2", None), ("model", None),
-        ("four4", None), ("twist3", None), ("nonabelian16", 16)])
+    @pytest.mark.parametrize("name, n_max", GOLDEN_INPUTS)
     def test_class_of_chain_matches_page_coords(self, name, n_max):
         alg = PbwAlgebra(golden_lie(name, n_max))
         ring, p, keys = alg.ring, alg.ring.p, alg.basis.keys
@@ -564,6 +567,16 @@ class TestVerifyEnvelopePages:
         dims = _envelope_dims(3, {1: 1, 2: 1, 6: 1, 18: 1}, 19)
         assert all(dims[n] == 1 for n in range(20))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([3, 5, 7]),
+           st.dictionaries(st.integers(1, 30), st.integers(0, 4),
+                           max_size=6),
+           st.integers(0, 60))
+    def test_envelope_counting_matches_products(self, p, counts, window):
+        # the two-pass recurrence against the series multiplied out
+        assert _envelope_dims(p, counts, window) == \
+            envelope_dims_by_products(p, counts, window)
+
 
 # e(1), f(2) with ∂f = 3e and a(1), b(2) with ∂b = 9a: on page 1 the
 # primitives at degree 6 are [b^3] and [f^3], on page 2 also, and every
@@ -601,18 +614,27 @@ TAMPERED_FAILURES = {
 
 def tamper(kind, monkeypatch):
     """Break check `kind` of `verify_envelope_pages` on TWO_PAIRS: the
-    primitives it reads, the β^r of the pages that `cli.bockstein_pages`
-    returns, or the maps E^r of the Lie inclusion."""
+    page-1 Δ̄ of [f^3], the β^r of the pages that `cli.bockstein_pages`
+    returns, or the maps E^r of the Lie inclusion.  Δ̄ is broken where
+    both routes to the primitives read it, `_coproduct_columns`: the full
+    kernel on the class representatives, the certificate on the chain of
+    each candidate, here [f]^3."""
     if kind == "primitive":
-        primitives = PageAlgebra.primitives
+        columns = PageAlgebra._coproduct_columns
 
-        def dropped(pa, n):
-            prim = primitives(pa, n)
-            if (pa.r, n) == (1, 6):
-                assert prim[-1] == {pa.page.dim(6) - 1: 1}     # [f^3]
-                return prim[:-1]
-            return prim
-        monkeypatch.setattr(PageAlgebra, "primitives", dropped)
+        def tampered(pa, n, chains, reduced):
+            cols = columns(pa, n, chains, reduced)
+            if (pa.r, n, reduced) == (1, 6, True):
+                names = [cl.name for cl in pa.page.classes[6]]
+                f3 = names.index("[f^3]")
+                for chain, col in zip(chains, cols):
+                    # linear in the chain's [f^3] coordinate, at the pair
+                    # (0, 0, 0) with the unit class, which Δ̄ never has
+                    c = pa.class_of_chain(6, chain).get(f3)
+                    if c:
+                        col[0] = c
+            return cols
+        monkeypatch.setattr(PageAlgebra, "_coproduct_columns", tampered)
     elif kind == "beta":
         pages = cli.bockstein_pages
 
@@ -671,3 +693,107 @@ class TestFailingVerdicts:
         assert cli.main(["--json"] + argv) == 1
         rep = json.loads(capsys.readouterr().out)["envelope_consistency"]
         assert rep == {"ok": False, "failures": TAMPERED_FAILURES[kind]}
+
+
+def spied_report(alg, result):
+    """`verify_envelope_pages` with each page's certificate recorded:
+    the report, [(PageAlgebra, its `certified_primitives`)] in page
+    order, and the pages that took the full kernel."""
+    certs, fell_back = [], set()
+    certify = PageAlgebra.certified_primitives
+    primitives = PageAlgebra.primitives
+
+    def certified(pa, seeds):
+        prim = certify(pa, seeds)
+        certs.append((pa, prim))
+        return prim
+
+    def kernel(pa, n):
+        fell_back.add(pa.r)
+        return primitives(pa, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PageAlgebra, "certified_primitives", certified)
+        mp.setattr(PageAlgebra, "primitives", kernel)
+        rep = verify_envelope_pages(alg, result)
+    return rep, certs, sorted(fell_back)
+
+
+def assert_kernel_span(pa, prim):
+    """The certified primitives of each degree span the kernel of Δ̄."""
+    for n in range(1, pa.window + 1):
+        kernel = pa.primitives(n)
+        span = FpSpan(pa.fp.p, kernel)
+        assert len(prim[n]) == len(kernel), (pa.r, n)
+        assert all(v in span for v in prim[n]), (pa.r, n)
+
+
+class TestEnvelopeCertificate:
+    """The certificate of `verify_envelope_pages` against the full kernel
+    of Δ̄, `PageAlgebra.primitives`, its fallback and its reference."""
+
+    @pytest.mark.parametrize("name, n_max", GOLDEN_INPUTS)
+    def test_certified_span_is_the_kernel(self, name, n_max):
+        alg = PbwAlgebra(golden_lie(name, n_max))
+        rep, certs, fell_back = spied_report(
+            alg, bockstein_pages(alg.as_complex(), 3))
+        assert rep.ok, rep.failures
+        assert fell_back == []
+        assert [pa.r for pa, _ in certs] == [1, 2, 3]
+        for pa, prim in certs:
+            assert_kernel_span(pa, prim)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dgl_presentations())
+    def test_certified_span_on_random_dgls(self, L):
+        # pages over Z_(p) only; a page may fall back where a power's
+        # piece straddles the window edge
+        assume(not L.ring.is_field)
+        alg = PbwAlgebra(L)
+        rep, certs, fell_back = spied_report(
+            alg, bockstein_pages(alg.as_complex(), 3))
+        assert rep.ok, rep.failures
+        for pa, prim in certs:
+            if pa.r not in fell_back:
+                assert_kernel_span(pa, prim)
+
+    @pytest.mark.parametrize("starve", ["lie", "all"])
+    def test_starved_certificate_falls_back(self, starve, monkeypatch):
+        # with no Lie seed, page 1 has no candidate; with no seed at all,
+        # no page has one.  Each such page takes the full kernel, and the
+        # report is the full kernel's.
+        alg = PbwAlgebra(golden_lie("four4", None))
+        result = bockstein_pages(alg.as_complex(), 3)
+        kernel_dims = {}
+        for r in (1, 2, 3):
+            pa = PageAlgebra(alg, result, r)
+            dims = {n: len(pa.primitives(n)) for n in range(1, pa.window + 1)}
+            kernel_dims[r] = {n: d for n, d in dims.items() if d}
+        if starve == "lie":
+            morphism = structure.bss_of_morphism
+
+            def no_lie(f, src, tgt):
+                maps = morphism(f, src, tgt)
+                for gm in maps:
+                    for n in gm.degrees():
+                        gm.set_sparse_columns(
+                            n, [{} for _ in gm.sparse_columns(n)])
+                return maps
+            monkeypatch.setattr(structure, "bss_of_morphism", no_lie)
+        else:
+            certify = PageAlgebra.certified_primitives
+            monkeypatch.setattr(PageAlgebra, "certified_primitives",
+                                lambda pa, seeds: certify(pa, []))
+        rep, _, fell_back = spied_report(alg, result)
+        assert rep.ok, rep.failures
+        assert fell_back == ([1] if starve == "lie" else [1, 2, 3])
+        assert rep.primitive_dims == kernel_dims
+
+    def test_broken_coproduct_falls_back(self, monkeypatch):
+        # a candidate that is not primitive ends the certificate: the
+        # tampered Δ̄ of [f^3] sends page 1 of TWO_PAIRS to the kernel
+        tamper("primitive", monkeypatch)
+        alg = PbwAlgebra(parse_dgl(TWO_PAIRS))
+        rep, certs, fell_back = spied_report(
+            alg, bockstein_pages(alg.as_complex(), 2))
+        assert certs[0][1] is None and 1 in fell_back
+        assert rep.failures == TAMPERED_FAILURES["primitive"]
