@@ -11,11 +11,13 @@ are the decomposed basis vectors, so d(rep) ∈ p^r·C holds by construction
 for every class alive at page r; each is its column of P, a column dict
 shared with the decomposition.  Chains and page coordinates are column
 dicts throughout, and β^r is stored as the column dicts of its arrows.
+A chain's page coordinates have one reader, `BssResult.class_of_chain`,
+through the table of each page and degree that the result keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .graded import (ComplexError, Decomposition, GradedBasis,
@@ -57,6 +59,8 @@ class BssResult:
     pages: list
     stable_page: int             # first r with E^r = E^{r+1} = ...
     max_exponent: int
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def page(self, r: int) -> SpectralPage:
         if r < 1 or r > len(self.pages):
@@ -76,14 +80,17 @@ class BssResult:
 
     def page_table(self, r: int, n: int) -> list:
         """The `Decomposition.coordinate_table` of the page-r classes of
-        degree n, for `read_mod_p`."""
-        return self.decomposition.coordinate_table(
-            n, [cl.new_index for cl in self.page(r).classes.get(n, [])])
+        degree n, for `read_mod_p`: built on the first read and kept, so
+        every reader shares one list of rows per page and degree."""
+        if (r, n) not in self._tables:
+            self._tables[r, n] = self.decomposition.coordinate_table(
+                n, [cl.new_index for cl in self.page(r).classes.get(n, [])])
+        return self._tables[r, n]
 
     def class_of_chain(self, r: int, n: int, col: dict) -> dict:
         """F_p coordinates, in the page-r basis at degree n, of a chain;
-        column dicts both.  The chain must survive (`check_survival`).
-        The table is built per call; readers of many chains share one."""
+        column dicts both.  The one reader of page coordinates: the chain
+        must survive (`check_survival`); read through `page_table`."""
         self.check_survival(r, n, col)
         return read_mod_p(self.complex.ring, self.page_table(r, n), col)
 
@@ -172,18 +179,14 @@ def bss_of_morphism(f: GradedMap, bss_src: BssResult,
     bad = is_chain_map(f, bss_src.complex, bss_tgt.complex)
     if bad is not None:
         raise ComplexError(f"not a chain map: fails at degree {bad}")
-    ring = bss_src.complex.ring
-    fp = ring.residue_field()
+    fp = bss_src.complex.ring.residue_field()
     out = []
     for r in range(1, min(len(bss_src.pages), len(bss_tgt.pages)) + 1):
         ps, pt = bss_src.page(r), bss_tgt.page(r)
         gm = GradedMap(ps.basis, pt.basis, 0, fp)
         for n in ps.degrees():
-            table, cols = bss_tgt.page_table(r, n), []
-            for cl in ps.classes[n]:
-                col = f.apply(n, cl.rep)
-                bss_tgt.check_survival(r, n, col)
-                cols.append(read_mod_p(ring, table, col))
-            gm.set_sparse_columns(n, cols)
+            gm.set_sparse_columns(n, [
+                bss_tgt.class_of_chain(r, n, f.apply(n, cl.rep))
+                for cl in ps.classes[n]])
         out.append(gm)
     return out

@@ -8,12 +8,13 @@ differentials in and out, P kept as column dicts, P^-1 as row dicts).  P
 is exact over the ring; P^-1 is kept over the residue field F_p, as every
 reader wants coordinates mod p.  Coordinates are read off it by one
 route: a table of the rows for chosen new-basis vectors, by original
-position (`Decomposition.coordinate_table`), and a mod-p read through it
-(`read_mod_p`).  A sparse recomposition certifies every
-decomposition: P^-1·P = 1 over F_p and d·P = P·D exactly.  Over Z_(p) the
-same decomposition later drives the Bockstein pages, so torsion
-bookkeeping happens exactly once; over F_p every piece has exponent 0, so
-the free pieces are a homology basis.
+position (`Decomposition.coordinate_table`), built on first use and kept
+by its one owner (`FieldHomology` per degree, `bss.BssResult` per page
+and degree), and a mod-p read through it (`read_mod_p`).  A sparse
+recomposition certifies every decomposition: P^-1·P = 1 over F_p and
+d·P = P·D exactly.  Over Z_(p) the same decomposition later drives the
+Bockstein pages, so torsion bookkeeping happens exactly once; over F_p
+every piece has exponent 0, so the free pieces are a homology basis.
 
 Everything here is sparse.  A chain, or coordinates in any basis, is a
 column dict: position -> nonzero entry.  A `GradedBasis` knows each
@@ -545,6 +546,7 @@ class FieldHomology:
         for pc in self._dec.pieces:
             if pc.kind == "free":
                 self._free.setdefault(pc.top_degree, []).append(pc.top_index)
+        self._tables = {}      # chain degree -> its table, built on first use
 
     def _m(self, n: int) -> int:
         """Chain degree of degree n: n itself, or N - n for a cochain d."""
@@ -555,12 +557,14 @@ class FieldHomology:
 
     def class_of(self, n: int, col: dict) -> dict:
         """Homology coordinates of a cycle, as column dicts both; raises if
-        not a cycle."""
+        not a cycle.  Read through the degree's table, kept on first read."""
         if self.d.apply(n, col):
             raise ComplexError("not a cycle")
         m = self._m(n)
-        return read_mod_p(self.ring, self._dec.coordinate_table(
-            m, self._free.get(m, [])), col)
+        if m not in self._tables:
+            self._tables[m] = self._dec.coordinate_table(
+                m, self._free.get(m, []))
+        return read_mod_p(self.ring, self._tables[m], col)
 
     def representative(self, n: int, h_index: int) -> dict:
         m = self._m(n)

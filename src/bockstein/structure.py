@@ -92,6 +92,24 @@ class LieCheck:
     dual_witness: tuple | None   # γ-side witness when False
 
 
+def _two_routes(names: list, gen_images: dict, target: PbwAlgebra, dual,
+                what: str) -> LieCheck:
+    """The direct verdict, that every generator image is supported on
+    length-1 monomials of `target`, against the dual route's (verdict,
+    witness); the two must agree, `what` naming the detectors if not."""
+    verdict, witness = True, None
+    for i, img in gen_images.items():
+        if any(len(mono) != 1 for mono in img):
+            verdict, witness = False, (names[i], _named(target, img))
+            break
+    dual_verdict, dual_witness = dual
+    if dual_verdict != verdict:
+        raise StructureError(
+            f"internal error: matrix and dual {what} detectors disagree "
+            f"(matrix={verdict}, dual witness={dual_witness})")
+    return LieCheck(verdict, witness, dual_witness)
+
+
 def differential_restricts_to_lie(alg: PbwAlgebra,
                                   d: GradedMap | None = None) -> LieCheck:
     """Whether a coalgebra derivation of UL maps the Lie part into itself.
@@ -100,7 +118,6 @@ def differential_restricts_to_lie(alg: PbwAlgebra,
     on the dual Γ-algebra (the adjoint must be a γ-derivation); the two
     verdicts must agree.
     """
-    ring = alg.ring
     if d is None:
         d = alg.differential()
     if d.degree != -1:
@@ -113,19 +130,11 @@ def differential_restricts_to_lie(alg: PbwAlgebra,
             raise StructureError(
                 "not a coalgebra derivation: image of "
                 f"{alg.L.names[i]} is not primitive")
-    verdict, witness = True, None
-    for i, img in gens.items():
-        if any(len(mono) != 1 for mono in img):
-            verdict, witness = False, (alg.L.names[i], _named(alg, img))
-            break
     # ⟨a, θω⟩ = (-1)^{|a|}⟨d a, ω⟩ on the dual Γ-algebra
     G = _dual_gamma(alg)
-    dual_verdict, dual_witness = is_gamma_derivation(adjoint(d, G, G), G)
-    if dual_verdict != verdict:
-        raise StructureError(
-            "internal error: matrix and dual restriction detectors disagree "
-            f"(matrix={verdict}, dual witness={dual_witness})")
-    return LieCheck(verdict, witness, dual_witness)
+    return _two_routes(alg.L.names, gens, alg,
+                       is_gamma_derivation(adjoint(d, G, G), G),
+                       "restriction")
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +198,11 @@ def is_lie_type(phi: HopfMorphism) -> LieCheck:
     Direct check on generator images, and dually: the adjoint map of
     Γ-algebras must commute with every γ^k.  Verdicts must agree.
     """
-    verdict, witness = True, None
-    for i, img in phi.gen_images.items():
-        if any(len(mono) != 1 for mono in img):
-            verdict = False
-            witness = (phi.source.L.names[i], _named(phi.target, img))
-            break
-    g_src = _dual_gamma(phi.source)
-    g_tgt = _dual_gamma(phi.target)
-    fd = adjoint(phi.f, g_src, g_tgt)
-    dual_verdict, dual_witness = is_gamma_morphism(fd, g_tgt, g_src)
-    if dual_verdict != verdict:
-        raise StructureError(
-            "internal error: matrix and dual Lie-type detectors disagree "
-            f"(matrix={verdict}, dual witness={dual_witness})")
-    return LieCheck(verdict, witness, dual_witness)
+    g_src, g_tgt = _dual_gamma(phi.source), _dual_gamma(phi.target)
+    return _two_routes(phi.source.L.names, phi.gen_images, phi.target,
+                       is_gamma_morphism(adjoint(phi.f, g_src, g_tgt),
+                                         g_tgt, g_src),
+                       "Lie-type")
 
 
 # ---------------------------------------------------------------------------
@@ -238,28 +237,28 @@ class TensorSquareBss:
 class PageAlgebra:
     """Product, coproduct, and β induced on one Bockstein page of UL.
 
-    Products are computed on chain representatives and read back through
-    the page projection.  For coproducts, UL ⊗ UL in the basis P⊗P of UL's
-    decomposition is a sum of tensor products of pieces: free⊗free is free,
-    free⊗E(k) a shifted E(k), and E(a)⊗E(b) two copies of E(min(a, b)) by a
-    basis change that is the identity mod p (Browder, "Torsion in
-    H-spaces", 1961).  So a tensor chain surviving to page r has the class
+    Products are computed on chain representatives and read back by the
+    result's one reader of page coordinates (`BssResult.class_of_chain`).
+    For coproducts, UL ⊗ UL in the basis P⊗P of UL's decomposition is a
+    sum of tensor products of pieces: free⊗free is free, free⊗E(k) a
+    shifted E(k), and E(a)⊗E(b) two copies of E(min(a, b)) by a basis
+    change that is the identity mod p (Browder, "Torsion in H-spaces",
+    1961).  So a tensor chain surviving to page r has the class
     Σ c·u_i·v_j mod p over pairs of live classes, where u, v are the
-    monomials' page coordinates: the class rows of P^-1, read once per page
-    and degree by `graded`'s one reader (`Decomposition.coordinate_table`)
-    into a sparse list per monomial.  A class of degree n is a dict from
-    pair positions to nonzero coefficients: the pair (a, i, j) of class i
-    of degree a with class j of degree n−a sits at
-    offset[a] + i·dim(n−a) + j, offset[a] counting the pairs below a.  The
-    primitives are the kernel of those sparse columns over F_p (`FpSpan`).
-    The comparison with the tensor-square page is the identity, and the
-    constructor checks what that rests on: each class representative reads
-    back as its own unit vector.  The tensor chains read are Δ and Δ̄ of
-    UL chains, which survive to page r when the UL chain does (Δ is a
-    chain map), so `primitives` and `coproduct` check only the UL chain,
-    with `BssResult.check_survival`; d is never applied on UL ⊗ UL.  Both
-    form Δ or Δ̄ over F_p on live factors (`_coproduct_columns`), split by
-    split from `lie.splits`.
+    monomials' page coordinates: their rows in the tables the result keeps
+    (`BssResult.page_table`), one sparse list per monomial.  A class of
+    degree n is a dict from pair positions to nonzero coefficients: the
+    pair (a, i, j) of class i of degree a with class j of degree n−a sits
+    at offset[a] + i·dim(n−a) + j, offset[a] counting the pairs below a.
+    The primitives are the kernel of those sparse columns over F_p
+    (`FpSpan`).  The comparison with the tensor-square page is the
+    identity, and the constructor checks what that rests on: each class
+    representative reads back as its own unit vector.  The tensor chains
+    read are Δ and Δ̄ of UL chains, which survive to page r when the UL
+    chain does (Δ is a chain map), so `primitives` and `coproduct` check
+    only the UL chain, with `BssResult.check_survival`; d is never
+    applied on UL ⊗ UL.  Both form Δ or Δ̄ over F_p on live factors
+    (`_coproduct_columns`), split by split from `lie.splits`.
     """
 
     def __init__(self, alg: PbwAlgebra, result: BssResult, r: int):
@@ -269,10 +268,9 @@ class PageAlgebra:
         self.page = result.page(r)
         self.fp = alg.ring.residue_field()
         self.window = self.page.n_max
-        self._tables = {}       # degree -> its `BssResult.page_table`
         self._coords = {}       # monomial -> (degree, [(class, coeff)])
         for n in range(self.window + 1):
-            table = self._tables[n] = result.page_table(r, n)
+            table = result.page_table(r, n)
             self._coords.update((m, (n, row)) for m, row
                                 in zip(alg.basis.keys(n), table))
             for i, cl in enumerate(self.page.classes.get(n, [])):
@@ -338,18 +336,12 @@ class PageAlgebra:
         """The chain representative as a UL element."""
         return self.alg.basis.from_column(n, self._chain(n, vec))
 
-    def class_of_chain(self, n: int, col: dict) -> dict:
-        """`BssResult.class_of_chain` on this page, read through the
-        degree's table built once by the constructor."""
-        self.result.check_survival(self.r, n, col)
-        return read_mod_p(self.alg.ring, self._tables[n], col)
-
     def product(self, n1: int, vec1: dict, n2: int, vec2: dict) -> dict:
         """Page coordinates of the product of two page classes."""
         alg = self.alg
         prod = alg.mul(self._rep_elem(n1, vec1), self._rep_elem(n2, vec2))
-        return self.class_of_chain(
-            n1 + n2, alg.basis.to_column(n1 + n2, prod, alg.ring))
+        return self.result.class_of_chain(
+            self.r, n1 + n2, alg.basis.to_column(n1 + n2, prod, alg.ring))
 
     def coproduct(self, n: int, vec: dict) -> dict:
         """Coproduct of a page class, as position -> nonzero coefficient,
@@ -500,7 +492,7 @@ def verify_envelope_pages(alg: PbwAlgebra,
                  for col in gm.sparse_columns(n)]
         for n, chain in powers + chains:
             try:
-                seeds.append((n, pa.class_of_chain(n, chain)))
+                seeds.append((n, result.class_of_chain(r, n, chain)))
             except ComplexError:
                 pass             # dies entering page r
         prim = pa.certified_primitives(seeds)

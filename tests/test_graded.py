@@ -13,11 +13,11 @@ from bockstein import scalars
 from bockstein.cli import builtin_dgl
 from bockstein.dglfile import parse_dgl
 from bockstein.gamma import GammaAlgebra
-from bockstein.graded import (ComplexError, FieldHomology, GradedBasis,
-                              GradedChainComplex, GradedMap, Piece,
-                              WindowError, _verify_decomposition, decompose,
-                              dual_basis, dualize, homology, induced_map,
-                              read_mod_p)
+from bockstein.graded import (ComplexError, Decomposition, FieldHomology,
+                              GradedBasis, GradedChainComplex, GradedMap,
+                              Piece, WindowError, _verify_decomposition,
+                              decompose, dual_basis, dualize, homology,
+                              induced_map, read_mod_p)
 from bockstein.lie import DgLie, PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal
 from oracles import (certify_piece_counts, dense, dense_decompose,
@@ -615,6 +615,28 @@ class TestFieldHomology:
         ind = induced_map(ident, H, H, 1)
         for n in (0, 1):
             assert ind[n] == [{j: 1} for j in range(H.dim(n))]
+
+    def test_induced_map_keeps_one_table_per_degree(self, monkeypatch):
+        # H_0 = <x, y>, H_1 = 0: the two classes of degree 0, read twice,
+        # share the one table of their degree
+        calls = []
+        build = Decomposition.coordinate_table
+
+        def spy(dec, n, indices):
+            calls.append(n)
+            return build(dec, n, indices)
+        monkeypatch.setattr(Decomposition, "coordinate_table", spy)
+        basis = GradedBasis({0: ["x", "y", "z"], 1: ["u"]}, 1)
+        d = GradedMap(basis, basis, -1, F3)
+        d.set_sparse_columns(1, [{2: 1}])
+        H = FieldHomology(basis, d)
+        ident = GradedMap(basis, basis, 0, F3)
+        for n in (0, 1):
+            ident.set_sparse_columns(n, [{j: 1} for j in range(basis.dim(n))])
+        for _ in range(2):
+            assert induced_map(ident, H, H, 1) == {0: [{0: 1}, {1: 1}],
+                                                   1: []}
+        assert calls == [0]
 
     def test_random_complexes_and_duals(self):
         # random Z_(3) complexes reduced mod 3, and their degree +1 duals

@@ -11,9 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bockstein import cli, structure
-from bockstein.bss import bockstein_pages
+from bockstein.bss import bockstein_pages, bss_of_morphism
 from bockstein.dglfile import parse_dgl
-from bockstein.graded import ComplexError, WindowError
+from bockstein.graded import ComplexError, Decomposition, WindowError
 from bockstein.lie import DgLie, PbwAlgebra, abelian, run_length, splits
 from bockstein.scalars import FpSpan, Matrix, PrimeField, ZpLocal, accumulate
 from bockstein.structure import (PageAlgebra, StructureError, TensorSquareBss,
@@ -103,6 +103,16 @@ class TestRestriction:
                            for m in img)
             assert chk.verdict == expected
 
+    def test_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(structure, "is_gamma_derivation",
+                            lambda theta, G: (False, ("w",)))
+        L = DgLie(Z3, 8, [("e", 1), ("f", 2)], {}, {1: {0: 3}})
+        with pytest.raises(StructureError) as err:
+            differential_restricts_to_lie(PbwAlgebra(L))
+        assert str(err.value) == (
+            "internal error: matrix and dual restriction detectors "
+            "disagree (matrix=True, dual witness=('w',))")
+
 
 def ul_abc(ring, n_max=14):
     """U L_ab(a, b, c) with |a| = 5, |b| = 6, |c| = 2."""
@@ -116,6 +126,18 @@ class TestHopfMorphism:
                             {"a": {"a": 1}, "b": {"b": 1}, "c": {"c": 1}})
         chk = is_lie_type(phi)
         assert chk.verdict
+
+    def test_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(structure, "is_gamma_morphism",
+                            lambda fd, g_tgt, g_src: (True, None))
+        alg = ul_abc(F3, n_max=18)
+        phi = hopf_morphism(alg, alg, {"a": {"a": 1}, "c": {"c": 1},
+                                       "b": {"b": 1, (2, 2, 2): 1}})
+        with pytest.raises(StructureError) as err:
+            is_lie_type(phi)
+        assert str(err.value) == (
+            "internal error: matrix and dual Lie-type detectors disagree "
+            "(matrix=False, dual witness=None)")
 
     def test_frobenius_twist_not_lie_type(self):
         alg = ul_abc(F3, n_max=18)
@@ -472,7 +494,9 @@ class TestPageCoordinates:
     """`BssResult.class_of_chain` against the readout through the class
     rows of P⁻¹ (`oracles.page_coords`), for every class representative
     and for the image of every Lie class under the inclusion, the chains
-    `bss_of_morphism` reads, on pages 1-3 of every golden input."""
+    `bss_of_morphism` reads, on pages 1-3 of every golden input; the
+    result keeps one table per page and degree, which every reader
+    shares."""
 
     @pytest.mark.parametrize("name, n_max", GOLDEN_INPUTS)
     def test_class_of_chain_matches_page_coords(self, name, n_max):
@@ -481,14 +505,19 @@ class TestPageCoordinates:
         result = bockstein_pages(alg.as_complex(), 3)
         result_l = bockstein_pages(alg.L.as_complex(), 3)
         incl = alg.inclusion_of_lie()
+        maps = bss_of_morphism(incl, result_l, result)
         read = 0
         for r in range(1, 4):
             pa = PageAlgebra(alg, result, r)
             for n in range(pa.window + 1):
-                chains = [cl.rep for cl in pa.page.classes.get(n, [])] + [
-                    incl.apply(n, cl.rep)
-                    for cl in result_l.page(r).classes.get(n, [])]
-                for col in chains:
+                assert result.page_table(r, n) is result.page_table(r, n)
+                images = [incl.apply(n, cl.rep)
+                          for cl in result_l.page(r).classes.get(n, [])]
+                # E^r of the inclusion reads its columns by class_of_chain
+                assert maps[r - 1].sparse_columns(n) == [
+                    result.class_of_chain(r, n, col) for col in images]
+                chains = [cl.rep for cl in pa.page.classes.get(n, [])]
+                for col in chains + images:
                     want = {}
                     for j, x in col.items():
                         for i, u in page_coords(pa, keys(n)[j])[1]:
@@ -498,6 +527,54 @@ class TestPageCoordinates:
                         i: x for i, x in want.items() if x}, (r, n)
                     read += bool(want)
         assert read
+
+    @pytest.mark.parametrize("name, n_max", GOLDEN_INPUTS)
+    def test_one_table_per_page_and_degree(self, name, n_max, monkeypatch):
+        # over a whole `verify_envelope_pages`, the E^r of the inclusion,
+        # the page algebras and the certificate's seeds share one table
+        # per page and degree
+        calls = []
+        build = Decomposition.coordinate_table
+
+        def spy(dec, n, indices):
+            calls.append((dec, n))
+            return build(dec, n, indices)
+        monkeypatch.setattr(Decomposition, "coordinate_table", spy)
+        alg = PbwAlgebra(golden_lie(name, n_max))
+        result = bockstein_pages(alg.as_complex(), 3)
+        assert calls == []
+        assert verify_envelope_pages(alg, result).ok
+        assert all(dec is result.decomposition for dec, _ in calls)
+        assert sorted(n for _, n in calls) == sorted(
+            list(range(result.page(1).n_max + 1)) * 3)
+
+    def test_kunneth_read_back_failure(self, monkeypatch, capsys):
+        # an altered row of a kept page-1 table makes [a*c] at degree 2
+        # read back as more than itself, in the report and through the
+        # command line
+        message = ("Künneth comparison is not the identity: [a*c] at "
+                   "degree 2 does not read back as itself")
+
+        def altered(result):
+            cl = result.page(1).classes[2][0]
+            ring = result.complex.ring
+            j = next(j for j, x in cl.rep.items() if ring.reduce_mod_p(x))
+            result.page_table(1, 2)[j].append((0, 1))
+            return result
+        alg = PbwAlgebra(golden_lie("four4"))
+        result = altered(bockstein_pages(alg.as_complex(), 3))
+        with pytest.raises(StructureError) as err:
+            verify_envelope_pages(alg, result)
+        assert str(err.value) == message
+        pages = cli.bockstein_pages
+        monkeypatch.setattr(cli, "bockstein_pages",
+                            lambda C, r_max: altered(pages(C, r_max)))
+        path = Path(__file__).parent / "golden" / "four4.dgl"
+        assert cli.main(["bss", str(path), "--target", "ul", "--rmax", "3",
+                         "--check-envelopes"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 def envelope_report(L, r_max):
@@ -630,7 +707,7 @@ def tamper(kind, monkeypatch):
                 for chain, col in zip(chains, cols):
                     # linear in the chain's [f^3] coordinate, at the pair
                     # (0, 0, 0) with the unit class, which Δ̄ never has
-                    c = pa.class_of_chain(6, chain).get(f3)
+                    c = pa.result.class_of_chain(pa.r, 6, chain).get(f3)
                     if c:
                         col[0] = c
             return cols
