@@ -4,17 +4,20 @@ V is the dual of sL: one generator v_x of degree |x| + 1 per Lie generator
 x.  The linear part d0 is dual to ∂ via ⟨d0 v, sx⟩ = (-1)^{|v|}⟨v, s∂x⟩;
 the quadratic part d1 is dual to the bracket via
 ⟨d1 v, sx·sy⟩ = (-1)^{|sy|}⟨v, s[x,y]⟩.  The Λ/Γ pairing is a signed
-identity (gamma.pairing_signs), so each length-two coefficient of d1 is
-that sign times the bracket term, with γ²(sx) = (sx·sx)/2 halving it.
-Chains are the blockwise adjoint (gamma.adjoint) of the cochains, which
-keeps the two complexes strictly adjoint: ⟨a, ∂ω⟩ = (-1)^{|a|}⟨d a, ω⟩.
+identity whose sign on v_x·v_y is gamma.tensor_pairing_sign of the two
+letters' degrees, so each length-two coefficient of d1 is that sign times
+the bracket term, with γ²(sx) = (sx·sx)/2 halving it.  Both parts go into
+one dict of generator images and d is one derivation of ΛV: the cochains
+are a `CochainAlgebra`, the type the cochain models use.  Chains are the
+blockwise adjoint (gamma.adjoint) of the cochains, which keeps the two
+complexes strictly adjoint: ⟨a, ∂ω⟩ = (-1)^{|a|}⟨d a, ω⟩.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gamma import GammaAlgebra, adjoint, pairing_signs
+from .gamma import GammaAlgebra, adjoint, tensor_pairing_sign
 from .graded import (ComplexError, FieldHomology, GradedChainComplex,
                      GradedMap, check_square_zero, induced_map)
 from .lie import DgLie, LieError, PbwAlgebra, abelian
@@ -27,15 +30,6 @@ class CochainAlgebra:
 
     algebra: PbwAlgebra
     d: GradedMap
-
-
-@dataclass
-class CceCochains:
-    L: DgLie
-    algebra: PbwAlgebra
-    d: GradedMap
-    d0: GradedMap
-    d1: GradedMap
 
 
 @dataclass
@@ -59,63 +53,38 @@ def free_cochain_algebra(ring, n_max, generators,
     return CochainAlgebra(lam, d)
 
 
-def cochains(L: DgLie) -> CceCochains:
-    """The Cartan-Chevalley-Eilenberg-Cartan cochain algebra of a DGL."""
+def cochains(L: DgLie) -> CochainAlgebra:
+    """The Chevalley-Eilenberg cochain algebra (ΛV, d0 + d1) of a DGL.
+
+    d's generator images are read off ∂ and the bracket with closed-form
+    signs, and extended to ΛV by one derivation (`free_cochain_algebra`).
+    """
     bad = L.validate()
     if bad:
         raise LieError("invalid DgLie: " + "; ".join(bad))
     ring = L.ring
-    n_max = L.n_max
-    vgens = [(f"v{name}", deg + 1) for name, deg in zip(L.names, L.degrees)]
-    lam = PbwAlgebra(abelian(ring, n_max, vgens))
-    sgamma = GammaAlgebra(ring, n_max,
-                          [(f"s{name}", deg + 1)
-                           for name, deg in zip(L.names, L.degrees)])
-
+    sv = [deg + 1 for deg in L.degrees]     # |v_x| = |sx|
+    images = {}
     # d0 v_x = (-1)^{|v_x|} Σ_y (∂y)_x v_y
-    d0_images = {}
-    for x in range(L.n_gens()):
-        vdeg = L.degrees[x] + 1
-        img = {}
-        for y in range(L.n_gens()):
-            c = L.d_gen.get(y, {}).get(x)
-            if c is not None:
-                s = ring.of(-1 if vdeg % 2 else 1)
-                img[(y,)] = ring.mul(s, c)
-        if img:
-            d0_images[x] = img
-
-    # d1 v_z: the Λ-monomial v_x·v_y pairs only with the gamma word sx·sy
-    # (or γ²(sx) = (sx·sx)/2 when x = y), with sign pairing_signs
-    d1_images = {}
-    for z in range(L.n_gens()):
-        n = L.degrees[z] + 2       # degree of d1 v_z = |v_z| + 1
-        if n > n_max:
+    for y, dy in sorted(L.d_gen.items()):
+        for x, c in dy.items():
+            images.setdefault(x, {})[(y,)] = ring.neg(c) if sv[x] % 2 else c
+    # d1 v_z: v_x·v_y pairs only with sx·sy (γ²(sx) = (sx·sx)/2 when
+    # x = y), with sign tensor_pairing_sign([|sx|, |sy|])
+    for x, y in sorted({tuple(sorted(q)) for q in L.brackets}):
+        if sv[x] + sv[y] > L.n_max:
             continue
-        img = {}
-        for mono, sign in zip(lam.monomials(n), pairing_signs(sgamma, n)):
-            if len(mono) != 2:
-                continue
-            x, y = mono
-            val = L.bracket_gens(x, y).get(z)
-            if val is None:
-                continue
-            sy = L.degrees[y] + 1
-            val = ring.mul(ring.of(-sign if sy % 2 else sign), val)
-            if x == y:
-                val = ring.div(val, ring.of(2))
-            img[mono] = val
-        if img:
-            d1_images[z] = img
-
-    d0 = lam.derivation(1, d0_images)
-    d1 = lam.derivation(1, d1_images)
-    d = d0 + d1        # a derivation is linear in its generator images
-    check_square_zero(d)
-    return CceCochains(L, lam, d, d0, d1)
+        sign = tensor_pairing_sign([sv[x], sv[y]]) * (-1) ** sv[y]
+        for z, c in L.bracket_gens(x, y).items():
+            c = ring.mul(ring.of(sign), c)
+            images.setdefault(z, {})[(x, y)] = (ring.div(c, ring.of(2))
+                                                if x == y else c)
+    return free_cochain_algebra(
+        ring, L.n_max, [(f"v{name}", s) for name, s in zip(L.names, sv)],
+        images)
 
 
-def chains(L: DgLie, co: CceCochains | None = None) -> CceChains:
+def chains(L: DgLie, co: CochainAlgebra | None = None) -> CceChains:
     """Γ(sL) with the differential adjoint to the cochain differential."""
     if co is None:
         co = cochains(L)

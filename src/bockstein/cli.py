@@ -24,7 +24,7 @@ from pathlib import Path
 from .bss import bockstein_pages
 from .cce import cochains, free_cochain_algebra, verify_quasi_iso
 from .dglfile import DglParseError, emit_dgl, parse_dgl, parse_map
-from .graded import FieldHomology, homology
+from .graded import homology
 from .lie import DgLie, LieError, PbwAlgebra
 from .scalars import PrimeField, RingError, ZpLocal
 from .structure import StructureError, hopf_morphism, is_lie_type, \
@@ -247,9 +247,9 @@ def builtin_dgl(name: str, p: int = 3, n: int = 1,
                      "(choose example1, example2, model)")
 
 
-def _model_report(p: int, n: int, L: DgLie):
+def _model_report(p: int, n: int, e1):
     """Quasi-isomorphism of the hard-coded small cochain model, plus the
-    mod-p Hilbert series of H(UL)."""
+    mod-p Hilbert series of H(UL), read off the page E¹ = H(UL; F_p)."""
     fp = PrimeField(p)
     nmax = 4 * n * p + 1
     tgt = free_cochain_algebra(fp, nmax, [("x", 2 * n), ("y", 2 * n + 1)],
@@ -262,9 +262,7 @@ def _model_report(p: int, n: int, L: DgLie):
                                 src, tgt, window=4 * n * p)
     lines = [f"model x1 -> x^{p}, y1 -> x^{p - 1}*y: "
              + ("quasi-isomorphism" if ok else f"FAILED ({info})")]
-    alg = PbwAlgebra(L)
-    H = FieldHomology(alg.basis, alg.differential().reduce_mod_p())
-    dims = {nn: H.dim(nn) for nn in range(L.n_max)}
+    dims = {nn: e1.dim(nn) for nn in range(e1.n_max + 1)}
     gens = [nn for nn in sorted(dims) if dims[nn] and 0 < nn <= 2 * n * p]
     lines.append("H(UL; F_p) dims by degree: "
                  + " ".join(f"{nn}:{d}" for nn, d in sorted(dims.items())
@@ -322,7 +320,7 @@ def cmd_examples(args):
     lines += ["Lie pages:"] + ["  " + s for s in plines]
     report["lie_pages"] = repl
     if args.name == "model":
-        xl, xr = _model_report(p, n, L)
+        xl, xr = _model_report(p, n, result.page(1))
         lines += xl
         report["model"] = xr
     if args.name == "example2":

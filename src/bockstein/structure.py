@@ -196,10 +196,14 @@ def is_lie_type(phi: HopfMorphism) -> LieCheck:
     """Whether a Hopf morphism carries the Lie part into the Lie part.
 
     Direct check on generator images, and dually: the adjoint map of
-    Γ-algebras must commute with every γ^k.  Verdicts must agree.
+    Γ-algebras must commute with every γ^k.  Verdicts must agree.  Both
+    see the generators inside the window only, as the dual route does.
     """
-    g_src, g_tgt = _dual_gamma(phi.source), _dual_gamma(phi.target)
-    return _two_routes(phi.source.L.names, phi.gen_images, phi.target,
+    src = phi.source
+    g_src, g_tgt = _dual_gamma(src), _dual_gamma(phi.target)
+    gens = {i: img for i, img in phi.gen_images.items()
+            if src.L.degrees[i] <= src.n_max}
+    return _two_routes(src.L.names, gens, phi.target,
                        is_gamma_morphism(adjoint(phi.f, g_src, g_tgt),
                                          g_tgt, g_src),
                        "Lie-type")

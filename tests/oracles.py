@@ -25,6 +25,9 @@ by this module's shuffle product (`shuffle`), and so is the Λ/Γ pairing.
 The Γ-morphism and Γ-derivation detectors scan every pair of basis words
 and every even word (`is_gamma_morphism_by_scan`,
 `is_gamma_derivation_by_scan`), where the library checks generators.
+The Chevalley-Eilenberg differential's two parts are built as two
+derivations, d1's signs read off the whole of Γ(sL) (`cce_parts`), where
+the library builds one derivation with closed-form signs.
 
 `dense_decompose` and `dense_snf` are the dense elimination that the
 library's sparse kernel replaced: the same pivot rule and the same basis
@@ -39,9 +42,10 @@ references work on.
 from fractions import Fraction
 from math import factorial
 
-from bockstein.gamma import GammaError, tensor_pairing_sign
+from bockstein.gamma import (GammaAlgebra, GammaError, pairing_signs,
+                             tensor_pairing_sign)
 from bockstein.graded import GradedBasis, GradedMap, Piece, decompose
-from bockstein.lie import run_length
+from bockstein.lie import PbwAlgebra, abelian, run_length
 from bockstein.scalars import (FpSpan, Matrix, PrimeField, SnfResult,
                                ZpLocal, accumulate)
 
@@ -1028,3 +1032,47 @@ def is_gamma_derivation_by_scan(theta, A):
 
     witness = first_failure_by_scan(A, product_ok, gamma_ok)
     return witness is None, witness
+
+
+# ---------------------------------------------------------------------------
+# Chevalley-Eilenberg cochains as two derivations
+# ---------------------------------------------------------------------------
+
+def cce_parts(L):
+    """(ΛV, d0, d1) for a valid DGL, the route `cce.cochains` took before
+    it built one derivation: d0 dual to ∂ and d1 dual to the bracket, each
+    its own derivation of ΛV, with d1's sign on v_x·v_y read from
+    `pairing_signs` of Γ(sL) at the position of that monomial."""
+    ring, n_max = L.ring, L.n_max
+    lam = PbwAlgebra(abelian(ring, n_max, [(f"v{name}", deg + 1) for name,
+                                           deg in zip(L.names, L.degrees)]))
+    sgamma = GammaAlgebra(ring, n_max, [(f"s{name}", deg + 1) for name,
+                                        deg in zip(L.names, L.degrees)])
+    # d0 v_x = (-1)^{|v_x|} Σ_y (∂y)_x v_y
+    d0_images = {}
+    for x in range(L.n_gens()):
+        s = ring.of(-1 if (L.degrees[x] + 1) % 2 else 1)
+        img = {(y,): ring.mul(s, L.d_gen[y][x]) for y in range(L.n_gens())
+               if x in L.d_gen.get(y, {})}
+        if img:
+            d0_images[x] = img
+    # ⟨d1 v_z, sx·sy⟩ = (-1)^{|sy|}⟨v_z, s[x,y]⟩, halved on γ²(sx)
+    d1_images = {}
+    for z in range(L.n_gens()):
+        n = L.degrees[z] + 2
+        if n > n_max:
+            continue
+        img = {}
+        for mono, sign in zip(lam.monomials(n), pairing_signs(sgamma, n)):
+            if len(mono) != 2:
+                continue
+            x, y = mono
+            val = L.bracket_gens(x, y).get(z)
+            if val is None:
+                continue
+            sy = L.degrees[y] + 1
+            val = ring.mul(ring.of(-sign if sy % 2 else sign), val)
+            img[mono] = ring.div(val, ring.of(2)) if x == y else val
+        if img:
+            d1_images[z] = img
+    return lam, lam.derivation(1, d0_images), lam.derivation(1, d1_images)

@@ -3,15 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from bockstein.cce import (CochainAlgebra, chains, cochains,
                            free_cochain_algebra, verify_quasi_iso)
-from bockstein.gamma import pairing_matrix
+from bockstein.gamma import GammaAlgebra, pairing_matrix
 from bockstein.graded import ComplexError, FieldHomology
 from bockstein.lie import DgLie, PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal
-from oracles import gamma_expand, lambda_gamma_pairing
-from test_lie import example1
+from oracles import cce_parts, gamma_expand, lambda_gamma_pairing
+from test_lie import dgl_presentations, example1
 
 Z3 = ZpLocal(3)
 F3 = PrimeField(3)
@@ -35,26 +36,27 @@ class TestCochains:
         assert co.d.image(3, lam.gen(vf)) == {}
 
     def test_d0_sign_rule(self):
-        # ⟨d0 v, sx⟩ = (-1)^{|v|}⟨v, s∂x⟩ on Example 1 over Z_(3)
+        # ⟨d0 v, sx⟩ = (-1)^{|v|}⟨v, s∂x⟩ on Example 1 over Z_(3), which
+        # has no bracket, so d is d0
         L = example1(n_max=8)
         co = cochains(L)
         lam = co.algebra
         ve, vf = lam.L.index["ve"], lam.L.index["vf"]
-        img = co.d0.image(2, lam.gen(ve))
+        img = co.d.image(2, lam.gen(ve))
         # |ve| = 2, ∂f = 3e: d0(ve) = (+1)·3·vf
         assert img == {(vf,): Fraction(3)}
 
     def test_d1_bracket_dual(self):
         # [a,b] = c with |a| = |b| = 1: d1(vc) pairs to ±va·vb; the odd
-        # self-bracket [x,x] = z pairs against sx·sx = 2γ²(sx)
-        from bockstein.gamma import GammaAlgebra
+        # self-bracket [x,x] = z pairs against sx·sx = 2γ²(sx).  Neither
+        # DGL has a differential, so d is d1
         for gens, (a, b) in (([("a", 1), ("b", 1), ("c", 2)], (0, 1)),
                              ([("x", 1), ("z", 2)], (0, 0))):
             z = len(gens) - 1
             L = DgLie(Z3, 8, gens, {(a, b): {z: 1}})
             co = cochains(L)
             lam = co.algebra
-            img = co.d1.image(3, lam.gen(z))
+            img = co.d.image(3, lam.gen(z))
             assert set(img) == {(a, b)}
             # cross-check the defining identity by pairing back
             sg = GammaAlgebra(Z3, 8, [("s" + name, d + 1)
@@ -90,21 +92,56 @@ class TestCochains:
     @pytest.mark.parametrize("ring", [Z3, F3])
     def test_d_is_dense_d0_plus_d1(self, ring):
         # d is built from the merged generator images in one pass; it must
-        # equal the blockwise sum of its linear and quadratic parts.  The
-        # second DGL has an odd self-bracket [x,x] = z (halved in d1)
+        # equal the blockwise sum of its linear and quadratic parts, each
+        # built as its own derivation by the oracle.  The second DGL has
+        # an odd self-bracket [x,x] = z (halved in d1)
         for L in (DgLie(ring, 9, [("x", 1), ("y", 1), ("z", 2), ("w", 3)],
                         {(0, 1): {2: 1}}, {3: {2: 1}}),
                   DgLie(ring, 10, [("x", 1), ("z", 2), ("w", 3)],
                         {(0, 0): {1: 1}}, {2: {1: 1}})):
             co = cochains(L)
-            assert not co.d0.is_zero() and not co.d1.is_zero()
-            assert co.d == co.d0 + co.d1
+            _, d0, d1 = cce_parts(L)
+            assert not d0.is_zero() and not d1.is_zero()
+            assert co.d == d0 + d1
+
+    @settings(max_examples=100, deadline=None)
+    @given(dgl_presentations())
+    def test_d_matches_the_two_part_oracle(self, L):
+        # over Z_(p) and F_p, with brackets, odd self-brackets and ∂ that
+        # an image must straighten past: d equals the oracle's d0 + d1,
+        # signs read off Γ(sL), on the same basis of ΛV
+        co = cochains(L)
+        lam, d0, d1 = cce_parts(L)
+        assert co.algebra.basis == lam.basis
+        assert co.d == d0 + d1
+
+    def test_one_derivation_and_no_gamma_algebra(self, monkeypatch):
+        # the sign of d1 is closed form, so no Γ(sL) is built, and d is
+        # one derivation of ΛV, not d0 and d1 added up
+        built = {"gamma": 0, "derivation": 0}
+        gamma_init, derivation = GammaAlgebra.__init__, PbwAlgebra.derivation
+
+        def spy_gamma(self, *args):
+            built["gamma"] += 1
+            gamma_init(self, *args)
+
+        def spy_derivation(self, *args):
+            built["derivation"] += 1
+            return derivation(self, *args)
+
+        monkeypatch.setattr(GammaAlgebra, "__init__", spy_gamma)
+        monkeypatch.setattr(PbwAlgebra, "derivation", spy_derivation)
+        co = cochains(DgLie(Z3, 9, [("x", 1), ("y", 1), ("z", 2), ("w", 3)],
+                            {(0, 1): {2: 1}}, {3: {2: 1}}))
+        assert built == {"gamma": 0, "derivation": 1}
+        assert isinstance(co, CochainAlgebra) and not co.d.is_zero()
 
     def test_minimality_detector(self):
-        # d0 entries divisible by p iff ∂ entries divisible by p
+        # d0 entries divisible by p iff ∂ entries divisible by p; Example 1
+        # has no bracket, so d is d0
         L = example1(n_max=8)           # ∂f = 3e
         co = cochains(L)
-        for n, m in co.d0.blocks.items():
+        for n, m in co.d.blocks.items():
             for row in m.a:
                 for c in row:
                     assert Z3.is_zero(c) or Z3.valuation(c) >= 1
@@ -143,7 +180,7 @@ class TestChains:
             co = cochains(L)
             ch = chains(L, co)
             lam, g = co.algebra, ch.algebra
-            assert not co.d1.is_zero()
+            assert not cce_parts(L)[2].is_zero()
             for n in range(1, 9):
                 A_n = pairing_matrix(Z3, lam, g, n)
                 A_prev = pairing_matrix(Z3, lam, g, n - 1)

@@ -289,6 +289,23 @@ class TestCheckMorphism:
         if lie_type == "no":
             assert "dual γ witness: ('gamma', ((2, 1),), 3)" in out
 
+    @pytest.mark.parametrize("nmax, lie_type", [
+        ("0", "yes"), ("5", "yes"),
+        ("6", "no\n  generator witness: ('b', {'b': 1, 'c^3': 1})\n"
+              "  dual γ witness: ('gamma', ((2, 1),), 3)"),
+        ("72", "no\n  generator witness: ('b', {'b': 1, 'c^3': 1})\n"
+               "  dual γ witness: ('gamma', ((2, 1),), 3)")])
+    def test_twist_with_b_above_the_window(self, capsys, nmax, lie_type):
+        # |b| = 6: below nmax 6 neither detector sees b's image, so the
+        # twist restricted to the window is of Lie type; the direct route
+        # once read b's image anyway and disagreed with the dual one
+        golden = Path(__file__).parent / "golden"
+        assert main(["check-morphism", str(golden / "twist3.dgl"),
+                     str(golden / "twist3.dgl"), str(golden / "twist3.map"),
+                     "--mod-p", "--nmax", nmax]) == 0
+        assert capsys.readouterr().out == \
+            f"Hopf morphism: valid\nlie type: {lie_type}\n"
+
     def test_twist_not_hopf_over_zp(self, abc, tmp_path, capsys):
         # over Z_(3) the binomial middle terms survive, so the twisted
         # map fails the coalgebra check outright
@@ -335,6 +352,26 @@ class TestExamples:
         text = (out / "model.expected").read_text()
         assert "model x1 -> x^3, y1 -> x^2*y: quasi-isomorphism" in text
         assert "H(UL; F_p) dims by degree: 0:1 5:1 6:1 11:1 12:1" in text
+
+    @pytest.mark.parametrize("nmax", [None, "0", "1", "5", "12", "30"])
+    @pytest.mark.parametrize("prime", ["3", "5", "7"])
+    def test_model_dims_equal_field_homology(self, prime, nmax, tmp_path,
+                                             capsys):
+        # the report reads H(UL; F_p) off E¹ of the UL pages; FieldHomology
+        # of UL's d mod p is the independent route
+        from bockstein.graded import FieldHomology
+        from bockstein.lie import PbwAlgebra
+        argv = ["--json", "examples", "model", "--prime", prime,
+                "--out", str(tmp_path)]
+        assert main(argv + (["--nmax", nmax] if nmax else [])) == 0
+        dims = json.loads(capsys.readouterr().out)["model"]["h_ul_dims"]
+        L, _ = cli.builtin_dgl("model", p=int(prime))
+        if nmax:
+            L = L.replace(n_max=int(nmax))
+        alg = PbwAlgebra(L)
+        H = FieldHomology(alg.basis, alg.differential().reduce_mod_p())
+        assert dims == {str(n): H.dim(n) for n in range(L.n_max)
+                        if H.dim(n)}
 
     @pytest.mark.parametrize("name", ["example1", "example2", "model"])
     def test_report_matches_golden(self, name, tmp_path, capsys):
