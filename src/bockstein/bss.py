@@ -11,18 +11,18 @@ are the decomposed basis vectors, so d(rep) ∈ p^r·C holds by construction
 for every class alive at page r; each is its column of P, a column dict
 shared with the decomposition.  Chains and page coordinates are column
 dicts throughout, and β^r is stored as the column dicts of its arrows.
-A chain's page coordinates have one reader, `BssResult.class_of_chain`,
-through the table of each page and degree that the result keeps.
+A chain's page coordinates have one reader, `BssResult.class_of_chain`:
+its P^-1 coordinates restricted to the page's classes (Künneth), read in
+place through each page's map of new index to position (`positions`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .graded import (ComplexError, Decomposition, GradedBasis,
-                     GradedChainComplex, GradedMap, WindowError, decompose,
-                     read_mod_p)
+                     GradedChainComplex, GradedMap, WindowError, decompose)
 from .scalars import RingError
 
 
@@ -44,6 +44,7 @@ class SpectralPage:
     classes: dict                # degree -> ordered list of PageClass
     beta: GradedMap              # degree -1 map over F_p on the page basis
     basis: GradedBasis
+    positions: dict              # degree -> new index -> position or None
 
     def dim(self, n: int) -> int:
         return len(self.classes.get(n, []))
@@ -59,8 +60,6 @@ class BssResult:
     pages: list
     stable_page: int             # first r with E^r = E^{r+1} = ...
     max_exponent: int
-    _tables: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def page(self, r: int) -> SpectralPage:
         if r < 1 or r > len(self.pages):
@@ -78,21 +77,14 @@ class BssResult:
                 raise ComplexError(
                     f"chain does not survive to page {r}: d(c) ∉ p^{r}·C")
 
-    def page_table(self, r: int, n: int) -> list:
-        """The `Decomposition.coordinate_table` of the page-r classes of
-        degree n, for `read_mod_p`: built on the first read and kept, so
-        every reader shares one list of rows per page and degree."""
-        if (r, n) not in self._tables:
-            self._tables[r, n] = self.decomposition.coordinate_table(
-                n, [cl.new_index for cl in self.page(r).classes.get(n, [])])
-        return self._tables[r, n]
-
     def class_of_chain(self, r: int, n: int, col: dict) -> dict:
         """F_p coordinates, in the page-r basis at degree n, of a chain;
         column dicts both.  The one reader of page coordinates: the chain
-        must survive (`check_survival`); read through `page_table`."""
+        must survive (`check_survival`); read off P^-1 through the page's
+        positions."""
         self.check_survival(r, n, col)
-        return read_mod_p(self.complex.ring, self.page_table(r, n), col)
+        return self.decomposition.coordinates(
+            n, col, self.page(r).positions[n])
 
 
 def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
@@ -104,7 +96,8 @@ def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
     keeps the free ends and the ends with k ≥ r, and β^r joins the two ends
     of each piece with k = r.  An end is named [first basis vector of its P
     column]; on each page the later ends of one name, in list order, get
-    ~2, ~3, ..., and each degree lists its classes sorted by name.
+    ~2, ~3, ..., and each degree lists its classes sorted by name, which
+    sets `positions`, where β^r's arrows and the page reader look.
     """
     if r_max < 1:
         raise ValueError("r_max must be ≥ 1")
@@ -115,51 +108,51 @@ def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
     dec = decompose(C)
     window = C.n_max - 1
 
-    ends = []    # (degree, exponent, new index, piece number)
-    for i, pc in enumerate(dec.pieces):
+    ends = []    # (degree, exponent, new index)
+    for pc in dec.pieces:
         if pc.kind == "free":
-            ends.append((pc.top_degree, 0, pc.top_index, i))
+            ends.append((pc.top_degree, 0, pc.top_index))
         elif pc.exponent >= 1:
-            ends += [(pc.top_degree, pc.exponent, pc.top_index, i),
-                     (pc.top_degree - 1, pc.exponent, pc.bottom_index, i)]
+            ends += [(pc.top_degree, pc.exponent, pc.top_index),
+                     (pc.top_degree - 1, pc.exponent, pc.bottom_index)]
     ends = sorted((e for e in ends if e[0] <= window), key=itemgetter(0))
-    base = [f"[{C.basis.name(n, min(dec.P[n][j]))}]" for n, _, j, _ in ends]
+    base = [f"[{C.basis.name(n, min(dec.P[n][j]))}]" for n, _, j in ends]
     # All piece exponents inside the window are known, so stabilization at
     # max_exp + 1 is genuine, not an artifact of truncation.
-    max_exp = max((k for _, k, _, _ in ends), default=0)
+    max_exp = max((k for _, k, _ in ends), default=0)
 
     pages = []
     for r in range(1, r_max + 1):
         seen, alive = {}, []     # alive: (degree, name, end) on page r
-        for e, (n, k, _, _) in enumerate(ends):
+        for e, (n, k, _) in enumerate(ends):
             if k == 0 or k >= r:
                 name = base[e]
                 seen[name] = c = seen.get(name, 0) + 1
                 alive.append((n, name if c == 1 else f"{name}~{c}", e))
         alive.sort()
-        classes, pos = {}, [0] * len(ends)   # pos: end -> place in degree
+        classes = {}
+        positions = {n: [None] * C.dim(n) for n in range(window + 1)}
         for n, name, e in alive:
             cls = classes.setdefault(n, [])
-            pos[e] = len(cls)
-            _, k, j, _ = ends[e]
+            _, k, j = ends[e]
+            positions[n][j] = len(cls)
             cls.append(PageClass(n, name, dec.P[n][j], k, j))
         page_basis = GradedBasis({n: [cl.name for cl in cls]
                                   for n, cls in classes.items()},
                                  max(window, 0))
         beta = GradedMap(page_basis, page_basis, -1, fp)
-        cols, lower = {}, {}     # lower: piece -> position of its lower end
-        for e, (n, k, _, i) in enumerate(ends):
-            if k != r:
-                continue
-            if i not in lower:   # the lower end comes first in the list
-                lower[i] = pos[e]
-                continue
-            if n not in cols:
-                cols[n] = [{} for _ in classes[n]]
-            cols[n][pos[e]][lower[i]] = fp.one
-        for n, block in cols.items():
-            beta.set_sparse_columns(n, block)
-        pages.append(SpectralPage(r, window, classes, beta, page_basis))
+        cols = {}    # degree -> columns of β^r, an arrow per piece p^r
+        for pc in dec.pieces:
+            n = pc.top_degree
+            if pc.exponent == r and n <= window:
+                if n not in cols:
+                    cols[n] = [{} for _ in classes[n]]
+                cols[n][positions[n][pc.top_index]] = {
+                    positions[n - 1][pc.bottom_index]: fp.one}
+        for n in sorted(cols):
+            beta.set_sparse_columns(n, cols[n])
+        pages.append(SpectralPage(r, window, classes, beta, page_basis,
+                                  positions))
     return BssResult(C, dec, pages, max_exp + 1, max_exp)
 
 

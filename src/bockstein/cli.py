@@ -224,48 +224,46 @@ def cmd_check_morphism(args):
 # built-in examples
 # ---------------------------------------------------------------------------
 
-def builtin_dgl(name: str, p: int = 3, n: int = 1,
+def builtin_dgl(name: str, p: int = 3,
                 rmax: int = 2) -> tuple[DgLie, int]:
-    """(DgLie, rmax) for a built-in example; nmax = 2·n·p^rmax + 2."""
+    """(DgLie, rmax) for a built-in example; nmax = 2·p^rmax + 2."""
     try:
         ring = ZpLocal(p)
     except RingError as exc:
         raise InputError(str(exc))
-    nmax = 2 * n * p ** rmax + 2
+    nmax = 2 * p ** rmax + 2
     if name == "example1":
-        return DgLie(ring, nmax, [("e", 2 * n - 1), ("f", 2 * n)], {},
+        return DgLie(ring, nmax, [("e", 1), ("f", 2)], {},
                      {1: {0: p}}), rmax
     if name == "example2":
-        return DgLie(ring, nmax,
-                     [("e", 2 * n - 1), ("f", 2), ("g", 2)], {},
+        return DgLie(ring, nmax, [("e", 1), ("f", 2), ("g", 2)], {},
                      {1: {0: p}}), rmax
     if name == "model":
-        return DgLie(ring, 2 * n * p + 8,
-                     [("e", 2 * n - 1), ("f", 2 * n)], {},
+        return DgLie(ring, 2 * p + 8, [("e", 1), ("f", 2)], {},
                      {1: {0: 1}}), 1
     raise InputError(f"unknown example {name!r} "
                      "(choose example1, example2, model)")
 
 
-def _model_report(p: int, n: int, e1):
+def _model_report(p: int, e1):
     """Quasi-isomorphism of the hard-coded small cochain model, plus the
     mod-p Hilbert series of H(UL), read off the page E¹ = H(UL; F_p)."""
     fp = PrimeField(p)
-    nmax = 4 * n * p + 1
-    tgt = free_cochain_algebra(fp, nmax, [("x", 2 * n), ("y", 2 * n + 1)],
+    nmax = 4 * p + 1
+    tgt = free_cochain_algebra(fp, nmax, [("x", 2), ("y", 3)],
                                {"x": {"y": 1}})
-    src = free_cochain_algebra(fp, nmax, [("x1", 2 * n * p),
-                                          ("y1", 2 * n * p + 1)], {})
+    src = free_cochain_algebra(fp, nmax, [("x1", 2 * p),
+                                          ("y1", 2 * p + 1)], {})
     x_pow = tuple([0] * p)                       # x^p
     yx_pow = tuple([0] * (p - 1) + [1])          # x^{p-1}·y
     ok, info = verify_quasi_iso({"x1": {x_pow: 1}, "y1": {yx_pow: 1}},
-                                src, tgt, window=4 * n * p)
+                                src, tgt, window=4 * p)
     lines = [f"model x1 -> x^{p}, y1 -> x^{p - 1}*y: "
              + ("quasi-isomorphism" if ok else f"FAILED ({info})")]
-    dims = {nn: e1.dim(nn) for nn in range(e1.n_max + 1)}
-    gens = [nn for nn in sorted(dims) if dims[nn] and 0 < nn <= 2 * n * p]
+    dims = {n: e1.dim(n) for n in range(e1.n_max + 1)}
+    gens = [n for n in sorted(dims) if dims[n] and 0 < n <= 2 * p]
     lines.append("H(UL; F_p) dims by degree: "
-                 + " ".join(f"{nn}:{d}" for nn, d in sorted(dims.items())
+                 + " ".join(f"{n}:{d}" for n, d in sorted(dims.items())
                             if d))
     lines.append(f"generator degrees: {gens[0]} and {gens[1]}"
                  if len(gens) >= 2 else "generator degrees: ?")
@@ -276,11 +274,11 @@ def _model_report(p: int, n: int, e1):
     return lines, rep
 
 
-def _example2_report(p: int, n: int):
+def _example2_report(p: int):
     fp = PrimeField(p)
-    nmax = 2 * n * p * p
-    ul = PbwAlgebra(DgLie(fp, nmax, [("a", 2 * n * p - 1), ("b", 2 * n * p),
-                                     ("c", 2 * n)], {}, None))
+    nmax = 2 * p * p
+    ul = PbwAlgebra(DgLie(fp, nmax, [("a", 2 * p - 1), ("b", 2 * p),
+                                     ("c", 2)], {}, None))
     ci = ul.L.index["c"]
     twist = {"a": {"a": 1}, "c": {"c": 1},
              "b": {"b": 1, tuple([ci] * p): 1}}
@@ -301,7 +299,7 @@ def _example2_report(p: int, n: int):
 
 
 def cmd_examples(args):
-    p, n = 3 if args.prime is None else args.prime, 1
+    p = 3 if args.prime is None else args.prime
     L, rmax = builtin_dgl(args.name, p=p, rmax=args.rmax)
     if args.nmax is not None:
         L = L.replace(n_max=args.nmax)
@@ -320,11 +318,11 @@ def cmd_examples(args):
     lines += ["Lie pages:"] + ["  " + s for s in plines]
     report["lie_pages"] = repl
     if args.name == "model":
-        xl, xr = _model_report(p, n, result.page(1))
+        xl, xr = _model_report(p, result.page(1))
         lines += xl
         report["model"] = xr
     if args.name == "example2":
-        xl, xr = _example2_report(p, n)
+        xl, xr = _example2_report(p)
         lines += xl
         report["morphism"] = xr
     (outdir / f"{args.name}.dgl").write_text(emit_dgl(L))

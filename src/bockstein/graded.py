@@ -4,17 +4,16 @@ Degrees live in a window [0, N_max].  Homology is computed by decomposing
 the complex into free and elementary pieces: one sparse in-place
 elimination (`scalars.eliminate`) per degree, top degree down, on the
 nonzeros of d, each basis change applied wherever that basis is used (the
-differentials in and out, P kept as column dicts, P^-1 as row dicts).  P
-is exact over the ring; P^-1 is kept over the residue field F_p, as every
-reader wants coordinates mod p.  Coordinates are read off it by one
-route: a table of the rows for chosen new-basis vectors, by original
-position (`Decomposition.coordinate_table`), built on first use and kept
-by its one owner (`FieldHomology` per degree, `bss.BssResult` per page
-and degree), and a mod-p read through it (`read_mod_p`).  A sparse
-recomposition certifies every decomposition: P^-1·P = 1 over F_p and
-d·P = P·D exactly.  Over Z_(p) the same decomposition later drives the
-Bockstein pages, so torsion bookkeeping happens exactly once; over F_p
-every piece has exponent 0, so the free pieces are a homology basis.
+differentials in and out, P and, once its degree is done, P^-1 kept as
+column dicts).  P is exact over the ring; P^-1 is kept over the residue
+field F_p, as every reader wants coordinates mod p, and has one reader
+(`Decomposition.coordinates`): the columns a chain touches, read in place
+through a map new index -> position (`FieldHomology` keeps one per
+degree, `bss.SpectralPage` per page and degree).  A sparse recomposition
+certifies every decomposition: P^-1·P = 1 over F_p and d·P = P·D exactly.
+Over Z_(p) the same decomposition later drives the Bockstein pages, so
+torsion bookkeeping happens exactly once; over F_p every piece has
+exponent 0, so the free pieces are a homology basis.
 
 Everything here is sparse.  A chain, or coordinates in any basis, is a
 column dict: position -> nonzero entry.  A `GradedBasis` knows each
@@ -357,8 +356,8 @@ class Piece:
 @dataclass
 class Decomposition:
     """P^-1·d·P = D, D the pieces: P[n] holds the new basis of degree n as
-    column dicts over the complex's ring, exactly; Pinv[n] the rows of P^-1
-    reduced mod p, ints in [1, p), since only the residue is ever read."""
+    column dicts over the complex's ring, exactly; Pinv[n][j] old basis
+    vector j in new coordinates mod p, ints in [1, p), a column of P^-1."""
 
     complex: GradedChainComplex
     pieces: list
@@ -370,28 +369,21 @@ class Decomposition:
         column of P itself, so do not mutate."""
         return self.P[n][index]
 
-    def coordinate_table(self, n: int, indices) -> list:
-        """The rows of P^-1 at the new-basis vectors `indices` of degree n,
-        read by original position: per position j, the list of (h, u) with
-        u = P^-1[indices[h]][j] ≠ 0 mod p.  Built from those rows alone,
-        for `read_mod_p`."""
-        table = [[] for _ in range(self.complex.dim(n))]
-        for h, i in enumerate(indices):
-            for j, u in self.Pinv[n][i].items():
-                table[j].append((h, u))
-        return table
-
-
-def read_mod_p(ring, table: list, col: dict) -> dict:
-    """The coordinates mod p, h -> nonzero in order of h, of a chain (a
-    column dict over `ring`) on the new-basis vectors of a
-    `Decomposition.coordinate_table`: the one reader of P^-1."""
-    p, out = ring.p, {}
-    for j, x in col.items():
-        x = ring.reduce_mod_p(x)
-        for h, u in table[j]:
-            out[h] = out.get(h, 0) + x * u
-    return {h: x % p for h, x in sorted(out.items()) if x % p}
+    def coordinates(self, n: int, col: dict, positions: list) -> dict:
+        """The coordinates mod p, position -> nonzero in position order, of
+        a degree-n chain (a column dict over the complex's ring) on the
+        new-basis vectors that `positions` places: positions[i] is the
+        position of new-basis vector i, or None to leave it out.  The one
+        reader of P^-1: the columns the chain touches are read in place."""
+        ring, cols = self.complex.ring, self.Pinv[n]
+        p, out = ring.p, {}
+        for j, x in col.items():
+            x = ring.reduce_mod_p(x)
+            for i, u in cols[j].items():
+                h = positions[i]
+                if h is not None:
+                    out[h] = out.get(h, 0) + x * u
+        return {h: x % p for h, x in sorted(out.items()) if x % p}
 
 
 def decompose(C: GradedChainComplex) -> Decomposition:
@@ -406,7 +398,8 @@ def decompose(C: GradedChainComplex) -> Decomposition:
     cycles, so their columns of d_n vanish, and the pieces found so far stay
     intact.  The rows of d_{n+1} are not updated, since d_{n+1} is not read
     again.  Over F_p every nonzero entry is a unit, so every elementary
-    piece has exponent 0.  P^-1 is updated over F_p, P and d exactly.
+    piece has exponent 0.  P^-1 is updated over F_p, P and d exactly; its
+    rows of degree n become the columns every reader wants once n is done.
     """
     ring = C.ring
     fp = ring.residue_field()
@@ -432,6 +425,7 @@ def decompose(C: GradedChainComplex) -> Decomposition:
         for j in free_cols[len(exponents):]:
             pieces.append(Piece("free", n, j))
         hit = len(exponents)
+        Pinv[n] = _transpose(Pinv[n], C.dim(n))
 
     dec = Decomposition(C, pieces, P, Pinv)
     _verify_decomposition(dec)
@@ -455,10 +449,9 @@ def _verify_decomposition(dec: Decomposition):
                 i: ring.mul(pk, x)
                 for i, x in dec.P[n - 1][pc.bottom_index].items()}
     for n in range(C.n_max + 1):
-        inv_cols = _transpose(dec.Pinv[n], C.dim(n))
         d = C.d.sparse_columns(n)
         for j, col in enumerate(dec.P[n]):
-            if (_times(fp, inv_cols, col) != {j: 1}
+            if (_times(fp, dec.Pinv[n], col) != {j: 1}
                     or _times(ring, d, col) != want.get((n, j), {})):
                 raise ComplexError(
                     f"decomposition verification failed at degree {n}")
@@ -543,10 +536,13 @@ class FieldHomology:
                 d.set_sparse_columns(N - n, self.d.sparse_columns(n))
         self._dec = decompose(GradedChainComplex(basis, d, self.ring))
         self._free = {}        # chain degree -> free piece indices, in order
+        # chain degree -> new index -> its place among them, or None
+        self._pos = {m: [None] * len(c) for m, c in self._dec.Pinv.items()}
         for pc in self._dec.pieces:
             if pc.kind == "free":
-                self._free.setdefault(pc.top_degree, []).append(pc.top_index)
-        self._tables = {}      # chain degree -> its table, built on first use
+                free = self._free.setdefault(pc.top_degree, [])
+                self._pos[pc.top_degree][pc.top_index] = len(free)
+                free.append(pc.top_index)
 
     def _m(self, n: int) -> int:
         """Chain degree of degree n: n itself, or N - n for a cochain d."""
@@ -557,14 +553,11 @@ class FieldHomology:
 
     def class_of(self, n: int, col: dict) -> dict:
         """Homology coordinates of a cycle, as column dicts both; raises if
-        not a cycle.  Read through the degree's table, kept on first read."""
+        not a cycle.  Read off P^-1 on the free pieces of its degree."""
         if self.d.apply(n, col):
             raise ComplexError("not a cycle")
         m = self._m(n)
-        if m not in self._tables:
-            self._tables[m] = self._dec.coordinate_table(
-                m, self._free.get(m, []))
-        return read_mod_p(self.ring, self._tables[m], col)
+        return self._dec.coordinates(m, col, self._pos[m])
 
     def representative(self, n: int, h_index: int) -> dict:
         m = self._m(n)

@@ -357,7 +357,7 @@ class PbwAlgebra:
         return self.basis.dim(n)
 
     def monomial_degree(self, mono) -> int:
-        return sum(self.L.degrees[i] for i in mono)
+        return sum(map(self.L.degrees.__getitem__, mono))
 
     def monomial_name(self, mono) -> str:
         return monomial_name(self.L.names, mono)

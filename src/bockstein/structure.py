@@ -47,8 +47,7 @@ from dataclasses import dataclass
 from .bss import BssResult, bockstein_pages, bss_of_morphism
 from .gamma import (GammaAlgebra, adjoint, is_gamma_derivation,
                     is_gamma_morphism)
-from .graded import (ComplexError, GradedBasis, GradedChainComplex, GradedMap,
-                     read_mod_p)
+from .graded import ComplexError, GradedBasis, GradedChainComplex, GradedMap
 from .lie import PbwAlgebra, splits
 from .scalars import FpSpan, accumulate, fp_kernel
 
@@ -238,6 +237,23 @@ class TensorSquareBss:
         self.bss = bockstein_pages(self.complex, r_max)
 
 
+class _Factors(dict):
+    """PBW monomial -> (degree, [(class, coefficient)]) on a page: the one
+    reader's output on its unit chain, read on first use.  The memo of one
+    `PageAlgebra._coproduct_columns` call."""
+
+    def __init__(self, pa: "PageAlgebra"):
+        self.alg, self.page, self.dec = pa.alg, pa.page, pa.result.decomposition
+
+    def __missing__(self, mono):
+        alg = self.alg
+        a = alg.monomial_degree(mono)
+        u = self.dec.coordinates(a, {alg.basis.index(a, mono): 1},
+                                 self.page.positions[a])
+        self[mono] = out = a, list(u.items())
+        return out
+
+
 class PageAlgebra:
     """Product, coproduct, and β induced on one Bockstein page of UL.
 
@@ -249,8 +265,8 @@ class PageAlgebra:
     change that is the identity mod p (Browder, "Torsion in H-spaces",
     1961).  So a tensor chain surviving to page r has the class
     Σ c·u_i·v_j mod p over pairs of live classes, where u, v are the
-    monomials' page coordinates: their rows in the tables the result keeps
-    (`BssResult.page_table`), one sparse list per monomial.  A class of
+    monomials' page coordinates, the one reader's output on their unit
+    chains (`Decomposition.coordinates`, through `_Factors`).  A class of
     degree n is a dict from pair positions to nonzero coefficients: the
     pair (a, i, j) of class i of degree a with class j of degree n−a sits
     at offset[a] + i·dim(n−a) + j, offset[a] counting the pairs below a.
@@ -272,13 +288,10 @@ class PageAlgebra:
         self.page = result.page(r)
         self.fp = alg.ring.residue_field()
         self.window = self.page.n_max
-        self._coords = {}       # monomial -> (degree, [(class, coeff)])
+        dec, positions = result.decomposition, self.page.positions
         for n in range(self.window + 1):
-            table = result.page_table(r, n)
-            self._coords.update((m, (n, row)) for m, row
-                                in zip(alg.basis.keys(n), table))
             for i, cl in enumerate(self.page.classes.get(n, [])):
-                if read_mod_p(alg.ring, table, cl.rep) != {i: 1}:
+                if dec.coordinates(n, cl.rep, positions[n]) != {i: 1}:
                     raise StructureError(
                         f"Künneth comparison is not the identity: {cl.name} "
                         f"at degree {n} does not read back as itself")
@@ -298,7 +311,7 @@ class PageAlgebra:
         coefficients, so dx ∈ p^r·C puts d(Δx) and d(Δ̄x) in p^r·(C ⊗ C);
         callers check x on the UL chain (`BssResult.check_survival`)."""
         ring, p, degrees = self.alg.ring, self.fp.p, self.alg.L.degrees
-        keys, coords = self.alg.basis.keys(n), self._coords
+        keys, coords = self.alg.basis.keys(n), _Factors(self)
         dims = [self.page.dim(a) for a in range(n + 1)]
         offset = [0]
         for a in range(n):

@@ -543,14 +543,15 @@ def page_pairs_by_snf(pa, tensor, n, t):
 
 def page_coords(pa, mono):
     """(degree, [(class, coefficient mod p)]) of a PBW monomial on the page
-    of `pa`: its column in the class rows of P⁻¹, reduced mod p."""
+    of `pa`: its column of P⁻¹ at the page's classes, one class at a time,
+    reduced mod p."""
     alg, ring = pa.alg, pa.alg.ring
     a = alg.monomial_degree(mono)
     j = alg.basis.index(a, mono)
-    rows = pa.result.decomposition.Pinv[a]
+    col = pa.result.decomposition.Pinv[a][j]
     coords = []
     for i, cl in enumerate(pa.page.classes.get(a, [])):
-        u = ring.reduce_mod_p(rows[cl.new_index].get(j, 0))
+        u = ring.reduce_mod_p(col.get(cl.new_index, 0))
         if u:
             coords.append((i, u))
     return a, coords
