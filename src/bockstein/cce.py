@@ -8,14 +8,15 @@ identity whose sign on v_x·v_y is gamma.tensor_pairing_sign of the two
 letters' degrees, so each length-two coefficient of d1 is that sign times
 the bracket term, with γ²(sx) = (sx·sx)/2 halving it.  Both parts go into
 one dict of generator images and d is one derivation of ΛV: the cochains
-are a `CochainAlgebra`, the type the cochain models use.  Chains are the
-blockwise adjoint (gamma.adjoint) of the cochains, which keeps the two
-complexes strictly adjoint: ⟨a, ∂ω⟩ = (-1)^{|a|}⟨d a, ω⟩.
+are a `CochainAlgebra`, as the cochain models are: it keeps those images
+and builds d on ΛV's window where it is read.  Chains are the blockwise
+adjoint (gamma.adjoint) of the cochains: ⟨a, ∂ω⟩ = (-1)^{|a|}⟨d a, ω⟩.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gamma import GammaAlgebra, adjoint, tensor_pairing_sign
 from .graded import (ComplexError, FieldHomology, GradedChainComplex,
@@ -24,12 +25,24 @@ from .lie import DgLie, LieError, PbwAlgebra, abelian
 from .scalars import fp_kernel
 
 
-@dataclass
 class CochainAlgebra:
-    """Free commutative cochain algebra: ΛW with a degree +1 derivation."""
+    """Free commutative ΛW, kept as the generator images of its degree +1
+    derivation d.  d² is a derivation, so d∘d = 0 is checked on generators,
+    as `check_square_zero` reports it; `d` on ΛW is built on first read."""
 
-    algebra: PbwAlgebra
-    d: GradedMap
+    def __init__(self, algebra: PbwAlgebra, images: dict):
+        self.algebra, self.images = algebra, images
+        name = algebra.monomial_name
+        for n, w in sorted((n, w) for w, n in enumerate(algebra.L.degrees)
+                           if n + 2 <= algebra.n_max):
+            if dd := algebra.derive(images.get(w, {}), 1, images):
+                raise ComplexError(f"d∘d ≠ 0 at degree {n}: d(d({name((w,))}))"
+                                   f" has coefficient {dd[min(dd)]} on "
+                                   f"{name(min(dd))}")
+
+    @cached_property
+    def d(self) -> GradedMap:
+        return check_square_zero(self.algebra.derivation(1, self.images))
 
 
 @dataclass
@@ -48,19 +61,16 @@ def free_cochain_algebra(ring, n_max, generators,
     """(ΛW, d) from generator degrees and d on generators, a spec of
     `PbwAlgebra.images`."""
     lam = PbwAlgebra(abelian(ring, n_max, generators))
-    d = lam.derivation(1, lam.images(lam.L, d_images or {}))
-    check_square_zero(d)
-    return CochainAlgebra(lam, d)
+    return CochainAlgebra(lam, lam.images(lam.L, d_images or {}))
 
 
 def cochains(L: DgLie) -> CochainAlgebra:
     """The Chevalley-Eilenberg cochain algebra (ΛV, d0 + d1) of a DGL.
 
     d's generator images are read off ∂ and the bracket with closed-form
-    signs, and extended to ΛV by one derivation (`free_cochain_algebra`).
+    signs; they extend to ΛV as one derivation (`free_cochain_algebra`).
     """
-    bad = L.validate()
-    if bad:
+    if bad := L.validate():
         raise LieError("invalid DgLie: " + "; ".join(bad))
     ring = L.ring
     sv = [deg + 1 for deg in L.degrees]     # |v_x| = |sx|

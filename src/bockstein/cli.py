@@ -167,20 +167,15 @@ def cmd_cochains(args):
     _validated(L)
     co = cochains(L)
     lam = co.algebra
+    gens = list(zip(lam.L.names, lam.L.degrees))
+    d = {name: " + ".join(f"{c} {lam.monomial_name(m)}" for m, c
+                          in sorted(co.images.get(i, {}).items())) or "0"
+         for i, (name, deg) in enumerate(gens) if deg + 1 <= lam.n_max}
     lines = [f"cochain algebra ΛV, V = (sL)^# over Z_({L.p}):"]
-    rep = {"generators": [], "d": {}}
-    for name, deg in zip(lam.L.names, lam.L.degrees):
-        lines.append(f"  generator {name} degree {deg}")
-        rep["generators"].append({"name": name, "degree": deg})
-    for i, (name, deg) in enumerate(zip(lam.L.names, lam.L.degrees)):
-        if deg + 1 > lam.n_max:
-            continue
-        img = co.d.image(deg, lam.gen(i))
-        terms = " + ".join(f"{c} {lam.monomial_name(m)}"
-                           for m, c in sorted(img.items())) or "0"
-        lines.append(f"  d({name}) = {terms}")
-        rep["d"][name] = terms
-    return lines, rep, EXIT_OK
+    lines += [f"  generator {name} degree {deg}" for name, deg in gens]
+    lines += [f"  d({name}) = {terms}" for name, terms in d.items()]
+    return lines, {"generators": [{"name": name, "degree": deg}
+                                  for name, deg in gens], "d": d}, EXIT_OK
 
 
 def cmd_check_morphism(args):

@@ -303,8 +303,8 @@ def _times(ring, A: list, col: dict) -> dict:
     return out
 
 
-def check_square_zero(d: GradedMap):
-    """Raise ComplexError unless d∘d = 0, naming the first entry that is not
+def check_square_zero(d: GradedMap) -> GradedMap:
+    """d, once d∘d = 0; else ComplexError naming the first entry that is not
     zero: least source degree, then basis order of source and target.
     Applies d to each column of d in that order, so d∘d is never built."""
     for n in d.degrees():
@@ -316,6 +316,7 @@ def check_square_zero(d: GradedMap):
                     f"d∘d ≠ 0 at degree {n}: d(d({d.source.name(n, j)})) "
                     f"has coefficient {dd[i]} on "
                     f"{d.target.name(n + 2 * d.degree, i)}")
+    return d
 
 
 class GradedChainComplex:

@@ -11,10 +11,11 @@ resolved as x^2 = (1/2)[x,x].  A product of monomials ma·mb is ma
 multiplied on the right by mb's letters in turn, each inserted at the
 right end, so `mul` and `element` keep no table of words.
 
-UL's basis is a `GradedBasis` keyed by the monomials, so elements and
-coordinates convert in `graded`.  The differential d of UL is built once,
-as the derivation on ∂'s generator images, and stored, and elements read
-it through `d_elem`.  A derivation replaces one letter of an ordered
+UL's basis is a `GradedBasis` keyed by the monomials, enumerated on first
+read, so elements and coordinates convert in `graded`.  `derive` applies
+a derivation's generator images to one element with no window map: UL's
+d on elements is `d_elem`, and its window map, `differential`, is built
+on first call and stored.  A derivation replaces one letter of an ordered
 monomial at a time: a one-letter image is inserted into the ordered rest,
 and a longer image (the quadratic part of cce's d) is the prefix before
 the letter multiplied on the right by the image's letters and then by the
@@ -31,7 +32,7 @@ cochain algebras and maps.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from math import comb
 
 from .graded import GradedBasis, GradedChainComplex, GradedMap
@@ -330,8 +331,7 @@ class PbwAlgebra:
     """
 
     def __init__(self, L: DgLie):
-        bad = L.validate()
-        if bad:
+        if bad := L.validate():
             raise LieError("invalid DgLie: " + "; ".join(bad))
         self.L = L
         self.ring = L.ring
@@ -343,12 +343,14 @@ class PbwAlgebra:
         self._d_images = {g: {(k,): c for k, c in tgt.items()}
                           for g, tgt in L.d_gen.items()}
         self._d = None              # UL's differential, once built
-        # a function of the names, not a bound method: no cycle through
-        # the basis
-        self.basis = GradedBasis(ordered_monomials(L.degrees, self.n_max),
-                                 self.n_max, partial(monomial_name, L.names))
 
     # -- basis -------------------------------------------------------------
+
+    @cached_property
+    def basis(self) -> GradedBasis:     # enumerated on first read
+        # named by a function, not a bound method: no cycle through it
+        return GradedBasis(ordered_monomials(self.L.degrees, self.n_max),
+                           self.n_max, partial(monomial_name, self.L.names))
 
     def monomials(self, n: int) -> list:
         return self.basis.keys(n)
@@ -410,13 +412,8 @@ class PbwAlgebra:
     # -- differential as a derivation ----------------------------------------
 
     def d_elem(self, elem: dict) -> dict:
-        """d of an element, summed from its monomials' images under the
-        stored d."""
-        ring, d, out = self.ring, self.differential(), {}
-        for mono, c in elem.items():
-            accumulate(ring, out, d.image(self.monomial_degree(mono),
-                                          {mono: ring.one}), c)
-        return out
+        """d of an element, from ∂'s generator images."""
+        return self.derive(elem, -1, self._d_images)
 
     def differential(self) -> GradedMap:
         """UL's d, the derivation on ∂'s generator images; built on the
@@ -440,6 +437,13 @@ class PbwAlgebra:
             theta.set_columns(n, [self._derive(mono, degree, gen_images)
                                   for mono in self.monomials(n)])
         return theta
+
+    def derive(self, elem: dict, degree: int, gen_images: dict) -> dict:
+        """`_derive` summed over an element's monomials: no window map."""
+        ring, out = self.ring, {}
+        for mono, c in elem.items():
+            accumulate(ring, out, self._derive(mono, degree, gen_images), c)
+        return out
 
     def _derive(self, mono, degree: int, gen_images: dict) -> dict:
         """A derivation on a monomial: the sum over its letters of the word

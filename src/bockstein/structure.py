@@ -240,7 +240,7 @@ class TensorSquareBss:
 class _Factors(dict):
     """PBW monomial -> (degree, [(class, coefficient)]) on a page: the one
     reader's output on its unit chain, read on first use.  The memo of one
-    `PageAlgebra._coproduct_columns` call."""
+    `PageAlgebra._coproduct_columns` call, or of a page's `primitives`."""
 
     def __init__(self, pa: "PageAlgebra"):
         self.alg, self.page, self.dec = pa.alg, pa.page, pa.result.decomposition
@@ -288,6 +288,7 @@ class PageAlgebra:
         self.page = result.page(r)
         self.fp = alg.ring.residue_field()
         self.window = self.page.n_max
+        self._factors = None        # `primitives`' memo, kept for the page
         dec, positions = result.decomposition, self.page.positions
         for n in range(self.window + 1):
             for i, cl in enumerate(self.page.classes.get(n, [])):
@@ -305,13 +306,15 @@ class PageAlgebra:
         Only the class mod p is read, so Δ is formed over F_p by the
         splits of `lie.splits` with p, which drops a split whose binomial
         vanishes mod p, and a split is skipped as soon as its left, then
-        its right factor has no page coordinates.
+        its right factor has no page coordinates.  Δ̄ is formed only at the
+        pairs with 2a ≤ n: Δ is cocommutative, so (n−a, j, i) is ±(a, i, j).
 
         The tensor chains are not checked: Δ is a chain map with integral
         coefficients, so dx ∈ p^r·C puts d(Δx) and d(Δ̄x) in p^r·(C ⊗ C);
         callers check x on the UL chain (`BssResult.check_survival`)."""
         ring, p, degrees = self.alg.ring, self.fp.p, self.alg.L.degrees
-        keys, coords = self.alg.basis.keys(n), _Factors(self)
+        keys = self.alg.basis.keys(n)
+        coords = _Factors(self) if self._factors is None else self._factors
         dims = [self.page.dim(a) for a in range(n + 1)]
         offset = [0]
         for a in range(n):
@@ -327,7 +330,7 @@ class PageAlgebra:
                     if reduced and not (left and right):
                         continue
                     a, u = coords[left]
-                    if not u:
+                    if not u or (reduced and 2 * a > n):
                         continue
                     v = coords[right][1]
                     if not v:
@@ -395,6 +398,7 @@ class PageAlgebra:
         reps = [cl.rep for cl in self.page.classes.get(n, [])]
         for rep in reps:
             self.result.check_survival(self.r, n, rep)
+        self._factors = self._factors or _Factors(self)    # once per page
         return fp_kernel(self.fp.p, self._coproduct_columns(n, reps, True))
 
     def certified_primitives(self, seeds) -> dict | None:

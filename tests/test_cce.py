@@ -1,6 +1,9 @@
 """Cochain and chain functors on DGLs; quasi-isomorphism checking."""
 
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +11,13 @@ from hypothesis import given, settings
 from bockstein.cce import (CochainAlgebra, chains, cochains,
                            free_cochain_algebra, verify_quasi_iso)
 from bockstein.gamma import GammaAlgebra, pairing_matrix
-from bockstein.graded import ComplexError, FieldHomology
+from bockstein.cli import main
+from bockstein.graded import ComplexError, FieldHomology, check_square_zero
+from bockstein import lie
 from bockstein.lie import DgLie, PbwAlgebra, abelian
 from bockstein.scalars import Matrix, PrimeField, ZpLocal
 from oracles import cce_parts, gamma_expand, lambda_gamma_pairing
+from test_graded import golden_lie
 from test_lie import dgl_presentations, example1
 
 Z3 = ZpLocal(3)
@@ -116,10 +122,13 @@ class TestCochains:
         assert co.d == d0 + d1
 
     def test_one_derivation_and_no_gamma_algebra(self, monkeypatch):
-        # the sign of d1 is closed form, so no Γ(sL) is built, and d is
-        # one derivation of ΛV, not d0 and d1 added up
-        built = {"gamma": 0, "derivation": 0}
+        # the sign of d1 is closed form, so no Γ(sL) is built; cochains()
+        # keeps d's generator images and enumerates no monomial of ΛV, and
+        # the first read of d builds it as one derivation of ΛV, not d0
+        # and d1 added up, and keeps it
+        built = {"gamma": 0, "derivation": 0, "basis": 0}
         gamma_init, derivation = GammaAlgebra.__init__, PbwAlgebra.derivation
+        monomials = lie.ordered_monomials
 
         def spy_gamma(self, *args):
             built["gamma"] += 1
@@ -129,12 +138,21 @@ class TestCochains:
             built["derivation"] += 1
             return derivation(self, *args)
 
+        def spy_monomials(*args):
+            built["basis"] += 1
+            return monomials(*args)
+
         monkeypatch.setattr(GammaAlgebra, "__init__", spy_gamma)
         monkeypatch.setattr(PbwAlgebra, "derivation", spy_derivation)
+        monkeypatch.setattr(lie, "ordered_monomials", spy_monomials)
         co = cochains(DgLie(Z3, 9, [("x", 1), ("y", 1), ("z", 2), ("w", 3)],
                             {(0, 1): {2: 1}}, {3: {2: 1}}))
-        assert built == {"gamma": 0, "derivation": 1}
-        assert isinstance(co, CochainAlgebra) and not co.d.is_zero()
+        assert isinstance(co, CochainAlgebra)
+        assert built == {"gamma": 0, "derivation": 0, "basis": 0}
+        assert not co.d.is_zero()
+        assert built == {"gamma": 0, "derivation": 1, "basis": 1}
+        assert co.d is co.d
+        assert built["derivation"] == 1
 
     def test_minimality_detector(self):
         # d0 entries divisible by p iff ∂ entries divisible by p; Example 1
@@ -203,6 +221,60 @@ def lambda_xy_model(n=1, n_max=10):
     """(Λ(x,y), dx = y) over F_3 with |x| = 2n."""
     return free_cochain_algebra(F3, n_max, [("x", 2 * n), ("y", 2 * n + 1)],
                                 {"x": {"y": 1}})
+
+
+def test_window_map_squares_to_zero_and_matches_the_report(capsys):
+    # the report reads d on the generators alone, and construction checks
+    # d∘d on them; here d is built on all of ΛV in the window of
+    # nonabelian16 at nmax 40, d∘d = 0 checked across it, and its
+    # generator columns read against the report
+    path = str(Path(__file__).parent / "golden" / "nonabelian16.dgl")
+    assert main(["--json", "cochains", path, "--nmax", "40"]) == 0
+    report = json.loads(capsys.readouterr().out)["d"]
+    co = cochains(golden_lie("nonabelian16", 40))
+    lam, d = co.algebra, co.d       # check_square_zero runs here
+    assert d.degrees()[-1] == 39
+    columns = {}
+    for i, (name, deg) in enumerate(zip(lam.L.names, lam.L.degrees)):
+        if deg + 1 <= lam.n_max:
+            img = d.image(deg, lam.gen(i))
+            columns[name] = " + ".join(f"{c} {lam.monomial_name(m)}"
+                                       for m, c in sorted(img.items())) or "0"
+    assert columns == report and any(v != "0" for v in report.values())
+
+
+def test_generator_check_agrees_with_the_window_check():
+    # random generator images over F_3, many with d∘d ≠ 0 on one or more
+    # generators: the check on generators at construction and
+    # check_square_zero on the window map, built apart from it, pass or
+    # raise the same message
+    verdicts = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        gens = [(f"g{i}", rng.randint(1, 4)) for i in range(rng.randint(3, 6))]
+        lam = PbwAlgebra(abelian(F3, rng.randint(6, 9), gens))
+        spec = {}
+        for i, (_, deg) in enumerate(gens):
+            monos = lam.monomials(deg + 1)
+            if monos and rng.random() < 0.6:
+                spec[i] = {m: rng.randint(1, 2)
+                           for m in rng.sample(monos, min(len(monos),
+                                                          rng.randint(1, 2)))}
+        images = lam.images(lam.L, spec)
+
+        def verdict(check):
+            try:
+                check()
+            except ComplexError as exc:
+                return str(exc)
+            return None
+
+        window = verdict(lambda: check_square_zero(
+            lam.derivation(1, images)))
+        assert verdict(lambda: CochainAlgebra(lam, images)) == window
+        verdicts.append(window)
+    assert verdicts.count(None) >= 3
+    assert len(set(verdicts) - {None}) >= 10
 
 
 def test_free_cochain_algebra_rejects_d_squared_nonzero():
