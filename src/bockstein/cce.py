@@ -27,15 +27,23 @@ from .scalars import fp_kernel
 
 class CochainAlgebra:
     """Free commutative ΛW, kept as the generator images of its degree +1
-    derivation d.  d² is a derivation, so d∘d = 0 is checked on generators,
-    as `check_square_zero` reports it; `d` on ΛW is built on first read."""
+    derivation d.  Each image's degree, and d∘d = 0 (d² is a derivation),
+    are checked on generators, as building d and `check_square_zero` report
+    them; `d` on ΛW is built on first read."""
 
     def __init__(self, algebra: PbwAlgebra, images: dict):
         self.algebra, self.images = algebra, images
-        name = algebra.monomial_name
-        for n, w in sorted((n, w) for w, n in enumerate(algebra.L.degrees)
-                           if n + 2 <= algebra.n_max):
-            if dd := algebra.derive(images.get(w, {}), 1, images):
+        name, gens = algebra.monomial_name, sorted(
+            (n, w) for w, n in enumerate(algebra.L.degrees)
+            if n < algebra.n_max)
+        for n, w in gens:
+            for mono in images.get(w, {}):
+                if algebra.monomial_degree(mono) != n + 1:
+                    raise ComplexError(f"{mono!r} is not a basis element of "
+                                       f"degree {n + 1}")
+        for n, w in gens:
+            if n + 2 <= algebra.n_max and (
+                    dd := algebra.derive(images.get(w, {}), 1, images)):
                 raise ComplexError(f"d∘d ≠ 0 at degree {n}: d(d({name((w,))}))"
                                    f" has coefficient {dd[min(dd)]} on "
                                    f"{name(min(dd))}")

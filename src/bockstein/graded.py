@@ -197,6 +197,15 @@ class GradedMap:
         return cols if cols is not None else [
             {} for _ in range(self.source.dim(n))]
 
+    def terms(self, n: int, key):
+        """f of the source basis key `key` of degree n as (target key, entry)
+        pairs read from its stored column; none if the block is zero."""
+        if not (cols := self._cols.get(n)):
+            return ()
+        col = cols[self.source.index(n, key)]
+        keys = self.target.keys(n + self.degree)
+        return zip(map(keys.__getitem__, col), col.values())
+
     def degrees(self) -> list:
         """The degrees whose block is not zero."""
         return sorted(self._cols)

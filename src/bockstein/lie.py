@@ -12,16 +12,16 @@ multiplied on the right by mb's letters in turn, each inserted at the
 right end, so `mul` and `element` keep no table of words.
 
 UL's basis is a `GradedBasis` keyed by the monomials, enumerated on first
-read, so elements and coordinates convert in `graded`.  `derive` applies
-a derivation's generator images to one element with no window map: UL's
-d on elements is `d_elem`, and its window map, `differential`, is built
-on first call and stored.  A derivation replaces one letter of an ordered
-monomial at a time: a one-letter image is inserted into the ordered rest,
-and a longer image (the quadratic part of cce's d) is the prefix before
-the letter multiplied on the right by the image's letters and then by the
-rest.  Δ is a chain map, Δ∘d = (d⊗1 ± 1⊗d)∘Δ, so the Bockstein page checks
-apply d on UL only; d⊗1 ± 1⊗d on UL ⊗ UL serves the tensor-square
-reference (`structure.TensorSquareBss`).
+read, so elements and coordinates convert in `graded`.  A map given on
+generators extends by a monomial's last letter g: a derivation θ of
+degree k by θ(head·g) = θ(head)·g + (-1)^{k|head|} head·θ(g)
+(`_leibniz`), an algebra map by f(head·g) = f(head)·f(g).  The window
+map reads θ(head) from the column already built (`_extend`), and
+`derive` runs the step along an element's prefixes with no window map:
+UL's d on elements is `d_elem`, and its window map, `differential`, is
+built on first call and stored.  Δ is a chain map, Δ∘d = (d⊗1 ± 1⊗d)∘Δ,
+so the Bockstein page checks apply d on UL only; d⊗1 ± 1⊗d on UL ⊗ UL
+serves the tensor-square reference (`structure.TensorSquareBss`).
 
 Δ of an ordered monomial has one split rule, `splits`, over the integers
 or over F_p; `PbwAlgebra.coproduct` and the page coproduct of
@@ -426,64 +426,51 @@ class PbwAlgebra:
         return GradedChainComplex(self.basis, self.differential(), self.ring)
 
     def derivation(self, degree: int, gen_images: dict) -> GradedMap:
-        """Extend generator images (element dicts) to a derivation on UL.
-
-        Each column is `_derive` of a monomial: one-letter image monomials
-        (all of ∂'s, and cce's d0) are inserted, longer ones (cce's d1)
-        multiplied in by `_right_mul`.
-        """
+        """Extend generator images (element dicts) to a derivation on UL:
+        θ(head·g) by `_leibniz` on θ(head)'s stored column (`_extend`)."""
         theta = GradedMap(self.basis, self.basis, degree, self.ring)
-        for n in range(max(0, -degree), self.n_max + 1 - max(0, degree)):
-            theta.set_columns(n, [self._derive(mono, degree, gen_images)
-                                  for mono in self.monomials(n)])
-        return theta
+        return self._extend(theta, partial(self._leibniz, degree, gen_images))
 
     def derive(self, elem: dict, degree: int, gen_images: dict) -> dict:
-        """`_derive` summed over an element's monomials: no window map."""
-        ring, out = self.ring, {}
+        """A derivation on an element, `_leibniz` run along each monomial's
+        prefixes: no window map."""
+        ring, deg, out = self.ring, self.L.degrees, {}
         for mono, c in elem.items():
-            accumulate(ring, out, self._derive(mono, degree, gen_images), c)
+            theta, n = {}, 0                # θ(mono[:k]) and |mono[:k]|
+            for k, g in enumerate(mono):
+                theta = self._leibniz(degree, gen_images, theta.items(),
+                                      mono[:k], n, g)
+                n += deg[g]
+            accumulate(ring, out, theta, c)
         return out
 
-    def _derive(self, mono, degree: int, gen_images: dict) -> dict:
-        """A derivation on a monomial: the sum over its letters of the word
-        with that letter replaced by its image, with the Koszul sign of an
-        operator of the given degree passing the prefix.
-
-        A one-letter image h is inserted into the monomial without that
-        letter (`_insert`).  In a run g^m of an even letter with [g, h] = 0
-        all m positions give the same word, so the run costs one insertion
-        with coefficient m.  A longer image monomial (the quadratic part of
-        cce's d), at position pos, gives mono[:pos] multiplied on the right
-        by the image's letters and then by mono[pos+1:] (`_right_mul`), as
-        in `mul`.
-        """
-        ring = self.ring
-        out = {}
-        sign = ring.one
-        for g in dict.fromkeys(mono):       # each run g^m, in order
-            images = gen_images.get(g)
-            if images:
-                start, m = mono.index(g), mono.count(g)
-                rest = mono[:start] + mono[start + 1:]
-                for image, c in images.items():
-                    c = ring.mul(sign, c)
-                    if len(image) != 1:
-                        for pos in range(start, start + m):
-                            accumulate(ring, out, self._right_mul(
-                                mono[:pos], image + mono[pos + 1:]), c)
-                    elif m == 1 or (g, image[0]) not in self._brackets:
-                        c = ring.mul(ring.of(m), c)
-                        if not ring.is_zero(c):
-                            accumulate(ring, out,
-                                       self._insert(rest, start, image[0]), c)
-                    else:
-                        for pos in range(start, start + m):
-                            accumulate(ring, out,
-                                       self._insert(rest, pos, image[0]), c)
-            if self._odd[g] and degree % 2:  # an odd letter occurs once
-                sign = ring.neg(sign)
+    def _leibniz(self, degree, gen_images, terms, head, n: int, g) -> dict:
+        """θ(head·g) = θ(head)·g + (-1)^{degree·n} head·θ(g) for θ of the
+        given degree, from θ(head)'s (word, coefficient) pairs and n = |head|:
+        g is inserted at each word's right end (`_insert`), and head is
+        multiplied on the right by each image monomial (`_right_mul`)."""
+        ring, out = self.ring, {}
+        for word, c in terms:
+            accumulate(ring, out, self._insert(word, len(word), g), c)
+        odd = degree * n % 2
+        for image, c in gen_images.get(g, {}).items():
+            accumulate(ring, out, self._right_mul(head, image),
+                       ring.neg(c) if odd else c)
         return out
+
+    def _extend(self, f: GradedMap, step) -> GradedMap:
+        """Fill f's blocks degree by degree up: the column of a monomial
+        head·g is step(f(head)'s stored (word, entry) pairs, head, |head|,
+        g)."""
+        deg = self.L.degrees
+        for n in range(max(1, -f.degree), self.n_max + 1 - max(0, f.degree)):
+            cols = []
+            for mono in self.monomials(n):
+                head, g = mono[:-1], mono[-1]
+                h = n - deg[g]
+                cols.append(step(f.terms(h, head), head, h, g))
+            f.set_columns(n, cols)
+        return f
 
     def _insert(self, word, pos: int, h: int) -> dict:
         """Straighten word[:pos] + (h,) + word[pos:] for a monomial `word`.
@@ -494,12 +481,12 @@ class PbwAlgebra:
         without a, and an odd h meeting its own letter gives ½[h, h].
         """
         ring, odd, brackets = self.ring, self._odd, self._brackets
-        out = {}
-        sign = ring.one
-        i = pos
+        out, sign, i = {}, ring.one, pos
         while i > 0 and word[i - 1] > h:        # a·h = ±h·a + [a, h]
             i -= 1
             a = word[i]
+            if (a, h) not in brackets:          # a's run passes h at once
+                i = word.index(a)
             for k, c in brackets.get((a, h), {}).items():
                 accumulate(ring, out, self._insert(word[:i] + word[i + 1:],
                                                    i, k), ring.mul(sign, c))
@@ -524,26 +511,22 @@ class PbwAlgebra:
         return out
 
     def algebra_map(self, target: "PbwAlgebra", gen_images: dict) -> GradedMap:
-        """Extend generator images (elements of the target) multiplicatively.
-
-        Degree 0; image of a monomial is the ordered product of generator
-        images.  Covers U(θ) for Lie maps θ and more general assignments.
-        """
+        """Extend generator images (elements of the target) multiplicatively,
+        f(head·g) = f(head)·f(g) by `target._right_mul` (`_extend`).  Degree
+        0; covers U(θ) for Lie maps θ and more general assignments."""
         ring = self.ring
         f = GradedMap(self.basis, target.basis, 0, ring)
-        cache = {(): {(): ring.one}}
+        f.set_columns(0, [{(): ring.one}])
 
-        def image(mono):
-            if mono in cache:
-                return cache[mono]
-            head = image(mono[:-1])
-            out = target.mul(head, gen_images.get(mono[-1], {}))
-            cache[mono] = out
+        def product(terms, head, n, g):
+            out, images = {}, gen_images.get(g, {}).items()
+            for word, c in terms:
+                for image, ci in images:
+                    accumulate(ring, out, target._right_mul(word, image),
+                               ring.mul(c, ci))
             return out
 
-        for n in range(self.n_max + 1):
-            f.set_columns(n, [image(m) for m in self.monomials(n)])
-        return f
+        return self._extend(f, product)
 
     # -- coproduct ---------------------------------------------------------
 

@@ -732,8 +732,9 @@ def jacobi_violations(L):
 # pair out of order: the route the library took before it inserted one
 # letter at a time (`PbwAlgebra._insert`).  It reads only the Lie algebra
 # and the ring.  d(x_1···x_k) = Σ_i (-1)^{|x_1···x_{i-1}|} x_1···∂x_i···x_k
-# straightens each substituted word whole, never through `mul`, `_derive`
-# or the stored differential.
+# straightens each substituted word whole, never through `mul`, the
+# library's last-letter Leibniz step (`PbwAlgebra._leibniz`) or the stored
+# differential.
 
 def straighten(alg, word):
     """A word of generator indices as a dict of PBW monomials, by adjacent
@@ -788,8 +789,9 @@ def ul_d_by_leibniz(alg, elem):
 def derive_by_straightening(alg, mono, degree, gen_images):
     """A derivation of the given degree on a monomial of UL: each letter
     replaced by its image monomials, the whole word straightened, with the
-    Koszul sign of the operator passing the prefix (the route `_derive`
-    took before one-letter insertion)."""
+    Koszul sign of the operator passing the prefix.  Every letter is
+    replaced in the one word, where the library extends θ(head) by the last
+    letter alone (`PbwAlgebra._leibniz`)."""
     ring = alg.ring
     out = {}
     sign = 1

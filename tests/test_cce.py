@@ -286,6 +286,21 @@ def test_free_cochain_algebra_rejects_d_squared_nonzero():
                              {"x": {"y": 1}, "y": {"z": 1}})
 
 
+def test_free_cochain_algebra_rejects_an_image_of_the_wrong_degree(
+        monkeypatch):
+    # dy = x with |y| = 3, |x| = 2: construction names the image monomial
+    # as building d on ΛV does, and enumerates no monomial of ΛV
+    gens, spec = [("x", 2), ("y", 3)], {"y": {"x": 1}}
+    lam = PbwAlgebra(abelian(F3, 8, gens))
+    with pytest.raises(ComplexError) as window:
+        lam.derivation(1, lam.images(lam.L, spec))
+    assert str(window.value) == "(0,) is not a basis element of degree 4"
+    monkeypatch.setattr(lie, "ordered_monomials", None)
+    with pytest.raises(ComplexError, match=r"^\(0,\) is not a basis element "
+                                           r"of degree 4$"):
+        free_cochain_algebra(F3, 8, gens, spec)
+
+
 class TestVerifyQuasiIso:
     def test_identity(self):
         tgt = lambda_xy_model()

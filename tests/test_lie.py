@@ -372,6 +372,32 @@ class TestProduct:
         assert sizes() == before
 
 
+    def test_algebra_map_calls_no_mul(self, monkeypatch):
+        # algebra_map extends by f(head·g) = f(head)·f(g), f(head) read
+        # from the column already built: no `mul`, which sums monomial
+        # degrees again for every product, and no table of images
+        golden = Path(__file__).parent / "golden" / "nonabelian16.dgl"
+        A = PbwAlgebra(parse_dgl(golden.read_text()).replace(n_max=12))
+        images = {g: A.gen(g) for g in range(A.L.n_gens())}
+        images[0] = A.element({(0,): 2})
+        mul, calls = PbwAlgebra.mul, []
+
+        def spy(self, a, b):
+            calls.append((a, b))
+            return mul(self, a, b)
+
+        monkeypatch.setattr(PbwAlgebra, "mul", spy)
+        f = A.algebra_map(A, images)
+        assert calls == []
+        monkeypatch.undo()
+        for n in range(A.n_max + 1):
+            for mono in A.monomials(n):
+                want = {(): A.ring.one}
+                for g in mono:
+                    want = A.mul(want, images[g])
+                assert f.image(n, {mono: A.ring.one}) == want, mono
+
+
 class TestDifferential:
     def test_derivation_on_powers(self):
         A = PbwAlgebra(example1(n_max=10))
@@ -403,8 +429,9 @@ class TestDifferential:
     @settings(max_examples=150, deadline=None)
     @given(dgl_presentations(), st.data())
     def test_derivation_matches_straightening(self, L, data):
-        # one-letter images are inserted, longer ones straightened; the
-        # oracle straightens every substituted word whole
+        # each column extends θ(head) by the last letter g, θ(head)·g ±
+        # head·θ(g); the oracle replaces each letter of the whole word and
+        # straightens every substituted word whole
         A = PbwAlgebra(L)
         degree, images = data.draw(derivation_images(A))
         theta = A.derivation(degree, images)

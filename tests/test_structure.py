@@ -844,9 +844,16 @@ class TestEnvelopeCertificate:
     """The certificate of `verify_envelope_pages` against the full kernel
     of Δ̄, `PageAlgebra.primitives`, its fallback and its reference."""
 
-    @pytest.mark.parametrize("name, n_max", GOLDEN_INPUTS)
+    @pytest.mark.parametrize("name, n_max", GOLDEN_INPUTS + [
+        ("nonabelian16", 32),
+        pytest.param(DgLie(Z3, 32, [("x", 1), ("y", 2), ("z", 3), ("w", 4)],
+                           {(0, 1): {2: 1}}, {1: {0: 3}, 3: {2: 3}}), 32,
+                     id="indecomposable-32")])
     def test_certified_span_is_the_kernel(self, name, n_max):
-        alg = PbwAlgebra(golden_lie(name, n_max))
+        # the golden inputs, nonabelian16 past its golden window, and the
+        # indecomposable block [x, y] = z, ∂y = 3x, ∂w = 3z over Z_(3)
+        alg = PbwAlgebra(golden_lie(name, n_max) if isinstance(name, str)
+                         else name)
         rep, certs, fell_back = spied_report(
             alg, bockstein_pages(alg.as_complex(), 3))
         assert rep.ok, rep.failures
