@@ -4,7 +4,8 @@ Pages are read off the elementary-piece decomposition: a piece p^k: y -> x
 contributes the pair ([y], [x]) to every page r ≤ k, with β^r[y] = [x] exactly
 when r = k, and both classes die entering page k+1; free pieces contribute
 permanent classes.  So the pages are nested filters of one list of piece
-ends, built once (`bockstein_pages`): page r keeps the free ends and both
+ends, built once (`bockstein_pages`) in each degree's new-basis order,
+which the piece exponents alone fix: page r keeps the free ends and both
 ends of every piece with k ≥ r, and only β^r and the ~k suffixes that keep
 class names unique on a page change with r.  Chain-level representatives
 are the decomposed basis vectors, so d(rep) ∈ p^r·C holds by construction
@@ -19,7 +20,6 @@ place through each page's map of new index to position (`positions`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .graded import (ComplexError, Decomposition, GradedBasis,
                      GradedChainComplex, GradedMap, WindowError, decompose)
@@ -90,14 +90,15 @@ class BssResult:
 def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
     """Pages E^1..E^{r_max}, reported for degrees ≤ n_max - 1.
 
-    The ends of the pieces inside the window are listed once, stably sorted
-    by degree so that piece order holds within a degree: each free piece's
-    end, with exponent 0, and both ends of each piece p^k, k ≥ 1.  Page r
-    keeps the free ends and the ends with k ≥ r, and β^r joins the two ends
-    of each piece with k = r.  An end is named [first basis vector of its P
-    column]; on each page the later ends of one name, in list order, get
-    ~2, ~3, ..., and each degree lists its classes sorted by name, which
-    sets `positions`, where β^r's arrows and the page reader look.
+    The ends inside the window are listed once, degree by degree in
+    new-index order, placed by `Decomposition.exponents` alone: the
+    bottoms and then the tops of the pieces p^k with k ≥ 1, then the free
+    ends, with exponent 0.  Page r keeps the free ends and the ends with
+    k ≥ r, and β^r joins the two ends of each piece with k = r.  An end is
+    named [first basis vector of its P column]; on each page the later
+    ends of one name, in list order, get ~2, ~3, ..., and each degree
+    lists its classes sorted by name, which sets `positions`, where β^r's
+    arrows and the page reader look.
     """
     if r_max < 1:
         raise ValueError("r_max must be ≥ 1")
@@ -108,14 +109,11 @@ def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
     dec = decompose(C)
     window = C.n_max - 1
 
-    ends = []    # (degree, exponent, new index)
-    for pc in dec.pieces:
-        if pc.kind == "free":
-            ends.append((pc.top_degree, 0, pc.top_index))
-        elif pc.exponent >= 1:
-            ends += [(pc.top_degree, pc.exponent, pc.top_index),
-                     (pc.top_degree - 1, pc.exponent, pc.bottom_index)]
-    ends = sorted((e for e in ends if e[0] <= window), key=itemgetter(0))
+    ends = []    # (degree, exponent, new index), in new-index order
+    for n in range(window + 1):
+        ks = dec.exponents[n + 1] + dec.exponents[n]   # bottoms, then tops
+        ends += [(n, k, j) for j, k in enumerate(ks) if k]
+        ends += [(n, 0, j) for j in dec.free(n)]
     base = [f"[{C.basis.name(n, min(dec.P[n][j]))}]" for n, _, j in ends]
     # All piece exponents inside the window are known, so stabilization at
     # max_exp + 1 is genuine, not an artifact of truncation.
@@ -141,16 +139,14 @@ def bockstein_pages(C: GradedChainComplex, r_max: int) -> BssResult:
                                   for n, cls in classes.items()},
                                  max(window, 0))
         beta = GradedMap(page_basis, page_basis, -1, fp)
-        cols = {}    # degree -> columns of β^r, an arrow per piece p^r
-        for pc in dec.pieces:
-            n = pc.top_degree
-            if pc.exponent == r and n <= window:
-                if n not in cols:
-                    cols[n] = [{} for _ in classes[n]]
-                cols[n][positions[n][pc.top_index]] = {
-                    positions[n - 1][pc.bottom_index]: fp.one}
-        for n in sorted(cols):
-            beta.set_sparse_columns(n, cols[n])
+        for n in range(1, window + 1):   # β^r: an arrow per piece p^r
+            h, cols = len(dec.exponents[n + 1]), None
+            for i, k in enumerate(dec.exponents[n]):
+                if k == r:
+                    cols = cols or [{} for _ in classes[n]]
+                    cols[positions[n][h + i]] = {positions[n - 1][i]: fp.one}
+            if cols:
+                beta.set_sparse_columns(n, cols)
         pages.append(SpectralPage(r, window, classes, beta, page_basis,
                                   positions))
     return BssResult(C, dec, pages, max_exp + 1, max_exp)

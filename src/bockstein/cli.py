@@ -139,11 +139,8 @@ def cmd_bss(args):
              f"p = {L.p}, degrees 0..{C.n_max - 1}:"]
     plines, rep = _page_report(result, args.rmax)
     lines += plines
-    hidden = [pc for pc in result.decomposition.pieces
-              if pc.kind == "elementary" and pc.exponent >= 1
-              and pc.top_degree > C.n_max - 1]
-    if hidden:
-        need = max(pc.top_degree for pc in hidden) + 1
+    if any(result.decomposition.exponents[C.n_max]):   # tops past the window
+        need = C.n_max + 1
         lines.append(f"warning: torsion at the window edge; raise nmax to "
                      f"at least {need} to see its pages fully")
         rep["window_warning"] = need

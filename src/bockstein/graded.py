@@ -11,9 +11,10 @@ field F_p, as every reader wants coordinates mod p, and has one reader
 through a map new index -> position (`FieldHomology` keeps one per
 degree, `bss.SpectralPage` per page and degree).  A sparse recomposition
 certifies every decomposition: P^-1·P = 1 over F_p and d·P = P·D exactly.
-Over Z_(p) the same decomposition later drives the Bockstein pages, so
-torsion bookkeeping happens exactly once; over F_p every piece has
-exponent 0, so the free pieces are a homology basis.
+Over Z_(p) the same decomposition (P, P^-1 and the exponents that place
+every piece) later drives the Bockstein pages, so torsion bookkeeping
+happens exactly once; over F_p every piece has exponent 0, so the free
+vectors are a homology basis.
 
 Everything here is sparse.  A chain, or coordinates in any basis, is a
 column dict: position -> nonzero entry.  A `GradedBasis` knows each
@@ -47,8 +48,8 @@ class GradedBasis:
 
     A key is whatever names a basis vector to its owner: a PBW monomial, a
     Γ word, a generator index or a plain name.  `name` prints a key (keys
-    are their own names by default); each key's name is made on its first
-    use and kept, since a report names few of them.  Each degree keeps a
+    are their own names by default), made anew on each read, since a
+    report names few keys and seldom one twice.  Each degree keeps a
     key -> position dict, so elements (sparse dicts key -> scalar) and
     column dicts (position -> scalar) convert here and nowhere else.
     """
@@ -56,7 +57,7 @@ class GradedBasis:
     def __init__(self, keys_by_degree: dict, n_max: int, name=None):
         self.n_max = n_max
         self._name = name
-        self._keys, self._pos, self._names = {}, {}, {}
+        self._keys, self._pos = {}, {}
         for n, keys in keys_by_degree.items():
             if not keys:
                 continue
@@ -76,12 +77,7 @@ class GradedBasis:
     def name(self, n: int, j: int) -> str:
         """The name of the basis vector at position j of degree n."""
         key = self._keys[n][j]
-        if self._name is None:
-            return key
-        name = self._names.get(key)
-        if name is None:
-            name = self._names[key] = self._name(key)
-        return name
+        return key if self._name is None else self._name(key)
 
     def keys(self, n: int) -> list:
         """The keys of degree n in basis order (do not mutate)."""
@@ -365,19 +361,37 @@ class Piece:
 
 @dataclass
 class Decomposition:
-    """P^-1·d·P = D, D the pieces: P[n] holds the new basis of degree n as
+    """P^-1·d·P = D, D the pieces, placed by their exponents alone:
+    exponents[n] holds the exponent k of each piece p^k: top -> bottom of
+    d_n, in pivot order, as `eliminate` returns them.  The new basis of
+    degree n is the bottoms of d_{n+1}'s pieces (bottom i at index i),
+    then the tops of d_n's (top i at len(exponents[n+1]) + i), then the
+    free vectors (`free(n)`).  P[n] holds the new basis of degree n as
     column dicts over the complex's ring, exactly; Pinv[n][j] old basis
     vector j in new coordinates mod p, ints in [1, p), a column of P^-1."""
 
     complex: GradedChainComplex
-    pieces: list
+    exponents: dict
     P: dict = field(default_factory=dict)
     Pinv: dict = field(default_factory=dict)
 
-    def representative(self, n: int, index: int) -> dict:
-        """Chain in original coordinates of new-basis vector (n, index): the
-        column of P itself, so do not mutate."""
-        return self.P[n][index]
+    def free(self, n: int) -> range:
+        """The new indices of the free vectors of degree n, the last ones."""
+        return range(len(self.exponents.get(n + 1, ()))
+                     + len(self.exponents[n]), self.complex.dim(n))
+
+    @property
+    def pieces(self) -> list:
+        """The pieces as a list of `Piece`, top degree down, each degree's
+        elementary pieces in pivot order and then its free ones: derived
+        from `exponents`, for comparison with a reference."""
+        out = []
+        for n in range(self.complex.n_max, -1, -1):
+            h = len(self.exponents.get(n + 1, ()))
+            out += [Piece("elementary", n, h + i, k, i)
+                    for i, k in enumerate(self.exponents[n])]
+            out += [Piece("free", n, j) for j in self.free(n)]
+        return out
 
     def coordinates(self, n: int, col: dict, positions: list) -> dict:
         """The coordinates mod p, position -> nonzero in position order, of
@@ -406,10 +420,12 @@ def decompose(C: GradedChainComplex) -> Decomposition:
     column operations change the basis of C_n and act on P[n], P^-1[n] and
     d_n.  Columns hit from above are left out of the elimination: they are
     cycles, so their columns of d_n vanish, and the pieces found so far stay
-    intact.  The rows of d_{n+1} are not updated, since d_{n+1} is not read
-    again.  Over F_p every nonzero entry is a unit, so every elementary
-    piece has exponent 0.  P^-1 is updated over F_p, P and d exactly; its
-    rows of degree n become the columns every reader wants once n is done.
+    intact; pivot i of d_n is then top hit + i and bottom i, so the pivot
+    exponents place every piece.  The rows of d_{n+1} are not updated,
+    since d_{n+1} is not read again.  Over F_p every nonzero entry is a
+    unit, so every elementary piece has exponent 0.  P^-1 is updated over
+    F_p, P and d exactly; its rows of degree n become the columns every
+    reader wants once n is done.
     """
     ring = C.ring
     fp = ring.residue_field()
@@ -418,26 +434,20 @@ def decompose(C: GradedChainComplex) -> Decomposition:
            for n in range(n_max + 1)}
     P = {n: unit_vectors(ring, C.dim(n)) for n in range(n_max + 1)}
     Pinv = {n: unit_vectors(fp, C.dim(n)) for n in range(n_max + 1)}
-    pieces = []
-    hit = 0          # basis vectors 0..hit-1 of degree n are hit from above
+    exponents = {}
     for n in range(n_max, -1, -1):
-        free_cols = list(range(hit, C.dim(n)))
-        exponents = []
+        hit = len(exponents.get(n + 1, ()))    # 0..hit-1: hit from above
+        exponents[n] = []
         if n > 0:
             rows = BasisChange(ring, out=[P[n - 1], cur[n - 1]],
                                into=[Pinv[n - 1]], into_ring=fp)
             cols = BasisChange(ring, out=[P[n]], into=[Pinv[n]],
                                into_ring=fp)
-            exponents = eliminate(ring, cur[n], C.dim(n - 1), rows, cols,
-                                  free_cols)
-        for i, k in enumerate(exponents):
-            pieces.append(Piece("elementary", n, free_cols[i], k, i))
-        for j in free_cols[len(exponents):]:
-            pieces.append(Piece("free", n, j))
-        hit = len(exponents)
+            exponents[n] = eliminate(ring, cur[n], C.dim(n - 1), rows, cols,
+                                     range(hit, C.dim(n)))
         Pinv[n] = _transpose(Pinv[n], C.dim(n))
 
-    dec = Decomposition(C, pieces, P, Pinv)
+    dec = Decomposition(C, exponents, P, Pinv)
     _verify_decomposition(dec)
     return dec
 
@@ -452,12 +462,12 @@ def _verify_decomposition(dec: Decomposition):
     ring = C.ring
     fp = ring.residue_field()
     want = {}            # (n, top index) -> d of the new basis vector
-    for pc in dec.pieces:
-        if pc.kind == "elementary":
-            n, pk = pc.top_degree, ring.of(ring.p ** pc.exponent)
-            want[n, pc.top_index] = {
-                i: ring.mul(pk, x)
-                for i, x in dec.P[n - 1][pc.bottom_index].items()}
+    for n, ks in dec.exponents.items():
+        h = len(dec.exponents.get(n + 1, ()))
+        for i, k in enumerate(ks):
+            pk = ring.of(ring.p ** k)
+            want[n, h + i] = {b: ring.mul(pk, x)
+                              for b, x in dec.P[n - 1][i].items()}
     for n in range(C.n_max + 1):
         d = C.d.sparse_columns(n)
         for j, col in enumerate(dec.P[n]):
@@ -510,12 +520,9 @@ class HomologySummary:
 
 def homology(C: GradedChainComplex) -> HomologySummary:
     """Betti numbers and p-torsion orders per degree ≤ n_max - 1."""
-    betti, torsion = {}, {}
-    for pc in decompose(C).pieces:
-        if pc.kind == "free":
-            betti[pc.top_degree] = betti.get(pc.top_degree, 0) + 1
-        elif pc.exponent >= 1:
-            torsion.setdefault(pc.top_degree - 1, []).append(pc.exponent)
+    dec = decompose(C)
+    betti = {n: len(dec.free(n)) for n in dec.exponents}
+    torsion = {n - 1: [k for k in ks if k] for n, ks in dec.exponents.items()}
     return HomologySummary(C.n_max, betti, torsion)
 
 
@@ -527,8 +534,9 @@ class FieldHomology:
     """Per-degree homology of a complex over F_p, any differential degree ±1.
 
     Reads the piece decomposition of the complex: over a field every piece
-    has exponent 0, so the free pieces form a homology basis.  A degree +1
-    differential is decomposed as the chain complex C_m = C^{N-m}, N = n_max.
+    has exponent 0, so the free vectors, the last ones of each degree, form
+    a homology basis.  A degree +1 differential is decomposed as the chain
+    complex C_m = C^{N-m}, N = n_max.
     """
 
     def __init__(self, basis: GradedBasis, d: GradedMap):
@@ -545,14 +553,11 @@ class FieldHomology:
             for n in self.d.degrees():
                 d.set_sparse_columns(N - n, self.d.sparse_columns(n))
         self._dec = decompose(GradedChainComplex(basis, d, self.ring))
-        self._free = {}        # chain degree -> free piece indices, in order
+        # chain degree -> the new indices of its free vectors, the last ones
+        self._free = {m: self._dec.free(m) for m in self._dec.exponents}
         # chain degree -> new index -> its place among them, or None
-        self._pos = {m: [None] * len(c) for m, c in self._dec.Pinv.items()}
-        for pc in self._dec.pieces:
-            if pc.kind == "free":
-                free = self._free.setdefault(pc.top_degree, [])
-                self._pos[pc.top_degree][pc.top_index] = len(free)
-                free.append(pc.top_index)
+        self._pos = {m: [None] * f.start + list(range(len(f)))
+                     for m, f in self._free.items()}
 
     def _m(self, n: int) -> int:
         """Chain degree of degree n: n itself, or N - n for a cochain d."""
@@ -563,7 +568,7 @@ class FieldHomology:
 
     def class_of(self, n: int, col: dict) -> dict:
         """Homology coordinates of a cycle, as column dicts both; raises if
-        not a cycle.  Read off P^-1 on the free pieces of its degree."""
+        not a cycle.  Read off P^-1 on the free vectors of its degree."""
         if self.d.apply(n, col):
             raise ComplexError("not a cycle")
         m = self._m(n)
@@ -571,7 +576,7 @@ class FieldHomology:
 
     def representative(self, n: int, h_index: int) -> dict:
         m = self._m(n)
-        return self._dec.representative(m, self._free[m][h_index])
+        return self._dec.P[m][self._free[m][h_index]]
 
 
 def induced_map(f: GradedMap, H_src: FieldHomology, H_tgt: FieldHomology,

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from bockstein.bss import bockstein_pages, bss_of_morphism, is_chain_map
-from bockstein.graded import (ComplexError, GradedBasis, GradedChainComplex,
-                              GradedMap, homology)
+from bockstein.dglfile import parse_dgl
+from bockstein.graded import (ComplexError, FieldHomology, GradedBasis,
+                              GradedChainComplex, GradedMap, homology)
 from bockstein.lie import DgLie, PbwAlgebra
 from bockstein.scalars import Matrix, PrimeField, RingError, ZpLocal
 from oracles import bss_beta_ranks, bss_page_dims, pages_by_pieces
@@ -74,6 +76,29 @@ class TestElementaryPages:
             stable = bss.page(bss.stable_page)
             for n in range(C.n_max):
                 assert stable.dim(n) == H.betti(n)
+
+
+    def test_pages_homology_and_field_homology_agree_at_size(self):
+        # nonabelian16 with a unit pair u(3), v(4), ∂v = u beside it, at
+        # nmax 32: total dim 47,569, 14,155 exponent-0 and 8,179 torsion
+        # pieces of exponents 1-3; E¹, H ⊗ F_p by universal coefficients
+        # and H(C ⊗ F_p) read the piece layout three ways, and the stable
+        # page is the free part
+        L = parse_dgl((Path(__file__).parent / "golden" / "nonabelian16.dgl")
+                      .read_text() + "generator u 3\ngenerator v 4\n"
+                      "differential v = 1 u\n").replace(n_max=32)
+        alg = PbwAlgebra(L)
+        C = alg.as_complex()
+        bss = bockstein_pages(C, 4)
+        ks = [k for ks in bss.decomposition.exponents.values() for k in ks]
+        assert (C.basis.total_dim(), ks.count(0), len(ks) - ks.count(0),
+                max(ks), bss.stable_page) == (47569, 14155, 8179, 3, 4)
+        H = homology(C)
+        F = FieldHomology(alg.basis, C.d.reduce_mod_p())
+        e1, stable = bss.page(1), bss.page(bss.stable_page)
+        for n in range(C.n_max):
+            assert e1.dim(n) == H.mod_p_dim(n) == F.dim(n), n
+            assert stable.dim(n) == H.betti(n), n
 
 
 class TestAgainstLatticeOracle:

@@ -220,6 +220,32 @@ class TestHomology:
         assert "H_1: free rank 0, torsion Z/3^1, mod-p dim 1" in out
 
 
+class TestPieceLayout:
+    def test_no_command_reads_the_piece_list(self, ex1, abc, tmp_path,
+                                             capsys, monkeypatch):
+        # every reader places the pieces by Decomposition.exponents; the
+        # derived `pieces` list is left to the tests' dense reference
+        from bockstein.graded import Decomposition, decompose
+        from bockstein.lie import PbwAlgebra
+
+        def spy(dec):
+            raise AssertionError("Decomposition.pieces was read")
+
+        monkeypatch.setattr(Decomposition, "pieces", property(spy))
+        for argv in (["bss", ex1, "--target", "ul", "--rmax", "3"],
+                     ["--json", "bss", ex1, "--target", "lie"],
+                     ["bss", abc, "--check-envelopes", "--rmax", "2"],
+                     ["homology", ex1], ["homology", ex1, "--target", "lie"],
+                     ["examples", "model", "--out", str(tmp_path)]):
+            assert main(argv) == 0, argv
+        # example1 at nmax 20 has torsion at the window edge
+        assert "raise nmax to at least 21" in capsys.readouterr().out
+        L, _ = cli.builtin_dgl("model")
+        dec = decompose(PbwAlgebra(L).as_complex())   # and its verification
+        with pytest.raises(AssertionError, match="pieces was read"):
+            dec.pieces
+
+
 class TestCochains:
     def test_dual_generators_and_differential(self, ex1, capsys):
         assert main(["cochains", ex1]) == 0
